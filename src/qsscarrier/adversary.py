@@ -23,7 +23,9 @@ conjugate pair h(-ta) (x) h(-tc), or the transpose pair h(ta)^T (x) h(tc)^T
 from __future__ import annotations
 
 import enum
+import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,7 +87,6 @@ class RawRecord:
 class AttackState:
     maintenance_policy: MaintenancePolicy
     rng: np.random.Generator
-    kept_label: str = KEPT_LABEL
     pattern_hypothesis: PatternHypothesis = PatternHypothesis.UNKNOWN
     # True while the q2=1 branch would be Psi-family; flips at every toggle.
     psi_family_now: bool = True
@@ -215,32 +216,45 @@ def no_signaling_distances(su: SplitUnitary) -> dict[str, float]:
 # attack execution
 
 
+def execute_split_all(
+    session: ProtocolSession,
+    su: SplitUnitary,
+    policy: MaintenancePolicy,
+    rngs: Sequence[np.random.Generator],
+) -> list[AttackState]:
+    """Apply the splitting operator during round 2 in every trial and keep m1 as bt.
+
+    Requires the round-2 message to be encoded but not yet delivered, and an
+    idle bt slot in every trial.  The label swap m1 <-> bt is bookkeeping
+    only; afterwards bt holds the Bell half paired with a, m1 is a fresh |0>,
+    and m2 holds the blank counterfeit.  rngs are Bob's generators, one per
+    trial; returns one attack ledger per trial.
+    """
+    if session.round_index != 2 or session.pending_q is None:
+        raise ValueError("split must run on the encoded, undelivered round-2 state")
+    if KEPT_LABEL not in session.states.labels:
+        raise ValueError(f"register has no {KEPT_LABEL!r} slot for the kept qubit")
+    if len(rngs) != session.trials:
+        raise ValueError(f"{len(rngs)} attacker generators for {session.trials} trials")
+    occupied = qcore.probability_of_one(session.states, KEPT_LABEL) > 1e-12
+    qcore.check_trials(occupied, f"{KEPT_LABEL!r} slot is occupied")
+    st = qcore.apply_unitary(session.states, su.matrix, ["b", "m1", "m2"])
+    session.states = st.relabeled({"m1": KEPT_LABEL, KEPT_LABEL: "m1"})
+    return [
+        AttackState(maintenance_policy=policy, rng=rng, q2_truth=q)
+        for rng, q in zip(rngs, session.pending_q.tolist())
+    ]
+
+
 def execute_split(
     session: ProtocolSession,
     su: SplitUnitary,
     policy: MaintenancePolicy,
     rng: np.random.Generator,
 ) -> AttackState:
-    """Apply the splitting operator during round 2 and keep m1 as bt.
-
-    Requires the round-2 message to be encoded but not yet delivered, and an
-    idle bt slot in the register.  The label swap m1 <-> bt is bookkeeping
-    only; afterwards bt holds the Bell half paired with a, m1 is a fresh |0>,
-    and m2 holds the blank counterfeit.
-    """
-    if session.round_index != 2 or session.pending_q is None:
-        raise ValueError("split must run on the encoded, undelivered round-2 state")
-    if KEPT_LABEL not in session.state.labels:
-        raise ValueError(f"register has no {KEPT_LABEL!r} slot for the kept qubit")
-    if qcore.probability_of_one(session.state, KEPT_LABEL) > 1e-12:
-        raise ValueError(f"{KEPT_LABEL!r} slot is occupied")
-    session.state = qcore.apply_unitary(session.state, su.matrix, ["b", "m1", "m2"])
-    session.state = session.state.relabeled({"m1": KEPT_LABEL, KEPT_LABEL: "m1"})
-    return AttackState(
-        maintenance_policy=policy,
-        rng=rng,
-        q2_truth=session.pending_q,
-    )
+    """execute_split_all for a session of one trial."""
+    session.require_single()
+    return execute_split_all(session, su, policy, [rng])[0]
 
 
 def pattern_pair_state(
@@ -255,55 +269,81 @@ def pattern_pair_state(
     return qcore.from_amplitudes(labels, np.einsum("at,bc->atbc", b1, b2).reshape(-1))
 
 
-def fraud_pattern_state(session: ProtocolSession, attack: AttackState) -> qcore.StateVector:
-    """The intact-orbit pattern the pairs should be in right now (truth-side)."""
-    if attack.q2_truth == 0:
-        kind = BellKind.PHI_PLUS
-    else:
-        kind = BellKind.PSI_PLUS if attack.psi_family_now else BellKind.PHI_MINUS
-    bell = gates.bell_amplitudes(kind).reshape(2, 2)
-    labels = session.state.labels
+# rows of the pattern table: the q2 = 0 orbit, then the q2 = 1 orbit's two forms
+_ORBIT_KINDS = (BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS)
+
+
+@functools.lru_cache(maxsize=16)
+def _pattern_table(labels: tuple[str, ...]) -> np.ndarray:
+    """Amplitudes of each intact-orbit fraud pattern, messages reset, one row
+    per kind in _ORBIT_KINDS, laid out in the given register order."""
     axis_of = {"a": 0, KEPT_LABEL: 1, "b": 2, "c": 3, "m1": 4, "m2": 5}
     if sorted(labels) != sorted(axis_of):
         raise ValueError(f"unexpected attack register labels {labels}")
     e0 = np.array([1.0, 0.0])
-    amps = np.einsum("at,bc,m,n->atbcmn", bell, bell, e0, e0)
-    amps = np.transpose(amps, axes=[axis_of[lab] for lab in labels])
-    return qcore.from_amplitudes(labels, amps.reshape(-1))
+    rows = []
+    for kind in _ORBIT_KINDS:
+        bell = gates.bell_amplitudes(kind).reshape(2, 2)
+        amps = np.einsum("at,bc,m,n->atbcmn", bell, bell, e0, e0)
+        amps = np.transpose(amps, axes=[axis_of[lab] for lab in labels])
+        rows.append(qcore.from_amplitudes(labels, amps.reshape(-1)).amps)
+    return gates.read_only(np.stack(rows))
+
+
+def fraud_pattern_fidelity_all(session: ProtocolSession, attacks: Sequence[AttackState]) -> np.ndarray:
+    """Per trial, the fidelity with the intact-orbit pattern the pairs should
+    be in right now (truth-side instrumentation)."""
+    table = _pattern_table(session.states.labels)
+    which = [0 if a.q2_truth == 0 else (1 if a.psi_family_now else 2) for a in attacks]
+    expected = qcore.StateBatch(session.states.labels, table[which])
+    return qcore.fidelity(session.states, expected)
 
 
 def fraud_pattern_fidelity(session: ProtocolSession, attack: AttackState) -> float:
-    return qcore.fidelity(session.state, fraud_pattern_state(session, attack))
+    session.require_single()
+    return float(fraud_pattern_fidelity_all(session, [attack])[0])
 
 
-def forward_round2_counterfeit(session: ProtocolSession, attack: AttackState) -> int:
-    """Send the blank on to Charlie and let him decode round 2 honestly.
+def forward_round2_counterfeit_all(
+    session: ProtocolSession, attacks: Sequence[AttackState]
+) -> np.ndarray:
+    """Send the blank on to Charlie and let him decode round 2 honestly, every trial.
 
     Bob rotates the blank to |+> first: Charlie's decode CNOT is inert on an
     X eigenstate, so his measurement is uniform noise and the (b, c) pair
     survives.  Forwarding the raw |0> would let that CNOT copy c and collapse
-    the pair.  Appends the round-2 record (Bob has no bit of his own here).
+    the pair.  Appends the round-2 records (Bob has no bit of his own here)
+    and returns Charlie's reads.
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("round-2 counterfeit must follow the split in round 2")
-    session.state = qcore.apply_unitary(session.state, gates.H, ["m2"])
-    session.state = qcore.apply_unitary(session.state, gates.CNOT, ["c", "m2"])
-    bit, session.state = qcore.measure(session.state, "m2", session.rng)
-    if bit:
-        session.state = qcore.apply_unitary(session.state, gates.X, ["m2"])
-    attack.charlie_round2 = bit
-    session.records.append(
-        protocol.RoundRecord(
-            round_index=2,
-            parity="even",
-            q=session.pending_q,
-            bob_bit=None,
-            charlie_bit=bit,
-            carrier_fidelity=fraud_pattern_fidelity(session, attack),
-        )
-    )
-    session.pending_q = None
-    return bit
+    st = qcore.apply_unitary(session.states, gates.H, ["m2"])
+    st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
+    bits, st = qcore.measure(st, "m2", session.rngs)
+    session.states = qcore.flip(st, "m2", bits)
+    for attack, bit in zip(attacks, bits.tolist()):
+        attack.charlie_round2 = bit
+    protocol.append_records(session, None, bits, fraud_pattern_fidelity_all(session, attacks))
+    return bits
+
+
+def forward_round2_counterfeit(session: ProtocolSession, attack: AttackState) -> int:
+    session.require_single()
+    return int(forward_round2_counterfeit_all(session, [attack])[0])
+
+
+@functools.lru_cache(maxsize=128)
+def _choice_pair(angles: gates.ThetaTriple | None, choice: str, forward: bool) -> tuple[np.ndarray, ...]:
+    """Bob's (bt, b) operators, built and validated once per configuration."""
+    if choice == "h":
+        pair = (gates.H, gates.H)
+    else:
+        ta, _, tc = angles.as_tuple()
+        if choice == "u":
+            pair = (gates.h_theta(-ta), gates.h_theta(-tc))
+        else:
+            pair = (gates.h_theta(ta).T, gates.h_theta(tc).T)
+    return tuple(gates.read_only(m if forward else m.conj().T) for m in pair)
 
 
 def choice_operators(
@@ -315,136 +355,120 @@ def choice_operators(
     h(-ta) (x) h(-tc), "v" the transpose pair h(ta)^T (x) h(tc)^T; inverse
     operators are returned when the toggle runs in the inverse direction.
     """
-    if choice == "h":
-        return gates.H, gates.H
-    if angles is None:
-        raise ValueError(f"choice {choice!r} needs toggle angles; the plain protocol has none")
-    ta, _, tc = angles.as_tuple()
-    if choice == "u":
-        on_bt, on_b = gates.h_theta(-ta), gates.h_theta(-tc)
-    elif choice == "v":
-        on_bt, on_b = gates.h_theta(ta).T.copy(), gates.h_theta(tc).T.copy()
-    else:
+    if choice not in ("h", "u", "v"):
         raise ValueError(f"unknown maintenance choice {choice!r}")
-    if not forward:
-        on_bt, on_b = on_bt.conj().T, on_b.conj().T
-    return on_bt, on_b
+    if choice != "h" and angles is None:
+        raise ValueError(f"choice {choice!r} needs toggle angles; the plain protocol has none")
+    return _choice_pair(angles, choice, bool(forward))
 
 
-def _maintenance_pair(
-    session: ProtocolSession, attack: AttackState, forward: bool
-) -> tuple[str, np.ndarray, np.ndarray]:
-    """Bob's choice name and his (bt, b) operators for this toggle direction."""
+def _choose(variant: Variant, attack: AttackState, forward: bool) -> str:
+    """Bob's maintenance choice for this toggle direction."""
     policy = attack.maintenance_policy
-    if session.config.variant is Variant.PLAIN:
+    if variant is Variant.PLAIN:
         if policy is not MaintenancePolicy.PLAIN_HADAMARD:
             raise ValueError(f"policy {policy.value!r} needs toggle angles; plain protocol has none")
-        choice = "h"
-    elif policy is MaintenancePolicy.PLAIN_HADAMARD:
-        choice = "h"
-    elif policy is MaintenancePolicy.RANDOM_GUESS:
+        return "h"
+    if policy is MaintenancePolicy.PLAIN_HADAMARD:
+        return "h"
+    if policy is MaintenancePolicy.RANDOM_GUESS:
         # one fair coin per toggle-direction pair: drawn at each forward
         # toggle, reused for the inverse one that follows; the lone inverse
         # toggle ending round 2 draws its own
         if forward or attack.current_guess is None:
             attack.current_guess = "u" if attack.rng.random() < 0.5 else "v"
-        choice = attack.current_guess
-    elif policy is MaintenancePolicy.KNOWN_THETA_U:
-        choice = "u"
-    else:
-        choice = "v"
-    on_bt, on_b = choice_operators(session.config.angles, choice, forward)
-    return choice, on_bt, on_b
+        return attack.current_guess
+    return "u" if policy is MaintenancePolicy.KNOWN_THETA_U else "v"
 
 
-def maintain_carriers(session: ProtocolSession, attack: AttackState) -> str:
-    """End-of-round toggle for an attacked session.
+def maintain_carriers_all(session: ProtocolSession, attacks: Sequence[AttackState]) -> list[str]:
+    """End-of-round toggle for attacked sessions, every trial.
 
     Alice and Charlie toggle a and c honestly; Bob applies his maintenance
-    choice on (bt, b) instead of the honest toggle on b.  Advances the round
-    and flips the family phase.  Returns the choice played ("h", "u" or "v").
+    choice on (bt, b) instead of the honest toggle on b, one choice per trial.
+    Checks every state's norm, advances the round and flips the family
+    phase.  Returns the choices played ("h", "u" or "v").
     """
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
     forward = session.parity == "odd"
-    if session.config.variant is Variant.PLAIN:
-        on_a = on_c = gates.H
-    else:
-        assert session.config.angles is not None
-        ta, _, tc = session.config.angles.as_tuple()
-        on_a, on_c = gates.h_theta(ta), gates.h_theta(tc)
-        if not forward:
-            on_a, on_c = on_a.conj().T, on_c.conj().T
-    choice, on_bt, on_b = _maintenance_pair(session, attack, forward)
-    session.state = qcore.apply_unitary(session.state, on_a, ["a"])
-    session.state = qcore.apply_unitary(session.state, on_c, ["c"])
-    session.state = qcore.apply_unitary(session.state, on_bt, [attack.kept_label])
-    session.state = qcore.apply_unitary(session.state, on_b, ["b"])
-    session.carrier_kind = (
-        gates.CarrierKind.EVEN_PARITY
-        if session.carrier_kind is gates.CarrierKind.GHZ
-        else gates.CarrierKind.GHZ
-    )
-    session.round_index += 1
-    attack.psi_family_now = not attack.psi_family_now
-    return choice
+    angles = session.config.angles
+    choices = [_choose(session.config.variant, attack, forward) for attack in attacks]
+    on_a, _, on_c = protocol.toggle_ops(angles, session.round_index)
+    # one (bt, b) operator pair per trial, stacked along the trial axis
+    pairs = {choice: _choice_pair(angles, choice, forward) for choice in set(choices)}
+    on_bt = np.stack([pairs[choice][0] for choice in choices])
+    on_b = np.stack([pairs[choice][1] for choice in choices])
+    st = qcore.apply_unitary(session.states, on_a, ["a"])
+    st = qcore.apply_unitary(st, on_c, ["c"])
+    st = qcore.apply_unitary(st, on_bt, [KEPT_LABEL])
+    protocol.end_round(session, qcore.apply_unitary(st, on_b, ["b"]))
+    for attack in attacks:
+        attack.psi_family_now = not attack.psi_family_now
+    return choices
 
 
-def attack_decode_and_forward(session: ProtocolSession, attack: AttackState) -> tuple[int, int]:
-    """One man-in-the-middle delivery for a round after the split.
+def maintain_carriers(session: ProtocolSession, attack: AttackState) -> str:
+    """maintain_carriers_all for a session of one trial."""
+    session.require_single()
+    return maintain_carriers_all(session, [attack])[0]
+
+
+def attack_decode_and_forward_all(
+    session: ProtocolSession, attacks: Sequence[AttackState]
+) -> np.ndarray:
+    """One man-in-the-middle delivery for a round after the split, every trial.
 
     Bob disentangles the intercepted message with bt, reads his raw bit, then
     re-encodes a counterfeit through b for Charlie's honest decode.  On even
     rounds the counterfeit is raw XOR u for a fresh coin u, which Bob later
     claims as his share: Charlie's read then XORs with u to Alice's bit no
-    matter which branch the pattern is in.  Returns (bob_learned, charlie_bit).
+    matter which branch the pattern is in.  Returns Charlie's reads.
     """
     if session.pending_q is None:
         raise ValueError("no message in flight; Alice must encode first")
     if session.round_index <= 2:
         raise ValueError("decode-and-forward applies to rounds after the split")
-    bt = attack.kept_label
     odd = session.parity == "odd"
-    session.state = qcore.apply_unitary(session.state, gates.CNOT, [bt, "m1"])
+    bob_rngs = [attack.rng for attack in attacks]
+    st = qcore.apply_unitary(session.states, gates.CNOT, [KEPT_LABEL, "m1"])
     if odd:
-        session.state = qcore.apply_unitary(session.state, gates.CNOT, [bt, "m2"])
-    r1, session.state = qcore.measure(session.state, "m1", attack.rng)
-    r2, session.state = qcore.measure(session.state, "m2", attack.rng)
+        st = qcore.apply_unitary(st, gates.CNOT, [KEPT_LABEL, "m2"])
+    r1, st = qcore.measure(st, "m1", bob_rngs)
+    r2, st = qcore.measure(st, "m2", bob_rngs)
+    session.states = st
     protocol.reset_messages(session, r1, r2)
-    raw = r1 if odd else r1 ^ r2
-
     if odd:
-        forward_bit, claim = raw, raw
+        raw = r1
+        forward_bits = claims = raw
     else:
-        share = int(attack.rng.integers(0, 2))
-        forward_bit, claim = raw ^ share, share
-    if forward_bit:
-        session.state = qcore.apply_unitary(session.state, gates.X, ["m2"])
-    session.state = qcore.apply_unitary(session.state, gates.CNOT, ["b", "m2"])
-    session.state = qcore.apply_unitary(session.state, gates.CNOT, ["c", "m2"])
-    charlie_bit, session.state = qcore.measure(session.state, "m2", session.rng)
-    if charlie_bit:
-        session.state = qcore.apply_unitary(session.state, gates.X, ["m2"])
+        raw = r1 ^ r2
+        claims = np.array([int(attack.rng.integers(0, 2)) for attack in attacks])
+        forward_bits = raw ^ claims
+    st = qcore.flip(session.states, "m2", forward_bits)
+    st = qcore.apply_unitary(st, gates.CNOT, ["b", "m2"])
+    st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
+    charlie, st = qcore.measure(st, "m2", session.rngs)
+    session.states = qcore.flip(st, "m2", charlie)
 
-    attack.records[session.round_index] = RawRecord(
-        round_index=session.round_index,
-        parity=session.parity,
-        raw=raw,
-        claim=claim,
-        psi_tagged=attack.psi_family_now,
-    )
-    session.records.append(
-        protocol.RoundRecord(
-            round_index=session.round_index,
-            parity=session.parity,
-            q=session.pending_q,
-            bob_bit=claim,
-            charlie_bit=charlie_bit,
-            carrier_fidelity=fraud_pattern_fidelity(session, attack),
+    round_index, parity = session.round_index, session.parity
+    for attack, raw_bit, claim in zip(attacks, raw.tolist(), claims.tolist()):
+        attack.records[round_index] = RawRecord(
+            round_index=round_index,
+            parity=parity,
+            raw=raw_bit,
+            claim=claim,
+            psi_tagged=attack.psi_family_now,
         )
-    )
-    session.pending_q = None
-    return attack.learned_bit(session.round_index), charlie_bit
+    protocol.append_records(session, claims, charlie, fraud_pattern_fidelity_all(session, attacks))
+    return charlie
+
+
+def attack_decode_and_forward(session: ProtocolSession, attack: AttackState) -> tuple[int | None, int]:
+    """attack_decode_and_forward_all for a session of one trial: (bob_learned, charlie_bit)."""
+    session.require_single()
+    charlie = attack_decode_and_forward_all(session, [attack])
+    return attack.learned_bit(session.round_index), int(charlie[0])
 
 
 def record_honest_round(attack: AttackState, round_index: int, parity: str, bob_bit: int) -> None:

@@ -123,6 +123,17 @@ def _merged(ns: argparse.Namespace, key: str, default):
     return default
 
 
+def _check_run_sizes(trials: int, rounds: int, frac: float, workers: int) -> None:
+    if trials < 1:
+        raise CliError("trials must be >= 1")
+    if rounds < 1:
+        raise CliError("rounds must be >= 1")
+    if not 0.0 < frac <= 1.0:
+        raise CliError("announce fraction must be in (0, 1]")
+    if workers < 1:
+        raise CliError("workers must be >= 1")
+
+
 def build_spec(ns: argparse.Namespace) -> ExperimentSpec:
     """Resolve flags, config file, and defaults into a validated spec."""
     ns._config_file_values = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
@@ -141,14 +152,10 @@ def build_spec(ns: argparse.Namespace) -> ExperimentSpec:
     out = _merged(ns, "out", None)
     transcripts = _merged(ns, "transcripts", None)
 
-    if trials < 1:
-        raise CliError("trials must be >= 1")
-    if rounds < 1:
-        raise CliError("rounds must be >= 1")
-    if not 0.0 < frac <= 1.0:
-        raise CliError("announce fraction must be in (0, 1]")
-    if workers < 1:
-        raise CliError("workers must be >= 1")
+    _check_run_sizes(trials, rounds, frac, workers)
+    if not 0.0 <= tolerance < 1.0:
+        # a negative tolerance flags every run, one of 1 or more flags none
+        raise CliError(f"tolerance must be in [0, 1), got {tolerance}")
     try:
         variant = Variant(variant_name)
     except ValueError:
@@ -465,7 +472,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     thetas = [float(t) for t in ns.theta] if ns.theta is not None else None
     if thetas is not None and len(thetas) not in (2, 3):
         raise CliError("--theta takes two angles (third derived) or three raw angles")
-    items = run_identity_suite(thetas, seed=int(ns.seed or 0))
+    items = run_identity_suite(thetas, seed=ns.seed)
     failed = False
     for name, ok, detail in items:
         if ok is None:
@@ -490,14 +497,21 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
             experiments.symmetric_triple(g).require_hardened()
         except ValueError as exc:
             raise CliError(f"grid angle {g}: {exc}") from None
+    trials = 200 if ns.trials is None else ns.trials
+    rounds = 50 if ns.rounds is None else ns.rounds
+    frac = 0.2 if ns.announce_frac is None else ns.announce_frac
+    workers = 1 if ns.workers is None else ns.workers
+    _check_run_sizes(trials, rounds, frac, workers)
+    if rounds < 2:
+        raise CliError("split attack needs at least 2 rounds")
     rows = experiments.sweep(
         grid,
-        trials=int(ns.trials or 200),
-        num_rounds=int(ns.rounds or 50),
-        announce_fraction=float(ns.announce_frac or 0.2),
+        trials=trials,
+        num_rounds=rounds,
+        announce_fraction=frac,
         policy=policy,
-        base_seed=int(ns.seed or 0),
-        workers=int(ns.workers or 1),
+        base_seed=0 if ns.seed is None else ns.seed,
+        workers=workers,
     )
     print(f"{'theta':>8s} {'detect_prob':>12s} {'mismatch':>10s} {'recovered':>10s}")
     for row in rows:

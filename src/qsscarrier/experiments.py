@@ -109,7 +109,8 @@ def build_announcements(
         else:
             adversary.resolve_pattern(attack, (r, alice))
             bob = attack.records[r].claim
-        assert bob is not None
+        if bob is None:
+            raise ValueError(f"round {r} has no Bob read to announce; pass the attack ledger")
         anns.append(Announcement(r, alice, bob, charlie))
     return anns
 
@@ -119,51 +120,125 @@ def _parity_split(announcements: list[Announcement]) -> tuple[int, int]:
     return odd, len(announcements) - odd
 
 
+def _honest_trials(
+    config: ProtocolConfig,
+    seeds: list[SeedLike],
+    instrument_disguise: bool,
+    tolerance: float,
+) -> list[TrialResult]:
+    """Honest end-to-end runs of every seed in lockstep, plus their
+    announcement checks.
+
+    With instrumentation on, every round also computes the in-flight (m1, m2)
+    marginal for the bit actually sent and for its flip; their trace distance
+    is what an interceptor without carrier access could exploit.
+    """
+    streams = [trial_rngs(seed) for seed in seeds]
+    session = protocol.init_session(config, rng=[rng_p for rng_p, _, _ in streams])
+    bits = np.array([rng_p.integers(0, 2, size=config.num_rounds) for rng_p, _, _ in streams])
+    max_dist = np.zeros(len(seeds))
+    for r in range(config.num_rounds):
+        q = bits[:, r]
+        pre = session.states
+        protocol.encode_round(session, q)
+        if instrument_disguise:
+            sent = qcore.reduced_density(session.states, protocol.MESSAGE_LABELS)
+            flipped = qcore.reduced_density(
+                protocol.encoded_state(pre, session.parity, 1 - q), protocol.MESSAGE_LABELS
+            )
+            max_dist = np.maximum(max_dist, qcore.trace_distance(sent, flipped))
+        protocol.deliver_and_decode_all(session)
+        protocol.toggle_carrier(session)
+
+    results = []
+    for t, (_, _, rng_ann) in enumerate(streams):
+        transcript = Transcript(num_rounds=config.num_rounds, records=session.trial_records[t])
+        anns = build_announcements(transcript, config.announce_fraction, rng_ann)
+        odd_n, even_n = _parity_split(anns)
+        results.append(
+            TrialResult(
+                transcript=transcript,
+                announcements=anns,
+                report=detection.evaluate(transcript, anns, tolerance),
+                announced_odd=odd_n,
+                announced_even=even_n,
+                attacked=False,
+                min_restore_fidelity=min(rec.carrier_fidelity for rec in transcript.records),
+                max_disguise_distance=float(max_dist[t]) if instrument_disguise else None,
+            )
+        )
+    return results
+
+
+def _attack_trials(
+    config: ProtocolConfig,
+    policy: MaintenancePolicy,
+    seeds: list[SeedLike],
+    su: SplitUnitary,
+    tolerance: float,
+) -> list[TrialResult]:
+    """Split-attack runs of every seed in lockstep: honest round 1, split in
+    round 2, then man-in-the-middle decode-and-forward under the given
+    maintenance policy, ending with the announcement phase and Bob's bit
+    recovery."""
+    if config.num_rounds < 2:
+        raise ValueError("the split happens in round 2; need at least 2 rounds")
+    streams = [trial_rngs(seed) for seed in seeds]
+    session = protocol.init_session(
+        config, rng=[rng_p for rng_p, _, _ in streams], extra_labels=adversary.ATTACK_EXTRA_LABELS
+    )
+    bits = np.array([rng_p.integers(0, 2, size=config.num_rounds) for rng_p, _, _ in streams])
+
+    protocol.encode_round(session, bits[:, 0])
+    honest_round1, _ = protocol.deliver_and_decode_all(session)
+    protocol.toggle_carrier(session)
+    protocol.encode_round(session, bits[:, 1])
+    attacks = adversary.execute_split_all(session, su, policy, [rng_bob for _, rng_bob, _ in streams])
+    for attack, bob_bit in zip(attacks, honest_round1.tolist()):
+        adversary.record_honest_round(attack, 1, "odd", bob_bit)
+    adversary.forward_round2_counterfeit_all(session, attacks)
+    adversary.maintain_carriers_all(session, attacks)
+    for r in range(2, config.num_rounds):
+        protocol.encode_round(session, bits[:, r])
+        adversary.attack_decode_and_forward_all(session, attacks)
+        adversary.maintain_carriers_all(session, attacks)
+
+    results = []
+    for t, (attack, (_, _, rng_ann)) in enumerate(zip(attacks, streams)):
+        transcript = Transcript(num_rounds=config.num_rounds, records=session.trial_records[t])
+        anns = build_announcements(
+            transcript, config.announce_fraction, rng_ann, attack, config.announce_order
+        )
+        odd_n, even_n = _parity_split(anns)
+        sent = bits[t].tolist()
+        recovered = sum(attack.learned_bit(i) == q for i, q in enumerate(sent, start=1)) / len(sent)
+        results.append(
+            TrialResult(
+                transcript=transcript,
+                announcements=anns,
+                report=detection.evaluate(transcript, anns, tolerance),
+                announced_odd=odd_n,
+                announced_even=even_n,
+                attacked=True,
+                recovered_fraction=recovered,
+                hypothesis=attack.pattern_hypothesis.value,
+                min_pattern_fidelity=min(
+                    rec.carrier_fidelity for rec in transcript.records if rec.round_index >= 2
+                ),
+            )
+        )
+    return results
+
+
 def run_honest_trial(
     config: ProtocolConfig,
     seed: SeedLike | None = None,
     instrument_disguise: bool = False,
     tolerance: float = 0.0,
 ) -> TrialResult:
-    """One honest end-to-end run plus its announcement check.
-
-    With instrumentation on, every round also computes the in-flight (m1, m2)
-    marginal for the bit actually sent and for its flip; their trace distance
-    is what an interceptor without carrier access could exploit.
-    """
-    rng_p, _rng_bob, rng_ann = trial_rngs(config.rng_seed if seed is None else seed)
-    max_dist = None
-    if not instrument_disguise:
-        transcript = protocol.run_protocol(config, rng=rng_p)
-    else:
-        session = protocol.init_session(config, rng=rng_p)
-        bits = [int(b) for b in rng_p.integers(0, 2, size=config.num_rounds)]
-        max_dist = 0.0
-        for q in bits:
-            pre = session.state
-            protocol.encode_round(session, q)
-            sent = qcore.reduced_density(session.state, ("m1", "m2"))
-            flipped = qcore.reduced_density(
-                protocol.encoded_state(pre, session.parity, 1 - q), ("m1", "m2")
-            )
-            max_dist = max(max_dist, qcore.trace_distance(sent, flipped))
-            protocol.deliver_and_decode(session)
-            protocol.toggle_carrier(session)
-        transcript = Transcript(num_rounds=config.num_rounds, records=session.records)
-    anns = build_announcements(transcript, config.announce_fraction, rng_ann)
-    report = detection.evaluate(transcript, anns, tolerance)
-    odd_n, even_n = _parity_split(anns)
-    fids = [rec.carrier_fidelity for rec in transcript.records]
-    return TrialResult(
-        transcript=transcript,
-        announcements=anns,
-        report=report,
-        announced_odd=odd_n,
-        announced_even=even_n,
-        attacked=False,
-        min_restore_fidelity=min(fids),
-        max_disguise_distance=max_dist,
-    )
+    """One honest end-to-end run plus its announcement check (see _honest_trials)."""
+    seed = config.rng_seed if seed is None else seed
+    return _honest_trials(config, [seed], instrument_disguise, tolerance)[0]
 
 
 def run_attack_trial(
@@ -173,67 +248,11 @@ def run_attack_trial(
     su: SplitUnitary | None = None,
     tolerance: float = 0.0,
 ) -> TrialResult:
-    """One full split-attack run: honest round 1, split in round 2, then
-    man-in-the-middle decode-and-forward under the given maintenance policy,
-    ending with the announcement phase and Bob's bit recovery."""
-    if config.num_rounds < 2:
-        raise ValueError("the split happens in round 2; need at least 2 rounds")
-    rng_p, rng_bob, rng_ann = trial_rngs(config.rng_seed if seed is None else seed)
+    """One full split-attack run (see _attack_trials)."""
     if su is None:
         su = adversary.synthesize_split_unitary()
-    session = protocol.init_session(config, rng=rng_p, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    bits = [int(b) for b in rng_p.integers(0, 2, size=config.num_rounds)]
-
-    attack: AttackState | None = None
-    honest_round1 = None
-    for i, q in enumerate(bits, start=1):
-        protocol.encode_round(session, q)
-        if i == 1:
-            honest_round1, _ = protocol.deliver_and_decode(session)
-            protocol.toggle_carrier(session)
-            continue
-        if i == 2:
-            attack = adversary.execute_split(session, su, policy, rng_bob)
-            assert honest_round1 is not None
-            adversary.record_honest_round(attack, 1, "odd", honest_round1)
-            adversary.forward_round2_counterfeit(session, attack)
-        else:
-            assert attack is not None
-            adversary.attack_decode_and_forward(session, attack)
-        adversary.maintain_carriers(session, attack)
-    assert attack is not None
-
-    transcript = Transcript(num_rounds=config.num_rounds, records=session.records)
-    anns = build_announcements(
-        transcript, config.announce_fraction, rng_ann, attack, config.announce_order
-    )
-    report = detection.evaluate(transcript, anns, tolerance)
-    odd_n, even_n = _parity_split(anns)
-    recovered = sum(
-        attack.learned_bit(i) == q for i, q in enumerate(bits, start=1)
-    ) / len(bits)
-    pattern_fids = [rec.carrier_fidelity for rec in transcript.records if rec.round_index >= 2]
-    return TrialResult(
-        transcript=transcript,
-        announcements=anns,
-        report=report,
-        announced_odd=odd_n,
-        announced_even=even_n,
-        attacked=True,
-        recovered_fraction=recovered,
-        hypothesis=attack.pattern_hypothesis.value,
-        min_pattern_fidelity=min(pattern_fids),
-    )
-
-
-def _honest_worker(args) -> TrialResult:
-    config, seed, instrument, tolerance = args
-    return run_honest_trial(config, seed, instrument, tolerance)
-
-
-def _attack_worker(args) -> TrialResult:
-    config, policy, seed, su, tolerance = args
-    return run_attack_trial(config, policy, seed, su, tolerance)
+    seed = config.rng_seed if seed is None else seed
+    return _attack_trials(config, policy, [seed], su, tolerance)[0]
 
 
 def run_trials(
@@ -245,21 +264,28 @@ def run_trials(
     tolerance: float = 0.0,
     workers: int = 1,
 ) -> list[TrialResult]:
-    """Independent trials from spawned seeds; policy=None runs honestly."""
+    """Independent trials from spawned seeds, run in lockstep as one batch
+    (one batch per worker process); policy=None runs honestly."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
+    if workers < 1:
+        raise ValueError("workers must be >= 1")
     seeds = np.random.SeedSequence(base_seed).spawn(trials)
+    size = -(-trials // workers)
+    chunks = [seeds[i : i + size] for i in range(0, trials, size)]
     if policy is None:
-        jobs = [(config, s, instrument_disguise, tolerance) for s in seeds]
-        worker = _honest_worker
+        jobs = [(config, chunk, instrument_disguise, tolerance) for chunk in chunks]
+        batch_fn = _honest_trials
     else:
         su = adversary.synthesize_split_unitary()
-        jobs = [(config, policy, s, su, tolerance) for s in seeds]
-        worker = _attack_worker
-    if workers > 1:
-        with multiprocessing.Pool(workers) as pool:
-            return pool.map(worker, jobs)
-    return [worker(job) for job in jobs]
+        jobs = [(config, policy, chunk, su, tolerance) for chunk in chunks]
+        batch_fn = _attack_trials
+    if len(jobs) > 1:
+        with multiprocessing.Pool(len(jobs)) as pool:
+            batches = pool.starmap(batch_fn, jobs)
+    else:
+        batches = [batch_fn(*job) for job in jobs]
+    return [result for batch in batches for result in batch]
 
 
 def aggregate(results: list[TrialResult]) -> AggregateStats:
@@ -375,13 +401,7 @@ def survival_probability(
             choice = "v"
         else:
             choice = "u" if rng.random() < 0.5 else "v"
-        if angles is None:
-            on_a = on_c = gates.H
-        else:
-            ta, _, tc = angles.as_tuple()
-            on_a, on_c = gates.h_theta(ta), gates.h_theta(tc)
-            if not odd_round:
-                on_a, on_c = on_a.conj().T, on_c.conj().T
+        on_a, _, on_c = protocol.toggle_ops(angles, 1 if odd_round else 2)
         on_bt, on_b = adversary.choice_operators(angles, choice, odd_round)
         after = qcore.apply_unitary(state, on_a, ["a"])
         after = qcore.apply_unitary(after, on_c, ["c"])

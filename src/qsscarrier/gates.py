@@ -45,6 +45,13 @@ for _g in (X, Y, Z, H, CNOT):
     _g.setflags(write=False)
 
 
+def read_only(matrix: np.ndarray) -> np.ndarray:
+    """A read-only complex128 copy, for operator tables built once and shared."""
+    m = np.array(matrix, dtype=np.complex128)
+    m.setflags(write=False)
+    return m
+
+
 def h_theta(theta: float) -> np.ndarray:
     """Phased Hadamard; validated unitary for every angle."""
     ep, em = np.exp(1j * theta), np.exp(-1j * theta)

@@ -22,7 +22,9 @@ after odd rounds, inverse after even rounds).
 from __future__ import annotations
 
 import enum
+import functools
 import json
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,19 +122,74 @@ class Transcript:
         return cls(num_rounds=len(records), records=records)
 
 
+def toggle_ops(angles: ThetaTriple | None, round_index: int) -> tuple[np.ndarray, ...]:
+    """The one-qubit toggles on (a, b, c) that end the given round, for the
+    plain protocol (angles None) or a theta triple."""
+    return _toggle_factors(angles, parity_of(round_index) == "odd")
+
+
+@functools.lru_cache(maxsize=128)
+def _toggle_factors(angles: ThetaTriple | None, forward: bool) -> tuple[np.ndarray, ...]:
+    """Built and validated once per configuration and direction."""
+    ops = (gates.H,) * 3 if angles is None else tuple(gates.h_theta(t) for t in angles.as_tuple())
+    # even rounds toggle back with the inverse triple
+    return tuple(gates.read_only(m if forward else m.conj().T) for m in ops)
+
+
+@functools.lru_cache(maxsize=64)
+def _carrier_state(labels: tuple[str, ...], kind: CarrierKind) -> qcore.StateVector:
+    """Named carrier on (a, b, c), everything else |0>, in the given label layout."""
+    if labels[:3] != CARRIER_LABELS:
+        raise ValueError(f"register {labels} does not start with the carrier {CARRIER_LABELS}")
+    rest = np.zeros(2 ** (len(labels) - 3))
+    rest[0] = 1.0
+    return qcore.from_amplitudes(labels, np.kron(gates.carrier_amplitudes(kind), rest))
+
+
 @dataclass
 class ProtocolSession:
+    """Trials of one configuration played in lockstep, one state row each.
+
+    Every trial sits at the same round and carrier form; each has its own
+    protocol-stream generator, its own in-flight bit and its own round
+    records.  A session of one trial also offers state, rng and records for
+    step-by-step use.
+    """
+
     config: ProtocolConfig
-    state: qcore.StateVector
+    states: qcore.StateBatch
     carrier_kind: CarrierKind
-    rng: np.random.Generator
+    rngs: list[np.random.Generator]
     round_index: int = 1
-    pending_q: int | None = None
-    records: list[RoundRecord] = field(default_factory=list)
+    pending_q: np.ndarray | None = None
+    trial_records: list[list[RoundRecord]] = field(default_factory=list)
+
+    @property
+    def trials(self) -> int:
+        return self.states.trials
 
     @property
     def parity(self) -> str:
-        return "odd" if self.round_index % 2 == 1 else "even"
+        return parity_of(self.round_index)
+
+    def require_single(self) -> None:
+        if self.trials != 1:
+            raise ValueError(f"this step returns one trial's values; the session holds {self.trials}")
+
+    @property
+    def state(self) -> qcore.StateVector:
+        self.require_single()
+        return self.states.row(0)
+
+    @property
+    def rng(self) -> np.random.Generator:
+        self.require_single()
+        return self.rngs[0]
+
+    @property
+    def records(self) -> list[RoundRecord]:
+        self.require_single()
+        return self.trial_records[0]
 
 
 def parity_of(round_index: int) -> str:
@@ -141,122 +198,158 @@ def parity_of(round_index: int) -> str:
 
 def init_session(
     config: ProtocolConfig,
-    rng: np.random.Generator | None = None,
+    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     extra_labels: tuple[str, ...] = (),
 ) -> ProtocolSession:
-    """Fresh session: GHZ carrier on (a, b, c), message (and extras) in |0>."""
-    labels = CARRIER_LABELS + extra_labels + MESSAGE_LABELS
-    rest = np.zeros(2 ** (len(labels) - 3))
-    rest[0] = 1.0
-    amps = np.kron(gates.carrier_amplitudes(CarrierKind.GHZ), rest)
-    state = qcore.from_amplitudes(labels, amps)
+    """Fresh session: GHZ carrier on (a, b, c), message (and extras) in |0>.
+
+    rng is one trial's protocol generator, or a sequence of them for a batch
+    of trials played in lockstep; by default one trial seeded from the config.
+    """
+    labels = CARRIER_LABELS + tuple(extra_labels) + MESSAGE_LABELS
     if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    return ProtocolSession(config=config, state=state, carrier_kind=CarrierKind.GHZ, rng=rng)
+        rngs = [np.random.default_rng(config.rng_seed)]
+    elif isinstance(rng, np.random.Generator):
+        rngs = [rng]
+    else:
+        rngs = list(rng)
+    start = _carrier_state(labels, CarrierKind.GHZ)
+    return ProtocolSession(
+        config=config,
+        states=qcore.StateBatch.repeat(start, len(rngs)),
+        carrier_kind=CarrierKind.GHZ,
+        rngs=rngs,
+        trial_records=[[] for _ in rngs],
+    )
 
 
 def _require_reset_messages(session: ProtocolSession) -> None:
-    st = session.state
+    st = session.states
     mass = qcore.probability_of_one(st, "m1") + qcore.probability_of_one(st, "m2")
-    if mass > RESET_TOL:
-        raise ValueError("message qubits are not reset to |00>")
+    qcore.check_trials(mass > RESET_TOL, "message qubits are not reset to |00>")
 
 
-def encoded_state(state: qcore.StateVector, parity: str, q: int) -> qcore.StateVector:
+def encoded_state(state: qcore.State, parity: str, q) -> qcore.State:
     """Alice's full encoding of q applied to a state with reset messages.
 
     Odd rounds load |qq> and stitch both message qubits to the carrier; even
     rounds load (|q 0> + |qbar 1>)/sqrt2 and stitch only the first, so each
-    receiver alone sees noise and the XOR of their reads recovers q.
+    receiver alone sees noise and the XOR of their reads recovers q.  For a
+    batch, q holds one bit per trial.
     """
     if parity == "odd":
-        if q:
-            state = qcore.apply_unitary(state, gates.X, ["m1"])
-            state = qcore.apply_unitary(state, gates.X, ["m2"])
+        state = qcore.flip(state, "m1", q)
+        state = qcore.flip(state, "m2", q)
     else:
         state = qcore.apply_unitary(state, gates.H, ["m1"])
         state = qcore.apply_unitary(state, gates.CNOT, ["m1", "m2"])
-        if q:
-            state = qcore.apply_unitary(state, gates.X, ["m1"])
+        state = qcore.flip(state, "m1", q)
     state = qcore.apply_unitary(state, gates.CNOT, ["a", "m1"])
     if parity == "odd":
         state = qcore.apply_unitary(state, gates.CNOT, ["a", "m2"])
     return state
 
 
-def encode_round(session: ProtocolSession, q: int) -> None:
-    """Alice encodes q for the current round; leaves the message in flight."""
-    if q not in (0, 1):
-        raise ValueError(f"q must be 0 or 1, got {q!r}")
+def encode_round(session: ProtocolSession, q) -> None:
+    """Alice encodes q for the current round (one bit, or one per trial);
+    leaves the message in flight."""
+    qs = np.asarray(q)
+    if qs.ndim > 1 or qs.size not in (1, session.trials) or not ((qs == 0) | (qs == 1)).all():
+        raise ValueError(f"q must be 0 or 1 for each of {session.trials} trial(s), got {q!r}")
     if session.pending_q is not None:
         raise ValueError("previous round's message was never delivered")
     _require_reset_messages(session)
-    session.state = encoded_state(session.state, session.parity, q)
-    session.pending_q = q
+    qs = np.broadcast_to(qs.astype(np.int64).reshape(-1), (session.trials,)).copy()
+    session.states = encoded_state(session.states, session.parity, qs)
+    session.pending_q = qs
 
 
 def expected_full_state(session: ProtocolSession) -> qcore.StateVector:
     """Named carrier on (a, b, c), everything else |0>, same label layout."""
-    rest = np.zeros(2 ** (session.state.num_qubits - 3))
-    rest[0] = 1.0
-    amps = np.kron(gates.carrier_amplitudes(session.carrier_kind), rest)
-    return qcore.from_amplitudes(session.state.labels, amps)
+    return _carrier_state(session.states.labels, session.carrier_kind)
 
 
-def reset_messages(session: ProtocolSession, bob_bit: int, charlie_bit: int) -> None:
+def reset_messages(session: ProtocolSession, m1_bits, m2_bits) -> None:
     # measured qubits are classical now; flip the ones back to |0>
-    if bob_bit:
-        session.state = qcore.apply_unitary(session.state, gates.X, ["m1"])
-    if charlie_bit:
-        session.state = qcore.apply_unitary(session.state, gates.X, ["m2"])
+    session.states = qcore.flip(session.states, "m1", m1_bits)
+    session.states = qcore.flip(session.states, "m2", m2_bits)
 
 
-def deliver_and_decode(session: ProtocolSession) -> tuple[int, int]:
-    """Bob and Charlie disentangle and read their message qubits.
+def append_records(
+    session: ProtocolSession,
+    bob_bits: np.ndarray | None,
+    charlie_bits: np.ndarray,
+    fidelities: np.ndarray,
+) -> None:
+    """Close the round in every trial's transcript; bob_bits None records no Bob read."""
+    parity = session.parity
+    qs = session.pending_q.tolist()
+    bobs = [None] * session.trials if bob_bits is None else bob_bits.tolist()
+    for records, q, bob, charlie, fid in zip(
+        session.trial_records, qs, bobs, charlie_bits.tolist(), fidelities.tolist()
+    ):
+        records.append(
+            RoundRecord(
+                round_index=session.round_index,
+                parity=parity,
+                q=q,
+                bob_bit=bob,
+                charlie_bit=charlie,
+                carrier_fidelity=fid,
+            )
+        )
+    session.pending_q = None
+
+
+def deliver_and_decode_all(session: ProtocolSession) -> tuple[np.ndarray, np.ndarray]:
+    """Bob and Charlie disentangle and read their message qubits, every trial.
 
     Restores the carrier (fidelity recorded per round), resets the message
-    register, and appends the round record.  Returns (bob_bit, charlie_bit).
+    register, and appends the round records.  Returns the per-trial
+    (bob_bits, charlie_bits).
     """
     if session.pending_q is None:
         raise ValueError("no message in flight; call encode_round first")
-    session.state = qcore.apply_unitary(session.state, gates.CNOT, ["b", "m1"])
-    session.state = qcore.apply_unitary(session.state, gates.CNOT, ["c", "m2"])
-    bob_bit, session.state = qcore.measure(session.state, "m1", session.rng)
-    charlie_bit, session.state = qcore.measure(session.state, "m2", session.rng)
-    reset_messages(session, bob_bit, charlie_bit)
-    fid = qcore.fidelity(session.state, expected_full_state(session))
-    session.records.append(
-        RoundRecord(
-            round_index=session.round_index,
-            parity=session.parity,
-            q=session.pending_q,
-            bob_bit=bob_bit,
-            charlie_bit=charlie_bit,
-            carrier_fidelity=fid,
-        )
-    )
-    session.pending_q = None
-    return bob_bit, charlie_bit
+    st = qcore.apply_unitary(session.states, gates.CNOT, ["b", "m1"])
+    st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
+    bob, st = qcore.measure(st, "m1", session.rngs)
+    charlie, st = qcore.measure(st, "m2", session.rngs)
+    session.states = st
+    reset_messages(session, bob, charlie)
+    fids = qcore.fidelity(session.states, expected_full_state(session))
+    append_records(session, bob, charlie, fids)
+    return bob, charlie
+
+
+def deliver_and_decode(session: ProtocolSession) -> tuple[int, int]:
+    """deliver_and_decode_all for a session of one trial: (bob_bit, charlie_bit)."""
+    session.require_single()
+    bob, charlie = deliver_and_decode_all(session)
+    return int(bob[0]), int(charlie[0])
 
 
 def toggle_triple(config: ProtocolConfig, round_index: int) -> np.ndarray:
     """The 8x8 end-of-round toggle for the given round, as one product."""
-    if config.variant is Variant.PLAIN:
-        return np.kron(np.kron(gates.H, gates.H), gates.H)
-    assert config.angles is not None
-    ta, tb, tc = config.angles.as_tuple()
-    m = np.kron(np.kron(gates.h_theta(ta), gates.h_theta(tb)), gates.h_theta(tc))
-    if parity_of(round_index) == "even":
-        m = m.conj().T  # even rounds toggle back with the inverse triple
-    return m
+    on_a, on_b, on_c = toggle_ops(config.angles, round_index)
+    return np.kron(np.kron(on_a, on_b), on_c)
 
 
 def toggle_carrier(session: ProtocolSession) -> None:
-    """End the round: flip the carrier form and advance the round counter."""
+    """End the round in every trial: flip the carrier form, check every
+    state's norm, and advance the round counter."""
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
-    m = toggle_triple(session.config, session.round_index)
-    session.state = qcore.apply_unitary(session.state, m, list(CARRIER_LABELS))
+    st = session.states
+    for op, label in zip(toggle_ops(session.config.angles, session.round_index), CARRIER_LABELS):
+        st = qcore.apply_unitary(st, op, [label])
+    end_round(session, st)
+
+
+def end_round(session: ProtocolSession, toggled: qcore.StateBatch) -> None:
+    """Take the toggled states after checking every trial's norm, flip the
+    carrier form and advance the round counter."""
+    toggled.check_norm()
+    session.states = toggled
     session.carrier_kind = (
         CarrierKind.EVEN_PARITY if session.carrier_kind is CarrierKind.GHZ else CarrierKind.GHZ
     )
@@ -278,6 +371,6 @@ def run_protocol(
         raise ValueError(f"need {config.num_rounds} bits, got {len(bits)}")
     for q in bits:
         encode_round(session, q)
-        deliver_and_decode(session)
+        deliver_and_decode_all(session)
         toggle_carrier(session)
     return Transcript(num_rounds=config.num_rounds, records=session.records)

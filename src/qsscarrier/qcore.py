@@ -7,12 +7,23 @@ labels (a, b) the amplitude order is |00>, |01>, |10>, |11> with a as the
 left bit.  Everything is exact dense complex128 arithmetic; no sparsity, no
 approximation beyond float error.
 
-State values are immutable: every operation returns a new StateVector and the
-amplitude buffers are marked read-only.
+Every kernel works on a batch: a StateBatch holds one state of the same
+register per Monte Carlo trial, amplitudes shaped (trials, 2**n), and a lone
+StateVector is the batch of one.  Gates are strided two-row updates (one
+qubit) or index permutations (permutation matrices such as X and CNOT);
+reductions run along the amplitude axis of each row only.  All arithmetic is
+element-wise per row, so a trial's numbers do not depend on how many trials
+share its batch.
+
+State values are immutable: every operation returns a new state and the
+amplitude buffers are marked read-only.  A StateVector checks its norm when
+it is built; a StateBatch is built by the kernels unchecked, and its owner
+calls check_norm() once per protocol round.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
@@ -21,6 +32,22 @@ import numpy as np
 ATOL = 1e-10
 NORM_TOL = 1e-12
 MAX_QUBITS = 12
+
+
+def _check_labels(labels: tuple[str, ...]) -> int:
+    n = len(labels)
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"register must have 1..{MAX_QUBITS} qubits, got {n}")
+    if len(set(labels)) != n:
+        raise ValueError(f"duplicate labels in {labels}")
+    return n
+
+
+def _position(labels: tuple[str, ...], label: str) -> int:
+    try:
+        return labels.index(label)
+    except ValueError:
+        raise KeyError(f"no qubit labeled {label!r} in register {labels}") from None
 
 
 @dataclass(frozen=True)
@@ -35,11 +62,7 @@ class StateVector:
     amps: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
-        n = len(self.labels)
-        if not 1 <= n <= MAX_QUBITS:
-            raise ValueError(f"register must have 1..{MAX_QUBITS} qubits, got {n}")
-        if len(set(self.labels)) != n:
-            raise ValueError(f"duplicate labels in {self.labels}")
+        n = _check_labels(self.labels)
         amps = np.asarray(self.amps, dtype=np.complex128)
         if amps.shape != (2**n,):
             raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.shape}")
@@ -58,10 +81,7 @@ class StateVector:
         return {lab: i for i, lab in enumerate(self.labels)}
 
     def position(self, label: str) -> int:
-        try:
-            return self.labels.index(label)
-        except ValueError:
-            raise KeyError(f"no qubit labeled {label!r} in register {self.labels}") from None
+        return _position(self.labels, label)
 
     def tensor_view(self) -> np.ndarray:
         """Amplitudes reshaped to one axis per qubit, axis i = position i."""
@@ -87,6 +107,66 @@ class StateVector:
         return cls(tuple(doc["labels"]), amps)
 
 
+@dataclass(frozen=True)
+class StateBatch:
+    """One pure state of the same labeled register per trial.
+
+    labels: qubit names in position order, shared by every trial.
+    amps:   (trials, 2**n) complex amplitudes, row t = trial t, read-only.
+    Construction checks the shape only; check_norm() checks every row.
+    """
+
+    labels: tuple[str, ...]
+    amps: np.ndarray = field(repr=False)
+
+    def __post_init__(self) -> None:
+        n = _check_labels(self.labels)
+        amps = np.asarray(self.amps, dtype=np.complex128)
+        if amps.ndim != 2 or amps.shape[0] < 1 or amps.shape[1] != 2**n:
+            raise ValueError(f"expected (trials, {2**n}) amplitudes for {n} qubits, got {amps.shape}")
+        amps.setflags(write=False)
+        object.__setattr__(self, "amps", amps)
+
+    @classmethod
+    def repeat(cls, state: StateVector, trials: int) -> "StateBatch":
+        """`trials` copies of one validated state."""
+        return cls(state.labels, np.tile(state.amps, (trials, 1)))
+
+    @property
+    def trials(self) -> int:
+        return self.amps.shape[0]
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.labels)
+
+    def position(self, label: str) -> int:
+        return _position(self.labels, label)
+
+    def row(self, trial: int) -> StateVector:
+        """One trial's state, validated as a StateVector."""
+        return StateVector(self.labels, self.amps[trial])
+
+    def relabeled(self, mapping: dict[str, str]) -> "StateBatch":
+        """Rename qubits in every trial (pure bookkeeping, amplitudes untouched)."""
+        return StateBatch(tuple(mapping.get(lab, lab) for lab in self.labels), self.amps)
+
+    def check_norm(self) -> None:
+        """Raise unless every trial's state has unit norm within NORM_TOL."""
+        deviation = np.abs(np.sqrt(_squared_sum(self.amps)) - 1.0)
+        check_trials(deviation > NORM_TOL, f"state norm deviates from 1 by more than {NORM_TOL}")
+
+
+def check_trials(failed: np.ndarray, message: str) -> None:
+    """Raise ValueError if any trial's flag is set, naming the first such trial."""
+    bad = np.flatnonzero(failed)
+    if bad.size:
+        raise ValueError(f"{message} (trial {int(bad[0])}; {bad.size} trial(s) affected)")
+
+
+State = StateVector | StateBatch
+
+
 def new_register(labels: list[str] | tuple[str, ...]) -> StateVector:
     """All-zeros register |0...0> over the given distinct labels."""
     labels = tuple(labels)
@@ -101,96 +181,249 @@ def from_amplitudes(labels: list[str] | tuple[str, ...], amps: np.ndarray) -> St
     return StateVector(tuple(labels), np.asarray(amps, dtype=np.complex128))
 
 
-def apply_unitary(state: StateVector, matrix: np.ndarray, targets: list[str] | tuple[str, ...]) -> StateVector:
-    """Apply a 2^k x 2^k matrix to the named target qubits.
+# ---------------------------------------------------------------------------
+# batch plumbing: every kernel reads rows and wraps its result like its input
+
+
+def _rows(state: State) -> np.ndarray:
+    return state.amps if isinstance(state, StateBatch) else state.amps[np.newaxis]
+
+
+def _like(state: State, labels: tuple[str, ...], rows: np.ndarray) -> State:
+    if isinstance(state, StateBatch):
+        return StateBatch(labels, rows)
+    return StateVector(labels, rows[0])
+
+
+def _per_trial(state: State, values: np.ndarray):
+    """Per-trial results as an array for a batch, a Python scalar for a lone state."""
+    return values if isinstance(state, StateBatch) else values[0].item()
+
+
+def _ordered_sum(x: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right.
+
+    A running sum fixes the order of the additions, so each trial's sums
+    come out the same whatever the batch size or memory layout; numpy's
+    own reductions pick their order from the array's shape and alignment.
+    """
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+def _squared_sum(rows: np.ndarray) -> np.ndarray:
+    """sum |amp|^2 along each row."""
+    parts = np.ascontiguousarray(rows).view(np.float64)
+    return _ordered_sum(np.square(parts.reshape(rows.shape[0], -1)))
+
+
+@functools.lru_cache(maxsize=256)
+def _axis_order(n: int, order: tuple[int, ...]) -> np.ndarray:
+    """Gather index that lays the register's axes out in the given order."""
+    idx = np.arange(2**n).reshape((2,) * n).transpose(order).reshape(-1)
+    idx.setflags(write=False)
+    return idx
+
+
+@functools.lru_cache(maxsize=512)
+def _permutation_index(n: int, axes: tuple[int, ...], matrix_bytes: bytes) -> np.ndarray | None:
+    """Gather index of a permutation matrix on the given axes, None if it is not one."""
+    k = len(axes)
+    m = np.frombuffer(matrix_bytes, dtype=np.complex128).reshape(2**k, 2**k)
+    if not (np.all((m == 0) | (m == 1)) and np.all(m.sum(axis=0) == 1) and np.all(m.sum(axis=1) == 1)):
+        return None
+    # row b holds the image of basis state b, itself a basis state; amplitude
+    # i of the result is read from the state that lands on i
+    images = _dense_update(np.eye(2**n, dtype=np.complex128), n, axes, m)
+    idx = np.argmax(images.real, axis=0)
+    idx.setflags(write=False)
+    return idx
+
+
+_X_BYTES = np.array([[0, 1], [1, 0]], dtype=np.complex128).tobytes()
+
+
+def _two_row_update(rows: np.ndarray, n: int, axis: int, m: np.ndarray) -> np.ndarray:
+    """One-qubit gate: each amplitude pair differing in the target bit is
+    mixed by the 2x2 matrix; m is (2, 2) or one (2, 2) matrix per trial."""
+    b = rows.shape[0]
+    v = rows.reshape(b, 2**axis, 2, 2 ** (n - 1 - axis))
+    a0, a1 = v[:, :, 0, :], v[:, :, 1, :]
+    if m.ndim == 3:
+        m = m[:, np.newaxis, np.newaxis]  # (trials, 1, 1, 2, 2) broadcasts over the pairs
+    out = np.empty_like(v)
+    np.add(m[..., 0, 0] * a0, m[..., 0, 1] * a1, out=out[:, :, 0, :])
+    np.add(m[..., 1, 0] * a0, m[..., 1, 1] * a1, out=out[:, :, 1, :])
+    return out.reshape(b, -1)
+
+
+def _dense_update(rows: np.ndarray, n: int, axes: tuple[int, ...], m: np.ndarray) -> np.ndarray:
+    """k-qubit gate: permute the targets to the low bits, multiply element-wise
+    and sum each output amplitude's 2**k terms, permute back."""
+    b, k = rows.shape[0], len(axes)
+    rest = tuple(i for i in range(n) if i not in axes)
+    order = rest + axes
+    fwd = _axis_order(n, order)
+    inv = _axis_order(n, tuple(int(i) for i in np.argsort(order)))
+    grouped = rows[:, fwd].reshape(b, -1, 2**k)
+    out = np.empty_like(grouped)
+    for i in range(2**k):
+        out[:, :, i] = _ordered_sum(grouped * m[i])
+    return out.reshape(b, -1)[:, inv]
+
+
+def apply_unitary(state: State, matrix: np.ndarray, targets: list[str] | tuple[str, ...]) -> State:
+    """Apply a 2^k x 2^k matrix to the named target qubits of every trial.
 
     The first target is the most significant bit of the matrix's index space,
-    matching the register convention.  The matrix is trusted here; named-gate
-    constructors validate unitarity once at build time.
+    matching the register convention.  A one-qubit gate on a batch may also
+    be a stack of (trials, 2, 2) matrices, one per trial.  The matrix is
+    trusted here; named-gate constructors validate unitarity once at build
+    time.
     """
     k = len(targets)
     if len(set(targets)) != k:
         raise ValueError(f"duplicate targets {targets}")
-    axes = [state.position(t) for t in targets]
+    axes = tuple(state.position(t) for t in targets)
     m = np.asarray(matrix, dtype=np.complex128)
+    rows = _rows(state)
+    n = state.num_qubits
+    if m.shape == (rows.shape[0], 2, 2) and k == 1 and isinstance(state, StateBatch):
+        return StateBatch(state.labels, _two_row_update(rows, n, axes[0], m))
     if m.shape != (2**k, 2**k):
         raise ValueError(f"matrix shape {m.shape} does not fit {k} targets")
-    t = np.tensordot(m.reshape((2,) * (2 * k)), state.tensor_view(), axes=(range(k, 2 * k), axes))
-    # tensordot pulls the new target axes to the front, in target order
-    t = np.moveaxis(t, range(k), axes)
-    return StateVector(state.labels, t.reshape(-1))
+    perm = _permutation_index(n, axes, m.tobytes())
+    if perm is not None:
+        out = rows[:, perm]
+    elif k == 1:
+        out = _two_row_update(rows, n, axes[0], m)
+    else:
+        out = _dense_update(rows, n, axes, m)
+    return _like(state, state.labels, out)
 
 
-def probability_of_one(state: StateVector, label: str) -> float:
-    axis = state.position(label)
-    t = state.tensor_view()
-    slc = [slice(None)] * state.num_qubits
-    slc[axis] = 1
-    return float(np.sum(np.abs(t[tuple(slc)]) ** 2))
+def flip(state: State, label: str, where) -> State:
+    """X on one qubit in every trial where `where` is set (a bool for a lone
+    state, one bool per trial for a batch): the classical correction a party
+    applies after reading a bit."""
+    rows = _rows(state)
+    mask = np.asarray(where, dtype=bool).reshape(-1)
+    if mask.shape[0] not in (1, rows.shape[0]):
+        raise ValueError(f"{mask.shape[0]} flip flags for {rows.shape[0]} trials")
+    if not mask.any():
+        return state
+    flipped = rows[:, _permutation_index(state.num_qubits, (state.position(label),), _X_BYTES)]
+    out = flipped if mask.all() else np.where(mask[:, np.newaxis], flipped, rows)
+    return _like(state, state.labels, out)
 
 
-def measure(state: StateVector, target: str, rng: np.random.Generator) -> tuple[int, StateVector]:
+def _branch_weights(rows: np.ndarray, axis: int) -> np.ndarray:
+    """Per trial, the squared norms of the target-bit-0 and target-bit-1
+    halves, shape (trials, 2)."""
+    b = rows.shape[0]
+    sq = np.square(np.ascontiguousarray(rows).view(np.float64)).reshape(b, 2**axis, 2, -1)
+    return _ordered_sum(np.swapaxes(sq, 1, 2).reshape(b, 2, -1))
+
+
+def probability_of_one(state: State, label: str):
+    """Probability of reading 1 on the qubit: a float, or one per trial."""
+    return _per_trial(state, _branch_weights(_rows(state), state.position(label))[:, 1])
+
+
+def measure(state: State, target: str, rng) -> tuple:
     """Projective computational-basis measurement of one qubit.
 
-    Returns (outcome bit, collapsed renormalized state).  Randomness comes
-    only from the injected generator, so runs are reproducible per seed.
+    Returns (outcome, collapsed renormalized state).  Randomness comes only
+    from the injected generators, one uniform draw each: a Generator for a
+    lone state, a sequence of one Generator per trial for a batch (outcomes
+    then come back as an int array).  Runs are reproducible per seed.
     """
-    p1 = probability_of_one(state, target)
-    bit = 1 if rng.random() < p1 else 0
+    gens = rng if isinstance(state, StateBatch) else (rng,)
+    rows = _rows(state)
+    b = rows.shape[0]
+    if len(gens) != b:
+        raise ValueError(f"{len(gens)} generators for {b} trials")
     axis = state.position(target)
-    t = state.tensor_view().copy()
-    slc = [slice(None)] * state.num_qubits
-    slc[axis] = 1 - bit
-    t[tuple(slc)] = 0.0
-    flat = t.reshape(-1)
-    norm = np.linalg.norm(flat)
-    if norm == 0.0:
-        raise ValueError(f"measurement branch {bit} of {target!r} has zero probability")
-    return bit, StateVector(state.labels, flat / norm)
+    weights = _branch_weights(rows, axis)
+    draws = np.array([g.random() for g in gens])
+    bits = (draws < weights[:, 1]).astype(np.int64)
+    trials = np.arange(b)
+    kept = weights[trials, bits]
+    empty = np.flatnonzero(kept == 0.0)
+    if empty.size:
+        t = int(empty[0])
+        raise ValueError(
+            f"measurement branch {bits[t]} of {target!r} has zero probability"
+            + (f" in trial {t}" if b > 1 else "")
+        )
+    # per trial and branch: 1/sqrt(p) on the branch read, 0 on the other
+    factor = np.zeros((b, 2))
+    factor[trials, bits] = 1.0 / np.sqrt(kept)
+    parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
+    out = (parts * factor[:, np.newaxis, :, np.newaxis]).view(np.complex128).reshape(b, -1)
+    return _per_trial(state, bits), _like(state, state.labels, out)
 
 
-def reduced_density(state: StateVector, keep: list[str] | tuple[str, ...]) -> np.ndarray:
+def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarray:
     """Partial trace onto the kept labels, in the order given.
 
-    The result is validated as a density matrix: Hermitian within 1e-12,
-    unit trace within 1e-12, eigenvalues above -1e-10.
+    Returns a (2^k, 2^k) matrix, or (trials, 2^k, 2^k) for a batch.  Every
+    result is validated as a density matrix: Hermitian within 1e-12, unit
+    trace within 1e-12, eigenvalues above -1e-10.
     """
     if not keep:
         raise ValueError("keep must name at least one qubit")
-    keep_axes = [state.position(lab) for lab in keep]
-    traced = [i for i in range(state.num_qubits) if i not in keep_axes]
-    t = state.tensor_view()
-    rho = np.tensordot(t, t.conj(), axes=(traced, traced))
-    # tensordot leaves kept axes in position order; permute to requested order
-    order = np.argsort(np.argsort(keep_axes))
-    k = len(keep_axes)
-    rho = np.transpose(rho, list(order) + [o + k for o in order])
-    rho = rho.reshape(2**k, 2**k)
+    keep_axes = tuple(state.position(lab) for lab in keep)
+    if len(set(keep_axes)) != len(keep_axes):
+        raise ValueError(f"duplicate labels in keep {tuple(keep)}")
+    n, k = state.num_qubits, len(keep_axes)
+    rows = _rows(state)
+    rest = tuple(i for i in range(n) if i not in keep_axes)
+    t = rows[:, _axis_order(n, keep_axes + rest)].reshape(rows.shape[0], 2**k, -1)
+    rho = _ordered_sum(t[:, :, np.newaxis, :] * t.conj()[:, np.newaxis, :, :])
     validate_density(rho)
-    return rho
+    return rho if isinstance(state, StateBatch) else rho[0]
 
 
 def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12, eig_tol: float = -1e-10) -> None:
-    if np.abs(rho - rho.conj().T).max() > herm_tol:
+    """Check one (d, d) density matrix or a (trials, d, d) stack; raise if any fails."""
+    if np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max() > herm_tol:
         raise ValueError("density matrix is not Hermitian within tolerance")
-    if abs(np.trace(rho).real - 1.0) > 1e-12:
-        raise ValueError(f"density matrix trace {np.trace(rho)!r} is not 1")
+    traces = np.trace(rho, axis1=-2, axis2=-1)
+    worst = np.max(np.abs(traces.real - 1.0))
+    if worst > 1e-12:
+        raise ValueError(f"density matrix trace deviates from 1 by {worst!r}")
     if np.linalg.eigvalsh(rho).min() < eig_tol:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
-def fidelity(x: StateVector, y: StateVector) -> float:
-    """|<x|y>|^2 for two pure states over the same labels in the same order."""
+def fidelity(x: State, y: State):
+    """|<x|y>|^2 for pure states over the same labels in the same order.
+
+    Either side may be a batch; a lone state is compared with every trial of
+    the other.  Returns a float for two lone states, else one per trial.
+    """
     if x.labels != y.labels:
         raise ValueError(f"label mismatch: {x.labels} vs {y.labels}")
-    return float(np.abs(np.vdot(x.amps, y.amps)) ** 2)
+    xr, yr = _rows(x), _rows(y)
+    if xr.shape[0] != yr.shape[0] and 1 not in (xr.shape[0], yr.shape[0]):
+        raise ValueError(f"batch size mismatch: {xr.shape[0]} vs {yr.shape[0]}")
+    overlap = _ordered_sum(xr.conj() * yr)
+    fid = np.square(overlap.real) + np.square(overlap.imag)
+    if isinstance(x, StateBatch) or isinstance(y, StateBatch):
+        return fid
+    return fid[0].item()
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2) * trace norm of (rho - sigma), via eigenvalues of the difference."""
+def trace_distance(rho: np.ndarray, sigma: np.ndarray):
+    """(1/2) * trace norm of (rho - sigma), via eigenvalues of the difference.
+
+    Works on one pair of matrices (returns a float) or on stacks of them
+    (returns one distance per trial).
+    """
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    return float(0.5 * np.abs(np.linalg.eigvalsh(rho - sigma)).sum())
+    dist = 0.5 * _ordered_sum(np.abs(np.linalg.eigvalsh(rho - sigma)))
+    return dist if dist.ndim else float(dist)
 
 
 def purity(rho: np.ndarray) -> float:
@@ -209,3 +442,4 @@ def validate_unitary(matrix: np.ndarray, *, tol: float = ATOL) -> np.ndarray:
     if defect >= tol:
         raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {tol}")
     return m
+

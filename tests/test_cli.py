@@ -222,3 +222,36 @@ def test_console_script_smoke():
     proc = subprocess.run([exe, "run", "--rounds", "2"], capture_output=True, text=True)
     assert proc.returncode == 0
     assert "detection probability" in proc.stdout
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    (["--trials", "0"], "trials must be >= 1"),
+    (["--rounds", "0"], "rounds must be >= 1"),
+    (["--rounds", "1"], "split attack needs at least 2 rounds"),
+    (["--announce-frac", "0"], "announce fraction must be in (0, 1]"),
+    (["--announce-frac", "1.5"], "announce fraction must be in (0, 1]"),
+    (["--workers", "0"], "workers must be >= 1"),
+])
+def test_sweep_rejects_zero_and_out_of_range_values(tmp_path, capsys, argv, fragment):
+    # zeros are values, not missing flags: they must be rejected, never
+    # silently replaced by the defaults
+    out = tmp_path / "s.json"
+    code, _, err = run_main(capsys, "sweep", "--grid", "1.0", *argv, "--out", str(out))
+    assert code == cli.EXIT_CONFIG
+    assert fragment in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("tolerance", ["-1", "-0.01", "1", "1.5", "nan"])
+def test_run_rejects_tolerance_that_cannot_work(capsys, tolerance):
+    code, _, err = run_main(capsys, "run", "--trials", "2", "--rounds", "4",
+                            "--tolerance", tolerance)
+    assert code == cli.EXIT_CONFIG
+    assert "tolerance must be in [0, 1)" in err
+
+
+def test_run_accepts_tolerance_inside_the_unit_interval(capsys):
+    code, out, _ = run_main(capsys, "run", "--trials", "2", "--rounds", "4",
+                            "--tolerance", "0.5")
+    assert code == cli.EXIT_OK
+    assert "detection probability: 0.0000" in out

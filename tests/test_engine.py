@@ -1,0 +1,217 @@
+"""Batched trial engine: batch rows equal lone trials, kernels equal their
+per-trial reference, and every vectorized check names the trial that broke it.
+
+run_trials plays all of its trials in lockstep on one (trials, 2**n)
+amplitude array.  A trial's arithmetic must not depend on how many trials
+share its batch, so every row of a batch has to equal, field for field and
+float for float, the same trial replayed alone from its spawned seed.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from qsscarrier import adversary, gates, protocol, qcore
+from qsscarrier.adversary import MaintenancePolicy
+from qsscarrier.experiments import run_attack_trial, run_honest_trial, run_trials, symmetric_triple
+from qsscarrier.protocol import AnnounceOrder, ProtocolConfig, Variant
+
+THETA_POLICIES = list(MaintenancePolicy)
+
+
+@st.composite
+def engine_cases(draw):
+    variant = draw(st.sampled_from([Variant.PLAIN, Variant.THETA]))
+    angles = None
+    if variant is Variant.THETA:
+        # symmetric triples (g, -2g, g) stay hardened away from multiples of pi/2
+        g = draw(st.sampled_from([0.3, 1.0, 2 * math.pi / 3, 2.5, 4.0]))
+        angles = symmetric_triple(g)
+    config = ProtocolConfig(
+        variant=variant,
+        angles=angles,
+        num_rounds=draw(st.integers(min_value=2, max_value=12)),
+        announce_fraction=draw(st.sampled_from([0.1, 0.25, 0.5, 1.0])),
+        announce_order=draw(st.sampled_from(list(AnnounceOrder))),
+    )
+    policies = [None, MaintenancePolicy.PLAIN_HADAMARD]
+    if variant is Variant.THETA:
+        policies = [None] + THETA_POLICIES
+    policy = draw(st.sampled_from(policies))
+    instrument = policy is None and draw(st.booleans())
+    trials = draw(st.integers(min_value=1, max_value=5))
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    return config, policy, instrument, trials, seed
+
+
+@settings(max_examples=30, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=engine_cases())
+def test_batch_rows_equal_lone_trials_and_worker_pool(case):
+    config, policy, instrument, trials, seed = case
+    batch = run_trials(config, trials, base_seed=seed, policy=policy, instrument_disguise=instrument)
+    children = np.random.SeedSequence(seed).spawn(trials)
+    for row, child in zip(batch, children):
+        if policy is None:
+            alone = run_honest_trial(config, child, instrument_disguise=instrument)
+        else:
+            alone = run_attack_trial(config, policy, child)
+        assert alone == row
+    pooled = run_trials(config, trials, base_seed=seed, policy=policy,
+                        instrument_disguise=instrument, workers=2)
+    assert pooled == batch
+
+
+# kernels ---------------------------------------------------------------------
+
+
+def _random_batch(rng, labels, trials):
+    n = 2 ** len(labels)
+    amps = rng.normal(size=(trials, n)) + 1j * rng.normal(size=(trials, n))
+    return qcore.StateBatch(tuple(labels), amps / np.linalg.norm(amps, axis=1, keepdims=True))
+
+
+def _random_unitary(rng, dim):
+    u, _ = np.linalg.qr(rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
+    return u
+
+
+def _tensordot_reference(state, matrix, targets):
+    """Per-trial reference gate: contract the matrix into the target axes."""
+    k = len(targets)
+    axes = [state.position(t) for t in targets]
+    t = np.tensordot(matrix.reshape((2,) * (2 * k)), state.tensor_view(), axes=(range(k, 2 * k), axes))
+    return np.moveaxis(t, range(k), axes).reshape(-1)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batch_kernels_equal_lone_kernels_and_reference(seed):
+    rng = np.random.default_rng(seed)
+    labels = ("a", "b", "c", "d", "e")
+    batch = _random_batch(rng, labels, 7)
+    ops = [
+        (_random_unitary(rng, 2), ["c"]),
+        (np.stack([_random_unitary(rng, 2) for _ in range(7)]), ["a"]),
+        (gates.CNOT, ["e", "b"]),
+        (gates.X, ["d"]),
+        (_random_unitary(rng, 4), ["d", "a"]),
+        (_random_unitary(rng, 8), ["b", "e", "c"]),
+    ]
+    for matrix, targets in ops:
+        out = qcore.apply_unitary(batch, matrix, targets)
+        for t in range(batch.trials):
+            m = matrix[t] if matrix.ndim == 3 else matrix
+            lone = qcore.apply_unitary(batch.row(t), m, targets)
+            assert np.array_equal(lone.amps, out.amps[t])
+            assert np.abs(_tensordot_reference(batch.row(t), m, targets) - lone.amps).max() < 1e-12
+        batch = out
+
+    gens = [np.random.default_rng(100 + t) for t in range(batch.trials)]
+    twins = [np.random.default_rng(100 + t) for t in range(batch.trials)]
+    bits, collapsed = qcore.measure(batch, "c", gens)
+    for t in range(batch.trials):
+        bit, lone = qcore.measure(batch.row(t), "c", twins[t])
+        assert bit == bits[t]
+        assert np.array_equal(lone.amps, collapsed.amps[t])
+    rho = qcore.reduced_density(batch, ("e", "a"))
+    for t in range(batch.trials):
+        assert np.array_equal(qcore.reduced_density(batch.row(t), ("e", "a")), rho[t])
+    ref = batch.row(0)
+    fids = qcore.fidelity(batch, ref)
+    assert [qcore.fidelity(batch.row(t), ref) for t in range(batch.trials)] == fids.tolist()
+
+
+def test_measurement_draws_one_uniform_per_trial_in_order():
+    # the engine reads the same scalar draws, in the same order, that a
+    # trial played alone reads from its own generator
+    plus = qcore.apply_unitary(qcore.new_register(["a"]), gates.H, ["a"])
+    gens = [np.random.default_rng(s) for s in (1, 2, 3)]
+    twins = [np.random.default_rng(s) for s in (1, 2, 3)]
+    bits, _ = qcore.measure(qcore.StateBatch.repeat(plus, 3), "a", gens)
+    assert bits.tolist() == [int(g.random() < 0.5) for g in twins]
+    assert [g.random() for g in gens] == [g.random() for g in twins]
+
+
+# vectorized checks -----------------------------------------------------------
+
+
+def _batch_session(trials=3, extra_labels=()):
+    rngs = [np.random.default_rng(s) for s in range(trials)]
+    return protocol.init_session(ProtocolConfig(num_rounds=6), rng=rngs, extra_labels=extra_labels)
+
+
+def test_encode_rejects_unreset_message_in_one_trial():
+    session = _batch_session()
+    session.states = qcore.flip(session.states, "m1", [False, True, False])
+    with pytest.raises(ValueError, match=r"not reset.*trial 1;"):
+        protocol.encode_round(session, [0, 1, 0])
+
+
+def test_split_rejects_occupied_slot_in_one_trial():
+    session = _batch_session(extra_labels=adversary.ATTACK_EXTRA_LABELS)
+    protocol.encode_round(session, [0, 1, 1])
+    protocol.deliver_and_decode_all(session)
+    protocol.toggle_carrier(session)
+    protocol.encode_round(session, [1, 0, 1])
+    session.states = qcore.flip(session.states, "bt", [False, False, True])
+    rngs = [np.random.default_rng(9 + t) for t in range(3)]
+    with pytest.raises(ValueError, match=r"slot is occupied.*trial 2;"):
+        adversary.execute_split_all(session, adversary.synthesize_split_unitary(),
+                                    MaintenancePolicy.PLAIN_HADAMARD, rngs)
+
+
+def test_toggles_reject_a_message_in_flight():
+    session = _batch_session()
+    protocol.encode_round(session, [0, 1, 0])
+    with pytest.raises(ValueError, match="in flight"):
+        protocol.toggle_carrier(session)
+    with pytest.raises(ValueError, match="in flight"):
+        adversary.maintain_carriers_all(session, [])
+
+
+def test_measure_rejects_zero_probability_branch_in_one_trial():
+    amps = np.zeros((3, 2), dtype=np.complex128)
+    amps[0, 0] = amps[2, 1] = 1.0
+    batch = qcore.StateBatch(("a",), amps)  # trial 1 holds no state at all
+    gens = [np.random.default_rng(t) for t in range(3)]
+    with pytest.raises(ValueError, match="zero probability in trial 1"):
+        qcore.measure(batch, "a", gens)
+
+
+def test_reduced_density_validates_every_trial():
+    amps = np.tile(qcore.new_register(["a", "b"]).amps, (4, 1))
+    amps[3] *= 1.01  # trace 1.0201 in the last trial only
+    batch = qcore.StateBatch(("a", "b"), amps)
+    with pytest.raises(ValueError, match="trace"):
+        qcore.reduced_density(batch, ("a",))
+    assert qcore.reduced_density(qcore.StateBatch(("a", "b"), amps[:3]), ("a",)).shape == (3, 2, 2)
+
+
+def test_round_norm_check_names_the_drifting_trial():
+    session = _batch_session()
+    protocol.encode_round(session, [0, 0, 1])
+    protocol.deliver_and_decode_all(session)
+    amps = np.array(session.states.amps)
+    amps[2] *= 1.0 + 1e-9
+    session.states = qcore.StateBatch(session.states.labels, amps)
+    with pytest.raises(ValueError, match=r"norm deviates.*trial 2;"):
+        protocol.toggle_carrier(session)
+
+
+def test_one_trial_views_refuse_a_batch():
+    session = _batch_session()
+    with pytest.raises(ValueError, match="holds 3"):
+        session.state
+    protocol.encode_round(session, 1)
+    with pytest.raises(ValueError, match="holds 3"):
+        protocol.deliver_and_decode(session)
+
+
+def test_operator_tables_are_built_once_per_configuration():
+    angles = symmetric_triple(2 * math.pi / 3)
+    fwd = protocol.toggle_ops(angles, 1)
+    assert fwd is protocol.toggle_ops(symmetric_triple(2 * math.pi / 3), 3)
+    assert all(not m.flags.writeable for m in fwd)
+    assert adversary.choice_operators(angles, "u", True) is adversary.choice_operators(angles, "u", True)
