@@ -2,135 +2,4 @@
 entangled carrier, the entanglement-splitting attack against it, and the
 angle-parametrized toggle defense, with a Monte Carlo detection harness."""
 
-from .adversary import (
-    AttackState,
-    MaintenancePolicy,
-    PatternHypothesis,
-    SplitUnitary,
-    attack_decode_and_forward,
-    execute_split,
-    maintain_carriers,
-    no_signaling_distances,
-    pattern_pair_state,
-    resolve_pattern,
-    synthesize_split_unitary,
-)
-from .detection import Announcement, DetectionReport, evaluate, select_rounds
-from .experiments import (
-    AggregateStats,
-    TrialResult,
-    aggregate,
-    build_announcements,
-    run_attack_trial,
-    run_honest_trial,
-    run_trials,
-    survival_probability,
-    sweep,
-    symmetric_triple,
-)
-from .gates import (
-    BellKind,
-    CarrierKind,
-    ThetaTriple,
-    bell_amplitudes,
-    bell_decompose,
-    best_scalar_distance,
-    carrier_amplitudes,
-    distance_to_degenerate,
-    h_theta,
-    make_bell,
-    make_carrier,
-)
-from .protocol import (
-    AnnounceOrder,
-    ProtocolConfig,
-    ProtocolSession,
-    RoundRecord,
-    Transcript,
-    Variant,
-    deliver_and_decode,
-    encode_round,
-    init_session,
-    run_protocol,
-    toggle_carrier,
-)
-from .qcore import (
-    StateBatch,
-    StateVector,
-    apply_unitary,
-    fidelity,
-    from_amplitudes,
-    measure,
-    new_register,
-    probability_of_one,
-    purity,
-    reduced_density,
-    trace_distance,
-    unitarity_defect,
-    validate_unitary,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AggregateStats",
-    "Announcement",
-    "AnnounceOrder",
-    "AttackState",
-    "BellKind",
-    "CarrierKind",
-    "DetectionReport",
-    "MaintenancePolicy",
-    "PatternHypothesis",
-    "ProtocolConfig",
-    "ProtocolSession",
-    "RoundRecord",
-    "SplitUnitary",
-    "StateBatch",
-    "StateVector",
-    "ThetaTriple",
-    "Transcript",
-    "TrialResult",
-    "Variant",
-    "aggregate",
-    "apply_unitary",
-    "attack_decode_and_forward",
-    "bell_amplitudes",
-    "bell_decompose",
-    "best_scalar_distance",
-    "build_announcements",
-    "carrier_amplitudes",
-    "deliver_and_decode",
-    "distance_to_degenerate",
-    "encode_round",
-    "evaluate",
-    "execute_split",
-    "fidelity",
-    "from_amplitudes",
-    "h_theta",
-    "init_session",
-    "maintain_carriers",
-    "make_bell",
-    "make_carrier",
-    "measure",
-    "new_register",
-    "no_signaling_distances",
-    "pattern_pair_state",
-    "probability_of_one",
-    "purity",
-    "reduced_density",
-    "resolve_pattern",
-    "run_attack_trial",
-    "run_honest_trial",
-    "run_protocol",
-    "run_trials",
-    "select_rounds",
-    "survival_probability",
-    "sweep",
-    "symmetric_triple",
-    "synthesize_split_unitary",
-    "toggle_carrier",
-    "trace_distance",
-    "unitarity_defect",
-    "validate_unitary",
-]

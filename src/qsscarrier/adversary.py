@@ -332,11 +332,37 @@ def forward_round2_counterfeit(session: ProtocolSession, attack: AttackState) ->
     return int(forward_round2_counterfeit_all(session, [attack])[0])
 
 
+# the maintenance choice each policy plays; None tosses a fair u/v coin
+POLICY_CHOICE: dict[MaintenancePolicy, str | None] = {
+    MaintenancePolicy.KNOWN_THETA_U: "u",
+    MaintenancePolicy.KNOWN_THETA_V: "v",
+    MaintenancePolicy.RANDOM_GUESS: None,
+    MaintenancePolicy.PLAIN_HADAMARD: "h",
+}
+
+
+def toss_choice(rng: np.random.Generator) -> str:
+    """One fair u/v coin: the guess of a policy whose POLICY_CHOICE is None."""
+    return "u" if rng.random() < 0.5 else "v"
+
+
 @functools.lru_cache(maxsize=128)
-def _choice_pair(angles: gates.ThetaTriple | None, choice: str, forward: bool) -> tuple[np.ndarray, ...]:
-    """Bob's (bt, b) operators, built and validated once per configuration."""
+def choice_operators(
+    angles: gates.ThetaTriple | None, choice: str, forward: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's (bt, b) maintenance operators for one toggle, built and
+    validated once per configuration.
+
+    choice "h" is the plain Hadamard pair, "u" the conjugate-angle pair
+    h(-ta) (x) h(-tc), "v" the transpose pair h(ta)^T (x) h(tc)^T; inverse
+    operators are returned when the toggle runs in the inverse direction.
+    """
+    if choice not in ("h", "u", "v"):
+        raise ValueError(f"unknown maintenance choice {choice!r}")
     if choice == "h":
         pair = (gates.H, gates.H)
+    elif angles is None:
+        raise ValueError(f"choice {choice!r} needs toggle angles; the plain protocol has none")
     else:
         ta, _, tc = angles.as_tuple()
         if choice == "u":
@@ -346,39 +372,46 @@ def _choice_pair(angles: gates.ThetaTriple | None, choice: str, forward: bool) -
     return tuple(gates.read_only(m if forward else m.conj().T) for m in pair)
 
 
-def choice_operators(
-    angles: gates.ThetaTriple | None, choice: str, forward: bool
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bob's (bt, b) maintenance operators for one toggle.
+def maintenance_step(
+    state: qcore.State,
+    angles: gates.ThetaTriple | None,
+    choices: str | Sequence[str],
+    round_index: int,
+) -> qcore.State:
+    """The toggle that ends an attacked round: Alice's and Charlie's honest
+    toggles on a and c, then Bob's (bt, b) pair, applied in that order.
 
-    choice "h" is the plain Hadamard pair, "u" the conjugate-angle pair
-    h(-ta) (x) h(-tc), "v" the transpose pair h(ta)^T (x) h(tc)^T; inverse
-    operators are returned when the toggle runs in the inverse direction.
+    choices is one maintenance choice for every trial, or one per trial of a
+    batch; each distinct choice's operators are looked up once.
     """
-    if choice not in ("h", "u", "v"):
-        raise ValueError(f"unknown maintenance choice {choice!r}")
-    if choice != "h" and angles is None:
-        raise ValueError(f"choice {choice!r} needs toggle angles; the plain protocol has none")
-    return _choice_pair(angles, choice, bool(forward))
+    forward = protocol.parity_of(round_index) == "odd"
+    on_a, _, on_c = protocol.toggle_ops(angles, round_index)
+    if isinstance(choices, str):
+        on_bt, on_b = choice_operators(angles, choices, forward)
+    else:
+        pairs = {choice: choice_operators(angles, choice, forward) for choice in set(choices)}
+        on_bt = np.stack([pairs[choice][0] for choice in choices])
+        on_b = np.stack([pairs[choice][1] for choice in choices])
+    st = qcore.apply_unitary(state, on_a, ["a"])
+    st = qcore.apply_unitary(st, on_c, ["c"])
+    st = qcore.apply_unitary(st, on_bt, [KEPT_LABEL])
+    return qcore.apply_unitary(st, on_b, ["b"])
 
 
 def _choose(variant: Variant, attack: AttackState, forward: bool) -> str:
     """Bob's maintenance choice for this toggle direction."""
     policy = attack.maintenance_policy
-    if variant is Variant.PLAIN:
-        if policy is not MaintenancePolicy.PLAIN_HADAMARD:
-            raise ValueError(f"policy {policy.value!r} needs toggle angles; plain protocol has none")
-        return "h"
-    if policy is MaintenancePolicy.PLAIN_HADAMARD:
-        return "h"
-    if policy is MaintenancePolicy.RANDOM_GUESS:
+    choice = POLICY_CHOICE[policy]
+    if variant is Variant.PLAIN and choice != "h":
+        raise ValueError(f"policy {policy.value!r} needs toggle angles; plain protocol has none")
+    if choice is None:
         # one fair coin per toggle-direction pair: drawn at each forward
         # toggle, reused for the inverse one that follows; the lone inverse
         # toggle ending round 2 draws its own
         if forward or attack.current_guess is None:
-            attack.current_guess = "u" if attack.rng.random() < 0.5 else "v"
+            attack.current_guess = toss_choice(attack.rng)
         return attack.current_guess
-    return "u" if policy is MaintenancePolicy.KNOWN_THETA_U else "v"
+    return choice
 
 
 def maintain_carriers_all(session: ProtocolSession, attacks: Sequence[AttackState]) -> list[str]:
@@ -392,17 +425,9 @@ def maintain_carriers_all(session: ProtocolSession, attacks: Sequence[AttackStat
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
     forward = session.parity == "odd"
-    angles = session.config.angles
     choices = [_choose(session.config.variant, attack, forward) for attack in attacks]
-    on_a, _, on_c = protocol.toggle_ops(angles, session.round_index)
-    # one (bt, b) operator pair per trial, stacked along the trial axis
-    pairs = {choice: _choice_pair(angles, choice, forward) for choice in set(choices)}
-    on_bt = np.stack([pairs[choice][0] for choice in choices])
-    on_b = np.stack([pairs[choice][1] for choice in choices])
-    st = qcore.apply_unitary(session.states, on_a, ["a"])
-    st = qcore.apply_unitary(st, on_c, ["c"])
-    st = qcore.apply_unitary(st, on_bt, [KEPT_LABEL])
-    protocol.end_round(session, qcore.apply_unitary(st, on_b, ["b"]))
+    toggled = maintenance_step(session.states, session.config.angles, choices, session.round_index)
+    protocol.end_round(session, toggled)
     for attack in attacks:
         attack.psi_family_now = not attack.psi_family_now
     return choices

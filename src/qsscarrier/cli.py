@@ -33,28 +33,39 @@ RESIDUAL_TOL = 1e-8
 NO_SIGNALING_TOL = 1e-12
 DEGENERACY_FLOOR = 1e-3
 
-POLICY_BY_FLAG = {
-    "u": MaintenancePolicy.KNOWN_THETA_U,
-    "v": MaintenancePolicy.KNOWN_THETA_V,
-    "random": MaintenancePolicy.RANDOM_GUESS,
-    "plain": MaintenancePolicy.PLAIN_HADAMARD,
-}
 
-_CONFIG_KEYS = (
-    "rounds",
-    "seed",
-    "variant",
-    "theta",
-    "attack",
-    "policy",
-    "announce_frac",
-    "order",
-    "trials",
-    "tolerance",
-    "workers",
-    "out",
-    "transcripts",
-)
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_angle_pair(value) -> bool:
+    return isinstance(value, list) and len(value) == 2 and all(map(_is_number, value))
+
+
+# config-file keys and the type each must hold: the one its flag parses to
+_CONFIG_KEYS = {
+    "rounds": ("an integer", _is_int),
+    "seed": ("an integer", _is_int),
+    "variant": ("a string", _is_str),
+    "theta": ("a list of two numbers (the third angle is derived)", _is_angle_pair),
+    "attack": ("a string", _is_str),
+    "policy": ("a string", _is_str),
+    "announce_frac": ("a number", _is_number),
+    "order": ("a string", _is_str),
+    "trials": ("an integer", _is_int),
+    "tolerance": ("a number", _is_number),
+    "workers": ("an integer", _is_int),
+    "out": ("a string", _is_str),
+    "transcripts": ("a string", _is_str),
+}
 
 
 class CliError(Exception):
@@ -106,9 +117,13 @@ def _load_config_file(path: str) -> dict:
         raise CliError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CliError("config file must hold a JSON object of flag values")
-    for key in obj:
+    for key, value in obj.items():
         if key not in _CONFIG_KEYS:
             raise CliError(f"unknown config key: {key}")
+        what, has_type = _CONFIG_KEYS[key]
+        # null leaves the key unset, as if the file did not name it
+        if value is not None and not has_type(value):
+            raise CliError(f"config key {key} must be {what}, got {value!r}")
     return obj
 
 
@@ -138,17 +153,17 @@ def build_spec(ns: argparse.Namespace) -> ExperimentSpec:
     """Resolve flags, config file, and defaults into a validated spec."""
     ns._config_file_values = _load_config_file(ns.config) if getattr(ns, "config", None) else {}
 
-    rounds = int(_merged(ns, "rounds", 20))
-    seed = int(_merged(ns, "seed", 0))
-    variant_name = str(_merged(ns, "variant", "plain"))
+    rounds = _merged(ns, "rounds", 20)
+    seed = _merged(ns, "seed", 0)
+    variant_name = _merged(ns, "variant", "plain")
     theta = _merged(ns, "theta", None)
-    attack = str(_merged(ns, "attack", "none"))
+    attack = _merged(ns, "attack", "none")
     policy_name = _merged(ns, "policy", None)
     frac = float(_merged(ns, "announce_frac", 0.2))
-    order_name = str(_merged(ns, "order", "bob-last"))
-    trials = int(_merged(ns, "trials", 1))
+    order_name = _merged(ns, "order", "bob-last")
+    trials = _merged(ns, "trials", 1)
     tolerance = float(_merged(ns, "tolerance", 0.0))
-    workers = int(_merged(ns, "workers", 1))
+    workers = _merged(ns, "workers", 1)
     out = _merged(ns, "out", None)
     transcripts = _merged(ns, "transcripts", None)
 
@@ -171,8 +186,6 @@ def build_spec(ns: argparse.Namespace) -> ExperimentSpec:
     if variant is Variant.THETA:
         if theta is None:
             raise CliError("variant theta requires --theta A B")
-        if len(theta) != 2:
-            raise CliError("--theta takes exactly two angles; the third is derived")
         try:
             angles = ThetaTriple.from_ab(float(theta[0]), float(theta[1]))
             angles.require_hardened()
@@ -187,9 +200,10 @@ def build_spec(ns: argparse.Namespace) -> ExperimentSpec:
             raise CliError("split attack needs at least 2 rounds")
         if policy_name is None:
             raise CliError("attack split requires --policy u|v|random|plain")
-        if str(policy_name) not in POLICY_BY_FLAG:
-            raise CliError(f"policy must be u, v, random or plain, got {policy_name!r}")
-        policy = POLICY_BY_FLAG[str(policy_name)]
+        try:
+            policy = MaintenancePolicy(policy_name)
+        except ValueError:
+            raise CliError(f"policy must be u, v, random or plain, got {policy_name!r}") from None
         if variant is Variant.PLAIN and policy is not MaintenancePolicy.PLAIN_HADAMARD:
             raise CliError("policy u|v|random requires --variant theta")
     elif policy_name is not None:
@@ -299,24 +313,6 @@ def _toggle_fidelities(ta: float, tb: float, tc: float) -> tuple[float, float]:
     return _state_fidelity(m @ ghz, even), _state_fidelity(m.conj().T @ even, ghz)
 
 
-def _conjunction_image(
-    ta: float, tc: float, start: qcore.StateVector, choice: str, forward: bool
-) -> qcore.StateVector:
-    """Honest toggles on (a, c) plus Bob's maintenance pair on (bt, b)."""
-    on_a, on_c = gates.h_theta(ta), gates.h_theta(tc)
-    if choice == "u":
-        on_bt, on_b = gates.h_theta(-ta), gates.h_theta(-tc)
-    else:
-        on_bt, on_b = gates.h_theta(ta).T.copy(), gates.h_theta(tc).T.copy()
-    if not forward:
-        on_a, on_c = on_a.conj().T, on_c.conj().T
-        on_bt, on_b = on_bt.conj().T, on_b.conj().T
-    state = qcore.apply_unitary(start, on_a, ["a"])
-    state = qcore.apply_unitary(state, on_c, ["c"])
-    state = qcore.apply_unitary(state, on_bt, ["bt"])
-    return qcore.apply_unitary(state, on_b, ["b"])
-
-
 def _closest_pattern(state: qcore.StateVector) -> tuple[str, float]:
     best_name, best_fid = "", -1.0
     for k1 in BellKind:
@@ -340,11 +336,7 @@ def run_identity_suite(
     rng = np.random.default_rng(seed)
     items: list[tuple[str, bool | None, str]] = []
 
-    ghz = gates.carrier_amplitudes(CarrierKind.GHZ)
-    even = gates.carrier_amplitudes(CarrierKind.EVEN_PARITY)
-    h3 = np.kron(np.kron(gates.H, gates.H), gates.H)
-    f1 = _state_fidelity(h3 @ ghz, even)
-    f2 = _state_fidelity(h3 @ even, ghz)
+    f1, f2 = _toggle_fidelities(0.0, 0.0, 0.0)  # h_theta(0) is H exactly
     items.append(
         ("plain-toggle", min(f1, f2) >= 1 - IDENTITY_TOL,
          f"GHZ<->even-parity fidelities {f1:.12f}, {f2:.12f}")
@@ -398,18 +390,18 @@ def run_identity_suite(
 
     # ten plain toggles: PhiPlus pattern is fixed, the other orbit alternates
     # PhiMinus <-> PsiPlus
-    state = adversary.pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)
-    alt = adversary.pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
+    phi_plus = adversary.pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)
+    phi_minus = adversary.pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
+    state, alt = phi_plus, phi_minus
     orbit = [BellKind.PSI_PLUS, BellKind.PHI_MINUS]
     worst_plain = 1.0
     for step in range(10):
-        for lab in ("a", "bt", "b", "c"):
-            state = qcore.apply_unitary(state, gates.H, [lab])
-            alt = qcore.apply_unitary(alt, gates.H, [lab])
+        state = adversary.maintenance_step(state, None, "h", step + 1)
+        alt = adversary.maintenance_step(alt, None, "h", step + 1)
         expect = orbit[step % 2]
         worst_plain = min(
             worst_plain,
-            qcore.fidelity(state, adversary.pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)),
+            qcore.fidelity(state, phi_plus),
             qcore.fidelity(alt, adversary.pattern_pair_state(expect, expect)),
         )
     items.append(
@@ -421,11 +413,11 @@ def run_identity_suite(
         pairs = [_sample_hardened_pair(rng) for _ in range(10)]
     else:
         pairs = [(triples[0][0], triples[0][2])]
-    phi_plus = adversary.pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)
+    pair_angles = [ThetaTriple(ta, -(ta + tc), tc) for ta, tc in pairs]
     worst_a = 1.0
-    for ta, tc in pairs:
-        for forward in (True, False):
-            img = _conjunction_image(ta, tc, phi_plus, "u", forward)
+    for angles in pair_angles:
+        for round_index in (1, 2):
+            img = adversary.maintenance_step(phi_plus, angles, "u", round_index)
             worst_a = min(worst_a, qcore.fidelity(img, phi_plus))
     items.append(
         ("conjugate-maintenance", worst_a >= 1 - IDENTITY_TOL,
@@ -433,8 +425,7 @@ def run_identity_suite(
     )
 
     ta, tc = pairs[0]
-    phi_minus = adversary.pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
-    img = _conjunction_image(ta, tc, phi_minus, "v", True)
+    img = adversary.maintenance_step(phi_minus, pair_angles[0], "v", 1)
     psi_p = qcore.fidelity(img, adversary.pattern_pair_state(BellKind.PSI_PLUS, BellKind.PSI_PLUS))
     psi_m = qcore.fidelity(img, adversary.pattern_pair_state(BellKind.PSI_MINUS, BellKind.PSI_MINUS))
     name, best = _closest_pattern(img)
@@ -491,7 +482,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 
 def cmd_sweep(ns: argparse.Namespace) -> int:
     grid = [float(g) for g in ns.grid]
-    policy = POLICY_BY_FLAG[ns.policy or "random"]
+    policy = MaintenancePolicy(ns.policy or "random")
     for g in grid:
         try:
             experiments.symmetric_triple(g).require_hardened()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import adversary, detection, gates, protocol, qcore
+from . import adversary, detection, protocol, qcore
 from .adversary import AttackState, MaintenancePolicy, SplitUnitary
 from .detection import Announcement, DetectionReport
 from .gates import BellKind, ThetaTriple
@@ -380,7 +380,7 @@ def survival_probability(
     pre-toggle pattern.  angles=None runs the plain-protocol variant.
     """
     rng = np.random.default_rng(base_seed)
-    labels = ("a", "bt", "b", "c")
+    policy_choice = adversary.POLICY_CHOICE[policy]
     survived = 0
     for _ in range(trials):
         q2 = int(rng.integers(0, 2))
@@ -389,23 +389,8 @@ def survival_probability(
             kind = BellKind.PHI_PLUS
         else:
             kind = BellKind.PHI_MINUS if odd_round else BellKind.PSI_PLUS
-        bell = gates.bell_amplitudes(kind).reshape(2, 2)
-        amps = np.einsum("at,bc->atbc", bell, bell).reshape(-1)
-        state = qcore.from_amplitudes(labels, amps)
-
-        if policy is MaintenancePolicy.PLAIN_HADAMARD:
-            choice = "h"
-        elif policy is MaintenancePolicy.KNOWN_THETA_U:
-            choice = "u"
-        elif policy is MaintenancePolicy.KNOWN_THETA_V:
-            choice = "v"
-        else:
-            choice = "u" if rng.random() < 0.5 else "v"
-        on_a, _, on_c = protocol.toggle_ops(angles, 1 if odd_round else 2)
-        on_bt, on_b = adversary.choice_operators(angles, choice, odd_round)
-        after = qcore.apply_unitary(state, on_a, ["a"])
-        after = qcore.apply_unitary(after, on_c, ["c"])
-        after = qcore.apply_unitary(after, on_bt, ["bt"])
-        after = qcore.apply_unitary(after, on_b, ["b"])
+        state = adversary.pattern_pair_state(kind, kind)
+        choice = policy_choice or adversary.toss_choice(rng)
+        after = adversary.maintenance_step(state, angles, choice, 1 if odd_round else 2)
         survived += qcore.fidelity(after, state) >= 1.0 - INTACT_TOL
     return survived / trials

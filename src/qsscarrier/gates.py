@@ -26,9 +26,7 @@ DEGENERATE_GAP = 1e-6
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
-I2 = np.eye(2, dtype=np.complex128)
 X = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-Y = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 Z = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 H = SQRT_HALF * np.array([[1, 1], [1, -1]], dtype=np.complex128)
 # control is the first (most significant) target label
@@ -40,7 +38,7 @@ CNOT = np.array(
     dtype=np.complex128,
 )
 
-for _g in (X, Y, Z, H, CNOT):
+for _g in (X, Z, H, CNOT):
     qcore.validate_unitary(_g)
     _g.setflags(write=False)
 

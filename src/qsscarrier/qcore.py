@@ -76,10 +76,6 @@ class StateVector:
     def num_qubits(self) -> int:
         return len(self.labels)
 
-    @property
-    def label_map(self) -> dict[str, int]:
-        return {lab: i for i, lab in enumerate(self.labels)}
-
     def position(self, label: str) -> int:
         return _position(self.labels, label)
 

@@ -124,6 +124,29 @@ def test_config_file_rejections(tmp_path, capsys, content, fragment):
     assert fragment in err
 
 
+@pytest.mark.parametrize("content,fragment", [
+    ({"rounds": "x"}, "config key rounds must be an integer"),
+    ({"rounds": True}, "config key rounds must be an integer"),
+    ({"trials": 2.7, "rounds": 4}, "config key trials must be an integer"),
+    ({"seed": "1"}, "config key seed must be an integer"),
+    ({"workers": 1.0}, "config key workers must be an integer"),
+    ({"tolerance": "abc"}, "config key tolerance must be a number"),
+    ({"announce_frac": False}, "config key announce_frac must be a number"),
+    ({"theta": 5, "variant": "theta"}, "config key theta must be a list of two numbers"),
+    ({"theta": [1.0, 1.5, 2.0], "variant": "theta"}, "config key theta must be a list of two numbers"),
+    ({"theta": [1.0, "x"], "variant": "theta"}, "config key theta must be a list of two numbers"),
+    ({"variant": 1}, "config key variant must be a string"),
+    ({"out": 5, "rounds": 4}, "config key out must be a string"),
+])
+def test_config_file_values_must_have_their_flag_type(tmp_path, capsys, content, fragment):
+    cfg = tmp_path / "bad.json"
+    cfg.write_text(json.dumps(content))
+    code, out, err = run_main(capsys, "run", "--config", str(cfg))
+    assert code == cli.EXIT_CONFIG
+    assert fragment in err
+    assert out == ""  # rejected before any trial runs
+
+
 def test_config_file_unreadable(capsys, tmp_path):
     code, _, err = run_main(capsys, "run", "--config", str(tmp_path / "absent.json"))
     assert code == cli.EXIT_CONFIG

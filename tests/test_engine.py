@@ -16,7 +16,14 @@ from hypothesis import strategies as st
 
 from qsscarrier import adversary, gates, protocol, qcore
 from qsscarrier.adversary import MaintenancePolicy
-from qsscarrier.experiments import run_attack_trial, run_honest_trial, run_trials, symmetric_triple
+from qsscarrier.experiments import (
+    run_attack_trial,
+    run_honest_trial,
+    run_trials,
+    survival_probability,
+    symmetric_triple,
+)
+from qsscarrier.gates import BellKind
 from qsscarrier.protocol import AnnounceOrder, ProtocolConfig, Variant
 
 THETA_POLICIES = list(MaintenancePolicy)
@@ -215,3 +222,28 @@ def test_operator_tables_are_built_once_per_configuration():
     assert fwd is protocol.toggle_ops(symmetric_triple(2 * math.pi / 3), 3)
     assert all(not m.flags.writeable for m in fwd)
     assert adversary.choice_operators(angles, "u", True) is adversary.choice_operators(angles, "u", True)
+
+
+@pytest.mark.parametrize("round_index", [1, 2])
+def test_maintenance_step_batch_rows_equal_lone_steps(round_index):
+    # maintain_carriers_all runs the step with one choice per trial, while
+    # survival_probability and verify run it on a lone state with one choice
+    angles = symmetric_triple(2 * math.pi / 3)
+    kinds = [BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS]
+    choices = ["h", "u", "v"]
+    lone = [adversary.pattern_pair_state(kind, kind) for kind in kinds]
+    batch = qcore.StateBatch(lone[0].labels, np.stack([state.amps for state in lone]))
+    out = adversary.maintenance_step(batch, angles, choices, round_index)
+    for row, state, choice in zip(out.amps, lone, choices):
+        alone = adversary.maintenance_step(state, angles, choice, round_index)
+        assert np.array_equal(row, alone.amps)
+
+
+@pytest.mark.parametrize("policy", [MaintenancePolicy.KNOWN_THETA_U, MaintenancePolicy.KNOWN_THETA_V])
+def test_plain_variant_rejects_policies_that_need_angles(policy):
+    session = _batch_session(trials=1, extra_labels=adversary.ATTACK_EXTRA_LABELS)
+    attack = adversary.AttackState(maintenance_policy=policy, rng=np.random.default_rng(1))
+    with pytest.raises(ValueError, match="plain protocol has none"):
+        adversary.maintain_carriers_all(session, [attack])
+    with pytest.raises(ValueError, match="plain protocol has none"):
+        survival_probability(None, policy, trials=4)
