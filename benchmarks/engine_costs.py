@@ -1,4 +1,5 @@
-"""Layer costs of the gate engine: per gate, per measurement, per round, per trial.
+"""Layer costs of the gate engine: per gate, per measurement, per round phase,
+per round, per trial, and the kernel calls one lockstep round makes.
 
     python benchmarks/engine_costs.py --src src --label after --out costs.json
 
@@ -6,16 +7,29 @@ Times, in wall microseconds on the machine it runs on, one one-qubit gate
 (H on m1), one CNOT (a -> m1), one measurement (m1), one attacked round of
 the plain split (Alice's encoding, Bob's decode-and-forward with Charlie's
 decode, the maintained toggle) and one whole 100-round plain-split trial
-(experiments.run_trials), at batch sizes 1, 16 and 1000.  Each cost is the
-median of --repeats timings and is given per call and per trial.  --src may
-point at the src/ directory of any checkout: a checkout whose engine runs one
-trial at a time is timed on lone states, batch size 1 only for the kernels,
-and trial by trial inside run_trials.
+(experiments.run_trials), at batch sizes 1, 16 and 1000.  The round phases
+are timed one by one on the same sizes: Alice's odd and even encodings, the
+honest decode, and Bob's decode-and-forward and the maintained toggle of an
+odd round after the split, each from a saved session state.  Each cost is the median of --repeats timings and is
+given per call and per trial.
+
+Kernel calls are counted on one plain-split lockstep round of 16 trials (the
+mean over 20 rounds after the split): every call the round phases make into
+a qcore function that takes a state, plus StateBatch.check_norm, counting
+only the outermost call when one kernel calls another; StateBatch builds
+are counted alongside.
+
+--src may point at the src/ directory of any checkout: a checkout whose
+engine runs one trial at a time is timed on lone states, batch size 1 only
+for the kernels, trial by trial inside run_trials, and without the phase
+costs and kernel counts.
 """
 
 from __future__ import annotations
 
 import argparse
+import copy
+import functools
 import json
 import os
 import platform
@@ -80,6 +94,114 @@ def attacked_session(qss, batch: int):
     return session, attacks
 
 
+# qcore functions that take a state: the kernels a round phase calls
+KERNELS = (
+    "apply_unitary", "apply_one_qubit_gates", "permute", "flip", "measure", "measure_reset",
+    "probability_of_one", "excited_mass", "fidelity", "reduced_density", "trace_distance",
+)
+PHASE_CALLS = 100
+
+
+def honest_session(qss, batch: int, round_index: int):
+    """An honest plain session of `batch` trials at the start of the given round."""
+    from qsscarrier.protocol import ProtocolConfig
+
+    proto = qss.protocol
+    gens = [np.random.default_rng(t) for t in range(batch)]
+    session = proto.init_session(ProtocolConfig(num_rounds=ROUNDS), rng=gens)
+    for r in range(1, round_index):
+        proto.encode_round(session, np.full(batch, r % 2))
+        proto.deliver_and_decode_all(session)
+        proto.toggle_carrier(session)
+    return session
+
+
+def phase_costs(qss, batch: int, repeats: int) -> dict:
+    """Per call of each round phase, from a saved session state each time."""
+    proto, adv = qss.protocol, qss.adversary
+    q = np.arange(batch) % 2  # a mix of 0s and 1s
+
+    def replay(session, phase, *args):
+        """Time PHASE_CALLS calls of phase, each on a copy of the saved session."""
+        copies = [copy.copy(session) for _ in range(PHASE_CALLS)]
+        t0 = time.perf_counter()
+        for s in copies:
+            phase(s, *args)
+        return time.perf_counter() - t0
+
+    def median_of(session, phase, *args):
+        replay(session, phase, *args)
+        return statistics.median(replay(session, phase, *args) for _ in range(repeats))
+
+    odd, even = honest_session(qss, batch, 1), honest_session(qss, batch, 2)
+    encoded = honest_session(qss, batch, 1)
+    proto.encode_round(encoded, q)
+    attacked, attacks = attacked_session(qss, batch)
+    attacks = [attacks] if batch == 1 else attacks
+    decoded = copy.copy(attacked)
+    proto.encode_round(attacked, q)
+    # the copies share generators, transcripts and attack ledgers: the phases
+    # only advance the one and append to or overwrite the others
+    seconds = {
+        "encode_odd": median_of(odd, proto.encode_round, q),
+        "encode_even": median_of(even, proto.encode_round, q),
+        "honest_decode": median_of(encoded, proto.deliver_and_decode_all),
+        "bob_decode_forward": median_of(attacked, adv.attack_decode_and_forward_all, attacks),
+        "maintained_toggle": median_of(decoded, adv.maintain_carriers_all, attacks),
+    }
+    return {name: cost(sec, PHASE_CALLS, batch) for name, sec in seconds.items()}
+
+
+def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
+    """Outermost qcore kernel calls and StateBatch builds per lockstep round."""
+    qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
+    session, attacks = attacked_session(qss, batch)
+    counts = {"builds": 0}
+    depth = [0]
+
+    def counted(name, fn):
+        @functools.wraps(fn)
+        def wrapper(*args, **kwargs):
+            if depth[0] == 0:
+                counts[name] = counts.get(name, 0) + 1
+            depth[0] += 1
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                depth[0] -= 1
+
+        return wrapper
+
+    originals = {name: getattr(qcore, name) for name in KERNELS if hasattr(qcore, name)}
+    batch_cls = qcore.StateBatch
+    check_norm, post_init = batch_cls.check_norm, batch_cls.__post_init__
+
+    def counted_post_init(state):
+        counts["builds"] += 1
+        post_init(state)
+
+    for name, fn in originals.items():
+        setattr(qcore, name, counted(name, fn))
+    batch_cls.check_norm = counted("check_norm", check_norm)
+    batch_cls.__post_init__ = counted_post_init
+    try:
+        for r in range(rounds):
+            proto.encode_round(session, np.full(batch, r % 2))
+            adv.attack_decode_and_forward_all(session, attacks)
+            adv.maintain_carriers_all(session, attacks)
+    finally:
+        for name, fn in originals.items():
+            setattr(qcore, name, fn)
+        batch_cls.check_norm, batch_cls.__post_init__ = check_norm, post_init
+    builds = counts.pop("builds")
+    return {
+        "batch": batch,
+        "kernel_calls_per_round": round(sum(counts.values()) / rounds, 2),
+        "by_kernel": {name: n / rounds for name, n in sorted(counts.items())},
+        "state_batch_builds_per_round": round(builds / rounds, 2),
+    }
+
+
 def measure_costs(qss, repeats: int) -> dict:
     from qsscarrier import gates
     from qsscarrier.adversary import MaintenancePolicy
@@ -87,7 +209,7 @@ def measure_costs(qss, repeats: int) -> dict:
 
     qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
     batched = hasattr(qcore, "StateBatch")
-    out = {"gate_1q": {}, "gate_cnot": {}, "measure": {}, "round": {}, "trial": {}}
+    out = {"gate_1q": {}, "gate_cnot": {}, "measure": {}, "phase": {}, "round": {}, "trial": {}}
     for batch in BATCH_SIZES:
         if batch == 1 or batched:
             session, attack = attacked_session(qss, batch)
@@ -104,6 +226,8 @@ def measure_costs(qss, repeats: int) -> dict:
                 seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
                 out[name][batch] = cost(seconds, calls, batch)
 
+            if batched:
+                out["phase"][batch] = phase_costs(qss, batch, repeats)
             rounds = 20
 
             def play_rounds():
@@ -159,6 +283,8 @@ def main(argv=None) -> int:
         },
         "costs": measure_costs(qsscarrier, args.repeats),
     }
+    if hasattr(qsscarrier.qcore, "StateBatch"):
+        doc["kernel_calls"] = count_kernel_calls(qsscarrier)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

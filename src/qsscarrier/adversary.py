@@ -127,12 +127,7 @@ def _encoded_round2_state(q: int) -> qcore.StateVector:
     rest[0] = 1.0
     amps = np.kron(gates.carrier_amplitudes(gates.CarrierKind.EVEN_PARITY), rest)
     state = qcore.from_amplitudes(("a", "b", "c", "m1", "m2"), amps)
-    # message (|q0> + |qbar 1>)/sqrt2, then CNOT(a->m1): the even-round encoding
-    state = qcore.apply_unitary(state, gates.H, ["m1"])
-    state = qcore.apply_unitary(state, gates.CNOT, ["m1", "m2"])
-    if q:
-        state = qcore.apply_unitary(state, gates.X, ["m1"])
-    return qcore.apply_unitary(state, gates.CNOT, ["a", "m1"])
+    return protocol.encoded_state(state, "even", q)
 
 
 def _target_split_state(q: int, blank: np.ndarray) -> qcore.StateVector:
@@ -317,10 +312,9 @@ def forward_round2_counterfeit_all(
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("round-2 counterfeit must follow the split in round 2")
-    st = qcore.apply_unitary(session.states, gates.H, ["m2"])
-    st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
-    bits, st = qcore.measure(st, "m2", session.rngs)
-    session.states = qcore.flip(st, "m2", bits)
+    st = qcore.apply_one_qubit_gates(session.states, (("m2", gates.H),))
+    st = qcore.permute(st, (("c", "m2", None),))
+    (bits,), session.states = qcore.measure_reset(st, ("m2",), session.rngs)
     for attack, bit in zip(attacks, bits.tolist()):
         attack.charlie_round2 = bit
     protocol.append_records(session, None, bits, fraud_pattern_fidelity_all(session, attacks))
@@ -331,6 +325,15 @@ def forward_round2_counterfeit(session: ProtocolSession, attack: AttackState) ->
     session.require_single()
     return int(forward_round2_counterfeit_all(session, [attack])[0])
 
+
+# Bob's disentangling CNOTs from bt on odd and even rounds, as qcore.permute steps
+BOB_DECODE_STEPS = {
+    True: ((KEPT_LABEL, "m1", None), (KEPT_LABEL, "m2", None)),
+    False: ((KEPT_LABEL, "m1", None),),
+}
+# the counterfeit for Charlie: X on m2 where the forwarded bit (bit 0) is set,
+# then stitched through b and read back by Charlie's decode CNOT from c
+COUNTERFEIT_STEPS = ((None, "m2", 0), ("b", "m2", None), ("c", "m2", None))
 
 # the maintenance choice each policy plays; None tosses a fair u/v coin
 POLICY_CHOICE: dict[MaintenancePolicy, str | None] = {
@@ -382,20 +385,20 @@ def maintenance_step(
     toggles on a and c, then Bob's (bt, b) pair, applied in that order.
 
     choices is one maintenance choice for every trial, or one per trial of a
-    batch; each distinct choice's operators are looked up once.
+    batch; each distinct choice's operators are looked up once and gathered
+    into per-trial stacks.  All four toggles run as one pass.
     """
     forward = protocol.parity_of(round_index) == "odd"
     on_a, _, on_c = protocol.toggle_ops(angles, round_index)
     if isinstance(choices, str):
         on_bt, on_b = choice_operators(angles, choices, forward)
     else:
-        pairs = {choice: choice_operators(angles, choice, forward) for choice in set(choices)}
-        on_bt = np.stack([pairs[choice][0] for choice in choices])
-        on_b = np.stack([pairs[choice][1] for choice in choices])
-    st = qcore.apply_unitary(state, on_a, ["a"])
-    st = qcore.apply_unitary(st, on_c, ["c"])
-    st = qcore.apply_unitary(st, on_bt, [KEPT_LABEL])
-    return qcore.apply_unitary(st, on_b, ["b"])
+        distinct = sorted(set(choices))
+        table = np.stack([choice_operators(angles, choice, forward) for choice in distinct])
+        picked = table[[distinct.index(choice) for choice in choices]]
+        on_bt, on_b = picked[:, 0], picked[:, 1]
+    ops = (("a", on_a), ("c", on_c), (KEPT_LABEL, on_bt), ("b", on_b))
+    return qcore.apply_one_qubit_gates(state, ops)
 
 
 def _choose(variant: Variant, attack: AttackState, forward: bool) -> str:
@@ -425,12 +428,17 @@ def maintain_carriers_all(session: ProtocolSession, attacks: Sequence[AttackStat
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
     forward = session.parity == "odd"
-    choices = [_choose(session.config.variant, attack, forward) for attack in attacks]
+    policies = {attack.maintenance_policy for attack in attacks}
+    if len(policies) == 1 and POLICY_CHOICE[next(iter(policies))] is not None:
+        # a fixed policy plays one choice in every trial: checked once, no per-trial stacks
+        choices = _choose(session.config.variant, attacks[0], forward)
+    else:
+        choices = [_choose(session.config.variant, attack, forward) for attack in attacks]
     toggled = maintenance_step(session.states, session.config.angles, choices, session.round_index)
     protocol.end_round(session, toggled)
     for attack in attacks:
         attack.psi_family_now = not attack.psi_family_now
-    return choices
+    return [choices] * len(attacks) if isinstance(choices, str) else choices
 
 
 def maintain_carriers(session: ProtocolSession, attack: AttackState) -> str:
@@ -456,13 +464,8 @@ def attack_decode_and_forward_all(
         raise ValueError("decode-and-forward applies to rounds after the split")
     odd = session.parity == "odd"
     bob_rngs = [attack.rng for attack in attacks]
-    st = qcore.apply_unitary(session.states, gates.CNOT, [KEPT_LABEL, "m1"])
-    if odd:
-        st = qcore.apply_unitary(st, gates.CNOT, [KEPT_LABEL, "m2"])
-    r1, st = qcore.measure(st, "m1", bob_rngs)
-    r2, st = qcore.measure(st, "m2", bob_rngs)
-    session.states = st
-    protocol.reset_messages(session, r1, r2)
+    st = qcore.permute(session.states, BOB_DECODE_STEPS[odd])
+    (r1, r2), st = qcore.measure_reset(st, protocol.MESSAGE_LABELS, bob_rngs)
     if odd:
         raw = r1
         forward_bits = claims = raw
@@ -470,11 +473,8 @@ def attack_decode_and_forward_all(
         raw = r1 ^ r2
         claims = np.array([int(attack.rng.integers(0, 2)) for attack in attacks])
         forward_bits = raw ^ claims
-    st = qcore.flip(session.states, "m2", forward_bits)
-    st = qcore.apply_unitary(st, gates.CNOT, ["b", "m2"])
-    st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
-    charlie, st = qcore.measure(st, "m2", session.rngs)
-    session.states = qcore.flip(st, "m2", charlie)
+    st = qcore.permute(st, COUNTERFEIT_STEPS, (forward_bits,))
+    (charlie,), session.states = qcore.measure_reset(st, ("m2",), session.rngs)
 
     round_index, parity = session.round_index, session.parity
     for attack, raw_bit, claim in zip(attacks, raw.tolist(), claims.tolist()):

@@ -138,6 +138,11 @@ def _merged(ns: argparse.Namespace, key: str, default):
     return default
 
 
+def _check_seed(seed: int) -> None:
+    if seed < 0:
+        raise CliError("seed must be >= 0")
+
+
 def _check_run_sizes(trials: int, rounds: int, frac: float, workers: int) -> None:
     if trials < 1:
         raise CliError("trials must be >= 1")
@@ -167,6 +172,7 @@ def build_spec(ns: argparse.Namespace) -> ExperimentSpec:
     out = _merged(ns, "out", None)
     transcripts = _merged(ns, "transcripts", None)
 
+    _check_seed(seed)
     _check_run_sizes(trials, rounds, frac, workers)
     if not 0.0 <= tolerance < 1.0:
         # a negative tolerance flags every run, one of 1 or more flags none
@@ -463,6 +469,11 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     thetas = [float(t) for t in ns.theta] if ns.theta is not None else None
     if thetas is not None and len(thetas) not in (2, 3):
         raise CliError("--theta takes two angles (third derived) or three raw angles")
+    _check_seed(ns.seed)
+    try:
+        gates.require_finite(thetas or ())
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     items = run_identity_suite(thetas, seed=ns.seed)
     failed = False
     for name, ok, detail in items:
@@ -483,6 +494,8 @@ def cmd_verify(ns: argparse.Namespace) -> int:
 def cmd_sweep(ns: argparse.Namespace) -> int:
     grid = [float(g) for g in ns.grid]
     policy = MaintenancePolicy(ns.policy or "random")
+    seed = 0 if ns.seed is None else ns.seed
+    _check_seed(seed)
     for g in grid:
         try:
             experiments.symmetric_triple(g).require_hardened()
@@ -501,7 +514,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
         num_rounds=rounds,
         announce_fraction=frac,
         policy=policy,
-        base_seed=0 if ns.seed is None else ns.seed,
+        base_seed=seed,
         workers=workers,
     )
     print(f"{'theta':>8s} {'detect_prob':>12s} {'mismatch':>10s} {'recovered':>10s}")

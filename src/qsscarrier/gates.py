@@ -140,6 +140,12 @@ def distance_to_degenerate(theta: float) -> float:
     return min(abs(t), abs(t - math.pi), abs(t - TWO_PI))
 
 
+def require_finite(angles) -> None:
+    """Raise unless every toggle angle is a finite number."""
+    if not all(math.isfinite(t) for t in angles):
+        raise ValueError(f"toggle angles must be finite, got {list(angles)}")
+
+
 @dataclass(frozen=True)
 class ThetaTriple:
     """Toggle angles for the three parties; must sum to 0 mod 2pi.
@@ -155,6 +161,7 @@ class ThetaTriple:
     c: float
 
     def __post_init__(self) -> None:
+        require_finite((self.a, self.b, self.c))
         object.__setattr__(self, "a", angle_mod(self.a))
         object.__setattr__(self, "b", angle_mod(self.b))
         object.__setattr__(self, "c", angle_mod(self.c))

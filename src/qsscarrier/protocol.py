@@ -224,9 +224,15 @@ def init_session(
 
 
 def _require_reset_messages(session: ProtocolSession) -> None:
-    st = session.states
-    mass = qcore.probability_of_one(st, "m1") + qcore.probability_of_one(st, "m2")
+    mass = qcore.excited_mass(session.states, MESSAGE_LABELS)
     qcore.check_trials(mass > RESET_TOL, "message qubits are not reset to |00>")
+
+
+# Alice's encodings as qcore.permute steps (control, target, bit): bit 0 is q
+ODD_ENCODE_STEPS = ((None, "m1", 0), (None, "m2", 0), ("a", "m1", None), ("a", "m2", None))
+EVEN_ENCODE_STEPS = (("m1", "m2", None), (None, "m1", 0), ("a", "m1", None))
+# the receivers' disentangling CNOTs before they read
+DECODE_STEPS = (("b", "m1", None), ("c", "m2", None))
 
 
 def encoded_state(state: qcore.State, parity: str, q) -> qcore.State:
@@ -238,16 +244,9 @@ def encoded_state(state: qcore.State, parity: str, q) -> qcore.State:
     batch, q holds one bit per trial.
     """
     if parity == "odd":
-        state = qcore.flip(state, "m1", q)
-        state = qcore.flip(state, "m2", q)
-    else:
-        state = qcore.apply_unitary(state, gates.H, ["m1"])
-        state = qcore.apply_unitary(state, gates.CNOT, ["m1", "m2"])
-        state = qcore.flip(state, "m1", q)
-    state = qcore.apply_unitary(state, gates.CNOT, ["a", "m1"])
-    if parity == "odd":
-        state = qcore.apply_unitary(state, gates.CNOT, ["a", "m2"])
-    return state
+        return qcore.permute(state, ODD_ENCODE_STEPS, (q,))
+    state = qcore.apply_one_qubit_gates(state, (("m1", gates.H),))
+    return qcore.permute(state, EVEN_ENCODE_STEPS, (q,))
 
 
 def encode_round(session: ProtocolSession, q) -> None:
@@ -259,7 +258,7 @@ def encode_round(session: ProtocolSession, q) -> None:
     if session.pending_q is not None:
         raise ValueError("previous round's message was never delivered")
     _require_reset_messages(session)
-    qs = np.broadcast_to(qs.astype(np.int64).reshape(-1), (session.trials,)).copy()
+    qs = np.repeat(qs.astype(np.int64).reshape(-1), session.trials // qs.size)
     session.states = encoded_state(session.states, session.parity, qs)
     session.pending_q = qs
 
@@ -267,12 +266,6 @@ def encode_round(session: ProtocolSession, q) -> None:
 def expected_full_state(session: ProtocolSession) -> qcore.StateVector:
     """Named carrier on (a, b, c), everything else |0>, same label layout."""
     return _carrier_state(session.states.labels, session.carrier_kind)
-
-
-def reset_messages(session: ProtocolSession, m1_bits, m2_bits) -> None:
-    # measured qubits are classical now; flip the ones back to |0>
-    session.states = qcore.flip(session.states, "m1", m1_bits)
-    session.states = qcore.flip(session.states, "m2", m2_bits)
 
 
 def append_records(
@@ -310,12 +303,8 @@ def deliver_and_decode_all(session: ProtocolSession) -> tuple[np.ndarray, np.nda
     """
     if session.pending_q is None:
         raise ValueError("no message in flight; call encode_round first")
-    st = qcore.apply_unitary(session.states, gates.CNOT, ["b", "m1"])
-    st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
-    bob, st = qcore.measure(st, "m1", session.rngs)
-    charlie, st = qcore.measure(st, "m2", session.rngs)
-    session.states = st
-    reset_messages(session, bob, charlie)
+    st = qcore.permute(session.states, DECODE_STEPS)
+    (bob, charlie), session.states = qcore.measure_reset(st, MESSAGE_LABELS, session.rngs)
     fids = qcore.fidelity(session.states, expected_full_state(session))
     append_records(session, bob, charlie, fids)
     return bob, charlie
@@ -339,10 +328,8 @@ def toggle_carrier(session: ProtocolSession) -> None:
     state's norm, and advance the round counter."""
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
-    st = session.states
-    for op, label in zip(toggle_ops(session.config.angles, session.round_index), CARRIER_LABELS):
-        st = qcore.apply_unitary(st, op, [label])
-    end_round(session, st)
+    ops = zip(CARRIER_LABELS, toggle_ops(session.config.angles, session.round_index))
+    end_round(session, qcore.apply_one_qubit_gates(session.states, ops))
 
 
 def end_round(session: ProtocolSession, toggled: qcore.StateBatch) -> None:

@@ -15,6 +15,12 @@ reductions run along the amplitude axis of each row only.  All arithmetic is
 element-wise per row, so a trial's numbers do not depend on how many trials
 share its batch.
 
+Round phases run as a few fused kernels with the per-element arithmetic of
+the gates they replace: permute plays a run of CNOTs, X gates and per-trial
+bit flips as one gather; measure_reset is measure then flip back to |0>;
+apply_one_qubit_gates is one pass of two-row updates; excited_mass is one
+ordered sum over the amplitudes with any of the named qubits set.
+
 State values are immutable: every operation returns a new state and the
 amplitude buffers are marked read-only.  A StateVector checks its norm when
 it is built; a StateBatch is built by the kernels unchecked, and its owner
@@ -235,20 +241,15 @@ def _permutation_index(n: int, axes: tuple[int, ...], matrix_bytes: bytes) -> np
     return idx
 
 
-_X_BYTES = np.array([[0, 1], [1, 0]], dtype=np.complex128).tobytes()
-
-
 def _two_row_update(rows: np.ndarray, n: int, axis: int, m: np.ndarray) -> np.ndarray:
     """One-qubit gate: each amplitude pair differing in the target bit is
     mixed by the 2x2 matrix; m is (2, 2) or one (2, 2) matrix per trial."""
     b = rows.shape[0]
-    v = rows.reshape(b, 2**axis, 2, 2 ** (n - 1 - axis))
-    a0, a1 = v[:, :, 0, :], v[:, :, 1, :]
-    if m.ndim == 3:
-        m = m[:, np.newaxis, np.newaxis]  # (trials, 1, 1, 2, 2) broadcasts over the pairs
-    out = np.empty_like(v)
-    np.add(m[..., 0, 0] * a0, m[..., 0, 1] * a1, out=out[:, :, 0, :])
-    np.add(m[..., 1, 0] * a0, m[..., 1, 1] * a1, out=out[:, :, 1, :])
+    v = rows.reshape(b, 2**axis, 2, 1, 2 ** (n - 1 - axis))
+    # column j of m times the amplitudes with target bit j, laid out like the result
+    cols = m.reshape(2, 2, 1) if m.ndim == 2 else m.reshape(b, 1, 2, 2, 1)
+    out = cols[..., 0, :] * v[:, :, 0]
+    out += cols[..., 1, :] * v[:, :, 1]
     return out.reshape(b, -1)
 
 
@@ -297,19 +298,82 @@ def apply_unitary(state: State, matrix: np.ndarray, targets: list[str] | tuple[s
     return _like(state, state.labels, out)
 
 
+def apply_one_qubit_gates(state: State, ops) -> State:
+    """Several one-qubit gates in order, as one pass of two-row updates.
+
+    ops is a sequence of (label, matrix) pairs; on a batch a matrix may also
+    be a (trials, 2, 2) stack, one per trial.  The arithmetic is apply_unitary's
+    for a one-qubit gate that is not a permutation, gate after gate.
+    """
+    rows, n = _rows(state), state.num_qubits
+    for label, matrix in ops:
+        m = np.asarray(matrix, dtype=np.complex128)
+        if m.shape != (2, 2) and not (m.shape == (rows.shape[0], 2, 2) and isinstance(state, StateBatch)):
+            raise ValueError(f"matrix shape {m.shape} does not fit one target")
+        rows = _two_row_update(rows, n, state.position(label), m)
+    return _like(state, state.labels, rows)
+
+
+@functools.lru_cache(maxsize=256)
+def _gather_table(labels: tuple[str, ...], steps: tuple, nbits: int) -> np.ndarray:
+    """Gather indices of a run of permutation steps (see permute), shape
+    (2**nbits, 2**n): row r plays the run with per-trial bit j set where bit
+    j of r is."""
+    n = len(labels)
+    base = np.arange(2**n)
+    gathers = []
+    for control, target, bit in steps:
+        if control == target or not (bit is None or 0 <= bit < nbits):
+            raise ValueError(f"invalid permutation step {(control, target, bit)}")
+        flips = 1 << (n - 1 - _position(labels, target))
+        if control is not None:
+            flips = np.where(base & (1 << (n - 1 - _position(labels, control))), flips, 0)
+        # amplitude i after the step is read from the basis state that lands on i
+        gathers.append((base ^ flips, bit))
+    table = np.empty((2**nbits, 2**n), dtype=np.intp)
+    for row in range(2**nbits):
+        idx = base
+        for gather, bit in gathers:
+            if bit is None or (row >> bit) & 1:
+                idx = idx[gather]
+        table[row] = idx
+    table.setflags(write=False)
+    return table
+
+
+def permute(state: State, steps, bits=()) -> State:
+    """A run of permutation gates as one gather.
+
+    Each step (control, target, bit) flips the target where the control is
+    set (None: everywhere) and, if bit is an index into bits, only in trials
+    whose bits[bit] is set: (c, t, None) is CNOT(c -> t), (None, t, 0) is X
+    on t where bits[0] is set.  bits[j] holds one value for a lone state, one
+    per trial (or one shared value) for a batch.
+    """
+    rows = _rows(state)
+    b = rows.shape[0]
+    table = _gather_table(state.labels, tuple(steps), len(bits))
+    if not bits:
+        return _like(state, state.labels, rows[:, table[0]])
+    code = np.zeros(b, dtype=np.intp)
+    for j, values in enumerate(bits):
+        flags = np.asarray(values).reshape(-1) != 0
+        if flags.shape[0] not in (1, b):
+            raise ValueError(f"{flags.shape[0]} flip flags for {b} trials")
+        code |= flags.astype(np.intp) << j
+    return _like(state, state.labels, _gather(rows, table, code))
+
+
+def _gather(rows: np.ndarray, table: np.ndarray, code: np.ndarray) -> np.ndarray:
+    """Row t gathered by table[code[t]]."""
+    return rows[np.arange(rows.shape[0])[:, np.newaxis], table[code]]
+
+
 def flip(state: State, label: str, where) -> State:
     """X on one qubit in every trial where `where` is set (a bool for a lone
     state, one bool per trial for a batch): the classical correction a party
     applies after reading a bit."""
-    rows = _rows(state)
-    mask = np.asarray(where, dtype=bool).reshape(-1)
-    if mask.shape[0] not in (1, rows.shape[0]):
-        raise ValueError(f"{mask.shape[0]} flip flags for {rows.shape[0]} trials")
-    if not mask.any():
-        return state
-    flipped = rows[:, _permutation_index(state.num_qubits, (state.position(label),), _X_BYTES)]
-    out = flipped if mask.all() else np.where(mask[:, np.newaxis], flipped, rows)
-    return _like(state, state.labels, out)
+    return permute(state, ((None, label, 0),), (where,))
 
 
 def _branch_weights(rows: np.ndarray, axis: int) -> np.ndarray:
@@ -325,6 +389,20 @@ def probability_of_one(state: State, label: str):
     return _per_trial(state, _branch_weights(_rows(state), state.position(label))[:, 1])
 
 
+@functools.lru_cache(maxsize=64)
+def _any_set_index(labels: tuple[str, ...], chosen: tuple[str, ...]) -> np.ndarray:
+    """Basis indices, in order, with at least one of the chosen qubits set."""
+    n = len(labels)
+    mask = sum(1 << (n - 1 - _position(labels, lab)) for lab in chosen)
+    return np.flatnonzero(np.arange(2**n) & mask)
+
+
+def excited_mass(state: State, labels) -> np.ndarray:
+    """Per trial, the squared norm of the amplitudes with any of the named
+    qubits set: one ordered sum along each row."""
+    return _squared_sum(_rows(state)[:, _any_set_index(state.labels, tuple(labels))])
+
+
 def measure(state: State, target: str, rng) -> tuple:
     """Projective computational-basis measurement of one qubit.
 
@@ -333,30 +411,52 @@ def measure(state: State, target: str, rng) -> tuple:
     lone state, a sequence of one Generator per trial for a batch (outcomes
     then come back as an int array).  Runs are reproducible per seed.
     """
+    (bit,), out = _collapse(state, (target,), rng, reset=False)
+    return bit, out
+
+
+def measure_reset(state: State, targets, rng) -> tuple:
+    """measure() then flip() back to |0>, for each target qubit in turn.
+
+    Each target takes measure's branch weights, uniform draw and 1/sqrt(p)
+    factor; the kept branch then sits in the target's |0> slot and the other
+    slot holds the discarded branch times 0, exactly what measure followed
+    by flip leaves.  Returns (one outcome per target, reset state).
+    """
+    return _collapse(state, tuple(targets), rng, reset=True)
+
+
+def _collapse(state: State, targets: tuple[str, ...], rng, reset: bool) -> tuple:
     gens = rng if isinstance(state, StateBatch) else (rng,)
     rows = _rows(state)
     b = rows.shape[0]
     if len(gens) != b:
         raise ValueError(f"{len(gens)} generators for {b} trials")
-    axis = state.position(target)
-    weights = _branch_weights(rows, axis)
-    draws = np.array([g.random() for g in gens])
-    bits = (draws < weights[:, 1]).astype(np.int64)
-    trials = np.arange(b)
-    kept = weights[trials, bits]
-    empty = np.flatnonzero(kept == 0.0)
-    if empty.size:
-        t = int(empty[0])
-        raise ValueError(
-            f"measurement branch {bits[t]} of {target!r} has zero probability"
-            + (f" in trial {t}" if b > 1 else "")
-        )
-    # per trial and branch: 1/sqrt(p) on the branch read, 0 on the other
-    factor = np.zeros((b, 2))
-    factor[trials, bits] = 1.0 / np.sqrt(kept)
-    parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
-    out = (parts * factor[:, np.newaxis, :, np.newaxis]).view(np.complex128).reshape(b, -1)
-    return _per_trial(state, bits), _like(state, state.labels, out)
+    trials, outcomes = np.arange(b), []
+    for target in targets:
+        axis = state.position(target)
+        weights = _branch_weights(rows, axis)
+        draws = np.array([g.random() for g in gens])
+        bits = (draws < weights[:, 1]).astype(np.int64)
+        kept = weights[trials, bits]
+        if not kept.all():
+            t = int(np.flatnonzero(kept == 0.0)[0])
+            raise ValueError(
+                f"measurement branch {bits[t]} of {target!r} has zero probability"
+                + (f" in trial {t}" if b > 1 else "")
+            )
+        # per trial and branch: 1/sqrt(p) on the branch read, 0 on the other
+        factor = np.zeros((b, 1, 2, 1))
+        if reset:
+            # a read 1 swaps the halves, so the kept branch lands in the |0> slot
+            rows = _gather(rows, _gather_table(state.labels, ((None, target, 0),), 1), bits)
+            factor[:, 0, 0, 0] = 1.0 / np.sqrt(kept)
+        else:
+            factor[trials, 0, bits, 0] = 1.0 / np.sqrt(kept)
+        parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
+        rows = (parts * factor).view(np.complex128).reshape(b, -1)
+        outcomes.append(_per_trial(state, bits))
+    return tuple(outcomes), _like(state, state.labels, rows)
 
 
 def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarray:

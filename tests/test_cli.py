@@ -278,3 +278,38 @@ def test_run_accepts_tolerance_inside_the_unit_interval(capsys):
                             "--tolerance", "0.5")
     assert code == cli.EXIT_OK
     assert "detection probability: 0.0000" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--seed", "-1", "--rounds", "2"],
+    ["sweep", "--grid", "1.0", "--seed", "-1", "--trials", "2", "--rounds", "2"],
+    ["verify", "--seed", "-1"],
+])
+def test_negative_seed_is_rejected(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert "error: seed must be >= 0" in err
+    assert out == ""
+
+
+def test_negative_seed_in_config_file_is_rejected(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"seed": -1, "rounds": 2}))
+    code, out, err = run_main(capsys, "run", "--config", str(path))
+    assert code == cli.EXIT_CONFIG
+    assert "error: seed must be >= 0" in err
+    assert out == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--variant", "theta", "--theta", "nan", "1", "--rounds", "2"],
+    ["run", "--variant", "theta", "--theta", "1", "inf", "--rounds", "2"],
+    ["verify", "--theta", "nan", "1"],
+    ["verify", "--theta", "1", "2", "inf"],
+    ["sweep", "--grid", "nan", "--trials", "2", "--rounds", "2"],
+])
+def test_non_finite_angles_are_rejected(capsys, argv):
+    code, out, err = run_main(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert "toggle angles must be finite" in err
+    assert "degenerate" not in err and "nan/nan" not in out

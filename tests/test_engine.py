@@ -247,3 +247,110 @@ def test_plain_variant_rejects_policies_that_need_angles(policy):
         adversary.maintain_carriers_all(session, [attack])
     with pytest.raises(ValueError, match="plain protocol has none"):
         survival_probability(None, policy, trials=4)
+
+
+# fused round phases ----------------------------------------------------------
+
+ATTACK_LABELS = ("a", "b", "c", "bt", "m1", "m2")
+# every permutation run the round phases play, with its number of per-trial bits
+ENGINE_STEP_RUNS = [
+    (protocol.ODD_ENCODE_STEPS, 1),
+    (protocol.EVEN_ENCODE_STEPS, 1),
+    (protocol.DECODE_STEPS, 0),
+    (adversary.BOB_DECODE_STEPS[True], 0),
+    (adversary.BOB_DECODE_STEPS[False], 0),
+    (adversary.COUNTERFEIT_STEPS, 1),
+    ((("c", "m2", None),), 0),
+]
+
+
+def _gate_by_gate(batch, steps, bits):
+    """Reference: one apply_unitary per CNOT or X, kept only where the step's
+    per-trial bit is set."""
+    for control, target, bit in steps:
+        if control is None:
+            moved = qcore.apply_unitary(batch, gates.X, [target])
+        else:
+            moved = qcore.apply_unitary(batch, gates.CNOT, [control, target])
+        if bit is None:
+            batch = moved
+        else:
+            where = np.asarray(bits[bit], dtype=bool)[:, np.newaxis]
+            batch = qcore.StateBatch(batch.labels, np.where(where, moved.amps, batch.amps))
+    return batch
+
+
+def _same_bits(x, y):
+    return x.shape == y.shape and np.ascontiguousarray(x).tobytes() == np.ascontiguousarray(y).tobytes()
+
+
+def _bit_patterns(trials, nbits, rng):
+    if nbits == 0:
+        return [()]
+    fixed = [np.zeros(trials, dtype=int), np.ones(trials, dtype=int)]
+    mixed = [rng.integers(0, 2, trials) for _ in range(3)] if trials > 1 else []
+    return [(pattern,) for pattern in fixed + mixed]
+
+
+@pytest.mark.parametrize("trials", [1, 16])
+@pytest.mark.parametrize("steps,nbits", ENGINE_STEP_RUNS)
+def test_fused_gather_equals_gate_by_gate_sequence(steps, nbits, trials):
+    rng = np.random.default_rng(len(steps) * 10 + trials)
+    batch = _random_batch(rng, ATTACK_LABELS, trials)
+    for bits in _bit_patterns(trials, nbits, rng):
+        fused = qcore.permute(batch, steps, bits)
+        assert _same_bits(fused.amps, _gate_by_gate(batch, steps, bits).amps)
+        # a lone state runs the same kernel as the batch of one
+        lone = qcore.permute(batch.row(0), steps, tuple(int(b[0]) for b in bits))
+        assert np.array_equal(lone.amps, fused.amps[0])
+
+
+@pytest.mark.parametrize("trials", [1, 16])
+@pytest.mark.parametrize("targets", [("m1", "m2"), ("m2",), ("m1",)])
+def test_measure_reset_equals_measure_then_flip(targets, trials):
+    rng = np.random.default_rng(trials)
+    batch = _random_batch(rng, ATTACK_LABELS, trials)
+    gens = [np.random.default_rng(50 + t) for t in range(trials)]
+    twins = [np.random.default_rng(50 + t) for t in range(trials)]
+    outcomes, fused = qcore.measure_reset(batch, targets, gens)
+    ref, reads = batch, []
+    for target in targets:
+        bits, ref = qcore.measure(ref, target, twins)
+        reads.append(bits)
+    for target, bits in zip(targets, reads):
+        ref = _gate_by_gate(ref, ((None, target, 0),), (bits,))
+    assert [o.tolist() for o in outcomes] == [r.tolist() for r in reads]
+    # byte equality: the discarded slot holds the same signed zeros too
+    assert _same_bits(fused.amps, ref.amps)
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in twins]
+    assert np.all(qcore.excited_mass(fused, targets) == 0.0)
+
+    lone_gen = np.random.default_rng(50)
+    lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, lone_gen)
+    assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
+    assert np.array_equal(lone.amps, fused.amps[0])
+
+
+def test_measure_reset_names_the_trial_with_a_zero_probability_branch():
+    amps = np.zeros((4, 4), dtype=np.complex128)
+    amps[0, 0] = amps[3, 1] = 1.0  # trials 1 and 2 hold no state at all
+    batch = qcore.StateBatch(("a", "b"), amps)
+    gens = [np.random.default_rng(t) for t in range(4)]
+    with pytest.raises(ValueError, match="branch 0 of 'a' has zero probability in trial 1$"):
+        qcore.measure_reset(batch, ("a", "b"), gens)
+
+
+def test_reset_check_names_the_first_trial_with_m2_set():
+    session = _batch_session(trials=4)
+    session.states = qcore.flip(session.states, "m2", [False, False, True, True])
+    with pytest.raises(ValueError, match=r"not reset.*trial 2; 2 trial\(s\) affected"):
+        protocol.encode_round(session, [0, 1, 0, 1])
+
+
+def test_fixed_policy_plays_one_choice_without_tossing():
+    session = _batch_session(trials=3, extra_labels=adversary.ATTACK_EXTRA_LABELS)
+    gens = [np.random.default_rng(t) for t in range(3)]
+    attacks = [adversary.AttackState(MaintenancePolicy.PLAIN_HADAMARD, rng=g) for g in gens]
+    before = [g.bit_generator.state for g in gens]
+    assert adversary.maintain_carriers_all(session, attacks) == ["h", "h", "h"]
+    assert [g.bit_generator.state for g in gens] == before

@@ -157,3 +157,11 @@ def test_transpose_matches_negated_angle_only_at_degenerate_points():
     assert d(math.pi) < 1e-12
     assert d(1.0) == pytest.approx(1.3526114526215745, abs=1e-12)
     assert d(2.5) == pytest.approx(1.084484069410836, abs=1e-12)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_theta_triple_rejects_non_finite_angles(bad):
+    with pytest.raises(ValueError, match="toggle angles must be finite"):
+        ThetaTriple(bad, 1.0, -1.0)
+    with pytest.raises(ValueError, match="toggle angles must be finite"):
+        ThetaTriple.from_ab(1.0, bad)
