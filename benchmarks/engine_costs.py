@@ -10,8 +10,12 @@ decode, the maintained toggle) and one whole 100-round plain-split trial
 (experiments.run_trials), at batch sizes 1, 16 and 1000.  The round phases
 are timed one by one on the same sizes: Alice's odd and even encodings, the
 honest decode, and Bob's decode-and-forward and the maintained toggle of an
-odd round after the split, each from a saved session state.  Each cost is the median of --repeats timings and is
-given per call and per trial.
+odd round after the split, each from a saved session state.  The summing
+kernels (measure_reset on one and on two targets, reduced_density with its
+validation, fidelity, check_norm and excited_mass) are timed on an honest
+session just after Alice's round-1 encoding, at batch sizes 1, 16 and 50, in
+checkouts that have measure_reset.  Each cost is the median of --repeats
+timings and is given per call and per trial.
 
 Kernel calls are counted on one plain-split lockstep round of 16 trials (the
 mean over 20 rounds after the split): every call the round phases make into
@@ -41,6 +45,7 @@ from pathlib import Path
 import numpy as np
 
 BATCH_SIZES = (1, 16, 1000)
+KERNEL_BATCH_SIZES = (1, 16, 50)
 ROUNDS = 100
 
 
@@ -150,6 +155,31 @@ def phase_costs(qss, batch: int, repeats: int) -> dict:
         "maintained_toggle": median_of(decoded, adv.maintain_carriers_all, attacks),
     }
     return {name: cost(sec, PHASE_CALLS, batch) for name, sec in seconds.items()}
+
+
+def kernel_costs(qss, repeats: int) -> dict:
+    """Per call of the summing kernels on the honest session of round 1, just
+    after Alice's encoding (one bit per trial), at each kernel batch size."""
+    qcore, proto = qss.qcore, qss.protocol
+    calls = 200
+    out = {}
+    for batch in KERNEL_BATCH_SIZES:
+        session = honest_session(qss, batch, 1)
+        proto.encode_round(session, np.arange(batch) % 2)
+        states, gens = session.states, session.rngs
+        expected = proto.expected_full_state(session)
+        kernels = {
+            "measure_reset_1": lambda: qcore.measure_reset(states, ("m1",), gens),
+            "measure_reset_2": lambda: qcore.measure_reset(states, ("m1", "m2"), gens),
+            "reduced_density": lambda: qcore.reduced_density(states, proto.MESSAGE_LABELS),
+            "fidelity": lambda: qcore.fidelity(states, expected),
+            "check_norm": states.check_norm,
+            "excited_mass": lambda: qcore.excited_mass(states, proto.MESSAGE_LABELS),
+        }
+        for name, kernel in kernels.items():
+            seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
+            out.setdefault(name, {})[batch] = cost(seconds, calls, batch)
+    return out
 
 
 def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
@@ -285,6 +315,8 @@ def main(argv=None) -> int:
     }
     if hasattr(qsscarrier.qcore, "StateBatch"):
         doc["kernel_calls"] = count_kernel_calls(qsscarrier)
+    if hasattr(qsscarrier.qcore, "measure_reset"):
+        doc["costs"]["kernel"] = kernel_costs(qsscarrier, args.repeats)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -150,9 +150,20 @@ def synthesize_split_unitary(blank: np.ndarray | None = None) -> SplitUnitary:
     rank-4 linear system over U's 64 entries; the orthogonal complement is
     completed orthonormally and the result is polished by polar projection.
     Raises if either constraint cannot be met, naming the offending one.
+    The operator for the default blank |0> is solved once per process and
+    shared; its arrays, like every SplitUnitary's, are read-only.
     """
     if blank is None:
-        blank = np.array([1.0, 0.0], dtype=np.complex128)
+        return _default_split_unitary()
+    return _solve_split(blank)
+
+
+@functools.lru_cache(maxsize=1)
+def _default_split_unitary() -> SplitUnitary:
+    return _solve_split(np.array([1.0, 0.0]))
+
+
+def _solve_split(blank: np.ndarray) -> SplitUnitary:
     blank = np.asarray(blank, dtype=np.complex128)
     if blank.shape != (2,) or abs(np.linalg.norm(blank) - 1.0) > 1e-12:
         raise ValueError("blank must be a normalized single-qubit state")
@@ -185,10 +196,10 @@ def synthesize_split_unitary(blank: np.ndarray | None = None) -> SplitUnitary:
         if r > SYNTHESIS_FAIL_TOL:
             raise ValueError(f"split constraint for q2={q} unmet: residual {r:.3e}")
     return SplitUnitary(
-        matrix=u,
+        matrix=gates.read_only(u),
         residuals=(residuals[0], residuals[1]),
         unitarity_defect=qcore.unitarity_defect(u),
-        blank=blank,
+        blank=gates.read_only(blank),
     )
 
 

@@ -12,6 +12,7 @@ import argparse
 import csv
 import datetime
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -73,6 +74,14 @@ class CliError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    # argparse takes a token starting with "-" for an option flag unless it
+    # matches this; its own pattern misses exponents ("-1e-3") and "-inf"
+    NEGATIVE_NUMBER = re.compile(r"^-(\d+\.?\d*|\.\d+)(e[+-]?\d+)?$|^-(inf|infinity|nan)$", re.IGNORECASE)
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = self.NEGATIVE_NUMBER
+
     def error(self, message):  # argparse would sys.exit(2); keep 2 for identities
         raise CliError(message)
 
@@ -498,6 +507,7 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     _check_seed(seed)
     for g in grid:
         try:
+            gates.require_finite((g,))  # before np.mod, which warns on inf
             experiments.symmetric_triple(g).require_hardened()
         except ValueError as exc:
             raise CliError(f"grid angle {g}: {exc}") from None

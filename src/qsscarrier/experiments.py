@@ -22,6 +22,9 @@ INTACT_TOL = 1e-10
 
 SeedLike = int | np.random.SeedSequence
 
+# basis index i of the (m1, m2) marginal for the flipped bit reads index f[i] of the sent one
+FLIPPED_MESSAGE_INDEX = {"odd": (3, 2, 1, 0), "even": (2, 3, 0, 1)}
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -131,21 +134,21 @@ def _honest_trials(
 
     With instrumentation on, every round also computes the in-flight (m1, m2)
     marginal for the bit actually sent and for its flip; their trace distance
-    is what an interceptor without carrier access could exploit.
+    is what an interceptor without carrier access could exploit.  The flipped
+    bit's encoding adds an X on m1 (and m2 in odd rounds) that commutes with
+    the rest, so its marginal is the sent one read at permuted indices.
     """
     streams = [trial_rngs(seed) for seed in seeds]
     session = protocol.init_session(config, rng=[rng_p for rng_p, _, _ in streams])
     bits = np.array([rng_p.integers(0, 2, size=config.num_rounds) for rng_p, _, _ in streams])
     max_dist = np.zeros(len(seeds))
     for r in range(config.num_rounds):
-        q = bits[:, r]
-        pre = session.states
-        protocol.encode_round(session, q)
+        protocol.encode_round(session, bits[:, r])
         if instrument_disguise:
             sent = qcore.reduced_density(session.states, protocol.MESSAGE_LABELS)
-            flipped = qcore.reduced_density(
-                protocol.encoded_state(pre, session.parity, 1 - q), protocol.MESSAGE_LABELS
-            )
+            f = FLIPPED_MESSAGE_INDEX[session.parity]
+            flipped = sent[:, f][:, :, f]
+            qcore.validate_density(flipped)
             max_dist = np.maximum(max_dist, qcore.trace_distance(sent, flipped))
         protocol.deliver_and_decode_all(session)
         protocol.toggle_carrier(session)

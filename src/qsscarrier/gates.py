@@ -89,10 +89,6 @@ def bell_amplitudes(kind: BellKind) -> np.ndarray:
     return _BELL_AMPS[kind].astype(np.complex128)
 
 
-def make_bell(kind: BellKind, labels: tuple[str, str]) -> qcore.StateVector:
-    return qcore.from_amplitudes(labels, bell_amplitudes(kind))
-
-
 def carrier_amplitudes(kind: CarrierKind) -> np.ndarray:
     amps = np.zeros(8, dtype=np.complex128)
     if kind is CarrierKind.GHZ:

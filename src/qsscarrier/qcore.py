@@ -15,6 +15,11 @@ reductions run along the amplitude axis of each row only.  All arithmetic is
 element-wise per row, so a trial's numbers do not depend on how many trials
 share its batch.
 
+Every sum (norms, branch weights, overlaps, partial traces) is a running
+sum per column in one fixed order: np.add.reduce over axis 0 of a
+C-contiguous (terms, columns) array adds row after row, as cumsum would; a
+single column, which numpy would sum pairwise, runs cumsum (_sum_terms).
+
 Round phases run as a few fused kernels with the per-element arithmetic of
 the gates they replace: permute plays a run of CNOTs, X gates and per-trial
 bit flips as one gather; measure_reset is measure then flip back to |0>;
@@ -203,19 +208,33 @@ def _per_trial(state: State, values: np.ndarray):
 
 
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
-    """Sum over the last axis, strictly left to right.
+    """Sum over the last axis, strictly left to right: cumsum's last entry.
+    Kernels that lay their terms out terms-major call _sum_terms directly."""
+    # x.T brings the terms to the front; the outer .T restores the other axes' order
+    return _sum_terms(x.T).T
 
-    A running sum fixes the order of the additions, so each trial's sums
-    come out the same whatever the batch size or memory layout; numpy's
-    own reductions pick their order from the array's shape and alignment.
+
+def _sum_terms(terms: np.ndarray) -> np.ndarray:
+    """Sum over the first axis as a running sum per column, row after row.
+
+    A fixed order makes each trial's sums the same whatever the batch size or
+    memory layout.  On a C-contiguous (terms, columns) array np.add.reduce
+    over axis 0 adds row after row into the output, cumsum's order; starting
+    from -0.0 keeps the first term's bits, signed zeros included.  A single
+    column numpy would sum pairwise, so it runs cumsum.
     """
-    return np.cumsum(x, axis=-1)[..., -1]
+    t = np.ascontiguousarray(terms)
+    flat = t.reshape(t.shape[0], -1)
+    if flat.shape[1] == 1:
+        return np.cumsum(flat, axis=0)[-1].reshape(t.shape[1:])
+    start = complex(-0.0, -0.0) if t.dtype.kind == "c" else -0.0
+    return np.add.reduce(flat, axis=0, initial=start).reshape(t.shape[1:])
 
 
 def _squared_sum(rows: np.ndarray) -> np.ndarray:
     """sum |amp|^2 along each row."""
     parts = np.ascontiguousarray(rows).view(np.float64)
-    return _ordered_sum(np.square(parts.reshape(rows.shape[0], -1)))
+    return _sum_terms(np.square(parts.T, out=np.empty(parts.shape[::-1])))
 
 
 @functools.lru_cache(maxsize=256)
@@ -261,10 +280,10 @@ def _dense_update(rows: np.ndarray, n: int, axes: tuple[int, ...], m: np.ndarray
     order = rest + axes
     fwd = _axis_order(n, order)
     inv = _axis_order(n, tuple(int(i) for i in np.argsort(order)))
-    grouped = rows[:, fwd].reshape(b, -1, 2**k)
-    out = np.empty_like(grouped)
+    grouped = np.ascontiguousarray(rows[:, fwd].reshape(b, -1, 2**k).transpose(2, 0, 1))
+    out = np.empty((b, grouped.shape[2], 2**k), dtype=np.complex128)
     for i in range(2**k):
-        out[:, :, i] = _ordered_sum(grouped * m[i])
+        out[:, :, i] = _sum_terms(grouped * m[i][:, np.newaxis, np.newaxis])
     return out.reshape(b, -1)[:, inv]
 
 
@@ -380,8 +399,10 @@ def _branch_weights(rows: np.ndarray, axis: int) -> np.ndarray:
     """Per trial, the squared norms of the target-bit-0 and target-bit-1
     halves, shape (trials, 2)."""
     b = rows.shape[0]
-    sq = np.square(np.ascontiguousarray(rows).view(np.float64)).reshape(b, 2**axis, 2, -1)
-    return _ordered_sum(np.swapaxes(sq, 1, 2).reshape(b, 2, -1))
+    parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
+    # squared parts laid out terms-major in one pass: (high bits, low parts, trial, branch)
+    sq = np.square(parts.transpose(1, 3, 0, 2), out=np.empty((2**axis, parts.shape[3], b, 2)))
+    return _sum_terms(sq.reshape(-1, b, 2))
 
 
 def probability_of_one(state: State, label: str):
@@ -426,6 +447,15 @@ def measure_reset(state: State, targets, rng) -> tuple:
     return _collapse(state, tuple(targets), rng, reset=True)
 
 
+@functools.lru_cache(maxsize=64)
+def _slot_masks(n: int, axis: int) -> np.ndarray:
+    """Row j is 1 on the real and imaginary parts where the qubit reads j, else 0."""
+    bit = (np.arange(2**n) >> (n - 1 - axis)) & 1
+    masks = np.repeat(np.stack([bit == 0, bit == 1]).astype(np.float64), 2, axis=1)
+    masks.setflags(write=False)
+    return masks
+
+
 def _collapse(state: State, targets: tuple[str, ...], rng, reset: bool) -> tuple:
     gens = rng if isinstance(state, StateBatch) else (rng,)
     rows = _rows(state)
@@ -445,16 +475,13 @@ def _collapse(state: State, targets: tuple[str, ...], rng, reset: bool) -> tuple
                 f"measurement branch {bits[t]} of {target!r} has zero probability"
                 + (f" in trial {t}" if b > 1 else "")
             )
-        # per trial and branch: 1/sqrt(p) on the branch read, 0 on the other
-        factor = np.zeros((b, 1, 2, 1))
+        # per trial: 1/sqrt(p) on the slot of the branch kept, 0 on the other
+        masks = _slot_masks(state.num_qubits, axis)
         if reset:
             # a read 1 swaps the halves, so the kept branch lands in the |0> slot
             rows = _gather(rows, _gather_table(state.labels, ((None, target, 0),), 1), bits)
-            factor[:, 0, 0, 0] = 1.0 / np.sqrt(kept)
-        else:
-            factor[trials, 0, bits, 0] = 1.0 / np.sqrt(kept)
-        parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
-        rows = (parts * factor).view(np.complex128).reshape(b, -1)
+        factor = (masks[0] if reset else masks[bits]) * (1.0 / np.sqrt(kept))[:, np.newaxis]
+        rows = (np.ascontiguousarray(rows).view(np.float64) * factor).view(np.complex128)
         outcomes.append(_per_trial(state, bits))
     return tuple(outcomes), _like(state, state.labels, rows)
 
@@ -474,8 +501,10 @@ def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarr
     n, k = state.num_qubits, len(keep_axes)
     rows = _rows(state)
     rest = tuple(i for i in range(n) if i not in keep_axes)
-    t = rows[:, _axis_order(n, keep_axes + rest)].reshape(rows.shape[0], 2**k, -1)
-    rho = _ordered_sum(t[:, :, np.newaxis, :] * t.conj()[:, np.newaxis, :, :])
+    # terms-major (traced-out index, kept index, trial)
+    t = rows.T[_axis_order(n, rest + keep_axes).reshape(-1, 2**k)]
+    rho = _sum_terms(t[:, :, np.newaxis, :] * t.conj()[:, np.newaxis, :, :])
+    rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
     validate_density(rho)
     return rho if isinstance(state, StateBatch) else rho[0]
 
@@ -503,7 +532,8 @@ def fidelity(x: State, y: State):
     xr, yr = _rows(x), _rows(y)
     if xr.shape[0] != yr.shape[0] and 1 not in (xr.shape[0], yr.shape[0]):
         raise ValueError(f"batch size mismatch: {xr.shape[0]} vs {yr.shape[0]}")
-    overlap = _ordered_sum(xr.conj() * yr)
+    terms = np.empty((xr.shape[1], max(xr.shape[0], yr.shape[0])), dtype=np.complex128)
+    overlap = _sum_terms(np.multiply(xr.conj().T, yr.T, out=terms))
     fid = np.square(overlap.real) + np.square(overlap.imag)
     if isinstance(x, StateBatch) or isinstance(y, StateBatch):
         return fid

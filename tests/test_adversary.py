@@ -97,6 +97,21 @@ def test_synthesis_accepts_other_blanks():
     assert qcore.probability_of_one(st, "m2") == pytest.approx(1.0, abs=1e-12)
 
 
+def test_default_split_unitary_is_built_once_and_read_only():
+    shared = synthesize_split_unitary()
+    assert synthesize_split_unitary() is shared
+    assert not shared.matrix.flags.writeable and not shared.blank.flags.writeable
+    with pytest.raises(ValueError):
+        shared.matrix[0, 0] = 0.0
+    # an explicit blank is solved afresh on every call, to the same bits
+    blank = np.array([1.0, 0.0])
+    fresh, again = synthesize_split_unitary(blank=blank), synthesize_split_unitary(blank=blank)
+    assert fresh is not again and fresh.matrix is not shared.matrix
+    assert fresh.matrix.tobytes() == shared.matrix.tobytes()
+    assert fresh.blank.tobytes() == shared.blank.tobytes()
+    assert (fresh.residuals, fresh.unitarity_defect) == (shared.residuals, shared.unitarity_defect)
+
+
 def test_synthesis_rejects_unnormalized_blank():
     with pytest.raises(ValueError):
         synthesize_split_unitary(blank=np.array([1.0, 1.0]))

@@ -8,6 +8,7 @@ failure, 3 i/o error.
 import json
 import shutil
 import subprocess
+import warnings
 
 import pytest
 
@@ -313,3 +314,38 @@ def test_non_finite_angles_are_rejected(capsys, argv):
     assert code == cli.EXIT_CONFIG
     assert "toggle angles must be finite" in err
     assert "degenerate" not in err and "nan/nan" not in out
+
+
+@pytest.mark.parametrize("argv,column", [
+    (["run", "--variant", "theta", "--theta", "-1e-3", "1", "--rounds", "2", "--trials", "2"], None),
+    (["run", "--variant", "theta", "--theta", "1", "-2.5E+1", "--rounds", "2", "--trials", "2"], None),
+    (["verify", "--theta", "-1e-3", "1"], None),
+    (["sweep", "--grid", "-1e-3", "--trials", "2", "--rounds", "2"], "-0.001"),
+])
+def test_negative_angles_in_exponent_notation_are_values(capsys, argv, column):
+    code, out, err = run_main(capsys, *argv)
+    assert code in (cli.EXIT_OK, cli.EXIT_IDENTITY)
+    assert "argument" not in err and "unrecognized" not in err
+    if column is not None:
+        assert out.splitlines()[1].split()[0] == column
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--variant", "theta", "--theta", "-inf", "1", "--rounds", "2"],
+    ["verify", "--theta", "1", "2", "-inf"],
+    ["verify", "--theta", "-nan", "1"],
+    ["sweep", "--grid", "-inf", "--trials", "2", "--rounds", "2"],
+    ["sweep", "--grid", "1.0", "-INF", "--trials", "2", "--rounds", "2"],
+])
+def test_negative_non_finite_angles_reach_the_finiteness_check(capsys, argv):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy warning on the way to the check
+        code, out, err = run_main(capsys, *argv)
+    assert code == cli.EXIT_CONFIG
+    assert "toggle angles must be finite" in err
+    assert out == ""
+
+
+def test_negative_exponent_angle_is_parsed_as_its_value():
+    ns = cli.build_parser().parse_args(["run", "--variant", "theta", "--theta", "-2.5E+1", "-.5"])
+    assert ns.theta == [-25.0, -0.5]

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from qsscarrier import adversary, gates, protocol, qcore
 from qsscarrier.adversary import MaintenancePolicy
 from qsscarrier.experiments import (
+    FLIPPED_MESSAGE_INDEX,
     run_attack_trial,
     run_honest_trial,
     run_trials,
@@ -354,3 +355,176 @@ def test_fixed_policy_plays_one_choice_without_tossing():
     before = [g.bit_generator.state for g in gens]
     assert adversary.maintain_carriers_all(session, attacks) == ["h", "h", "h"]
     assert [g.bit_generator.state for g in gens] == before
+
+
+# exact sums, measurement and the flipped marginal -----------------------------
+#
+# The kernels below sum with np.add.reduce over terms-major arrays; the
+# references are the running-sum (cumsum) formulation they replaced, so the
+# comparisons are byte for byte.
+
+
+def _cumsum_total(x):
+    return np.cumsum(x, axis=-1)[..., -1]
+
+
+@st.composite
+def sum_cases(draw):
+    """Arrays whose last axis holds 1..130 terms, 1..40 columns in all, real or
+    complex, C-ordered, F-ordered, sliced or read-only, with values from
+    subnormal to 1e300 and signed zeros."""
+    terms = draw(st.integers(min_value=1, max_value=130))
+    cols = draw(st.integers(min_value=1, max_value=40))
+    lead = (cols,) if cols % 2 or draw(st.booleans()) else (2, cols // 2)
+    rng = np.random.default_rng(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    top = draw(st.integers(min_value=0, max_value=300))
+
+    def values(shape):
+        v = rng.standard_normal(shape) * 10.0 ** rng.integers(-top, top + 1, shape)
+        special = rng.choice([0.0, -0.0, 5e-324, -5e-324, 1e300], shape)
+        return np.where(rng.random(shape) < 0.2, special, v)
+
+    shape = lead + (2 * terms,)
+    x = values(shape)
+    if draw(st.booleans()):
+        # built from its parts, so imaginary parts keep their signed zeros
+        x = np.stack([x, values(shape)], axis=-1).view(np.complex128)[..., 0]
+    layout = draw(st.sampled_from(["C", "F", "sliced", "read-only"]))
+    x = x[..., ::2] if layout == "sliced" else x[..., :terms]
+    if layout == "F":
+        x = np.asfortranarray(x)
+    elif layout == "read-only":
+        x = np.ascontiguousarray(x)
+        x.setflags(write=False)
+    return x
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=sum_cases())
+def test_ordered_sum_equals_running_sum_bitwise(x):
+    before = x.copy()
+    got, want = qcore._ordered_sum(x), _cumsum_total(x)
+    assert got.dtype == want.dtype and _same_bits(got, want)
+    assert _same_bits(x, before)
+
+
+def test_ordered_sum_keeps_all_negative_zero_columns():
+    x = np.full((3, 5, 2), -0.0).view(np.complex128)[..., 0]
+    for rows in (x, x[:1], x.real):
+        total = qcore._ordered_sum(rows)
+        assert _same_bits(total, _cumsum_total(rows))
+        assert np.signbit(total.view(np.float64)).all()
+
+
+def _cumsum_branch_weights(rows, axis):
+    b = rows.shape[0]
+    sq = np.square(np.ascontiguousarray(rows).view(np.float64)).reshape(b, 2**axis, 2, -1)
+    return _cumsum_total(np.swapaxes(sq, 1, 2).reshape(b, 2, -1))
+
+
+def _reference_collapse(batch, targets, gens, reset):
+    """Measurement as a 4-D broadcast of per-branch factors over cumsum branch
+    weights, then an X on each target read 1 if reset."""
+    rows, b, outcomes = batch.amps, batch.trials, []
+    for target in targets:
+        axis = batch.position(target)
+        weights = _cumsum_branch_weights(rows, axis)
+        bits = (np.array([g.random() for g in gens]) < weights[:, 1]).astype(np.int64)
+        factor = np.zeros((b, 1, 2, 1))
+        factor[np.arange(b), 0, bits, 0] = 1.0 / np.sqrt(weights[np.arange(b), bits])
+        parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
+        rows = (parts * factor).view(np.complex128).reshape(b, -1)
+        outcomes.append(bits)
+    out = qcore.StateBatch(batch.labels, rows)
+    if reset:
+        for target, bits in zip(targets, outcomes):
+            out = _gate_by_gate(out, ((None, target, 0),), (bits,))
+    return outcomes, out
+
+
+def _signed_zero_batch(rng, trials):
+    """A random batch with some amplitudes set to -0.0 and -0.0j."""
+    batch = _random_batch(rng, ATTACK_LABELS, trials)
+    amps = batch.amps.copy()
+    amps.real[rng.random(amps.shape) < 0.1] = -0.0
+    amps.imag[rng.random(amps.shape) < 0.1] = -0.0
+    return qcore.StateBatch(batch.labels, amps / np.sqrt(qcore._squared_sum(amps))[:, np.newaxis])
+
+
+@pytest.mark.parametrize("trials", [1, 16])
+@pytest.mark.parametrize("targets", [("m1", "m2"), ("a",), ("m2",)])
+@pytest.mark.parametrize("reset", [False, True])
+def test_measurement_equals_cumsum_reference(targets, trials, reset):
+    rng = np.random.default_rng(7 * trials + len(targets))
+    batch = _signed_zero_batch(rng, trials)
+    gens = [np.random.default_rng(90 + t) for t in range(trials)]
+    twins = [np.random.default_rng(90 + t) for t in range(trials)]
+    if reset:
+        outcomes, got = qcore.measure_reset(batch, targets, gens)
+    else:
+        got, outcomes = batch, []
+        for target in targets:
+            bits, got = qcore.measure(got, target, gens)
+            outcomes.append(bits)
+    reads, want = _reference_collapse(batch, targets, twins, reset)
+    assert [o.tolist() for o in outcomes] == [r.tolist() for r in reads]
+    assert _same_bits(got.amps, want.amps)
+    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in twins]
+
+
+@pytest.mark.parametrize("trials", [1, 16, 50])
+def test_reductions_equal_cumsum_references(trials):
+    rng = np.random.default_rng(trials)
+    batch = _signed_zero_batch(rng, trials)
+    other = _signed_zero_batch(rng, trials)
+    rows, n = batch.amps, batch.num_qubits
+    assert _same_bits(qcore._squared_sum(rows), _cumsum_total(np.square(rows.view(np.float64))))
+    for axis in range(n):
+        assert _same_bits(qcore._branch_weights(rows, axis), _cumsum_branch_weights(rows, axis))
+    for keep in (("m1", "m2"), ("m2", "a"), ("b",), ATTACK_LABELS):
+        axes = tuple(batch.position(lab) for lab in keep)
+        rest = tuple(i for i in range(n) if i not in axes)
+        t = rows[:, qcore._axis_order(n, axes + rest)].reshape(trials, 2 ** len(keep), -1)
+        want = _cumsum_total(t[:, :, np.newaxis, :] * t.conj()[:, np.newaxis, :, :])
+        assert _same_bits(qcore.reduced_density(batch, keep), want)
+    assert _same_bits(qcore.fidelity(batch, other), _fidelity_reference(rows, other.amps))
+    assert _same_bits(qcore.fidelity(batch.row(0), other), _fidelity_reference(rows[:1], other.amps))
+    m = _random_unitary(rng, 8)
+    fwd = qcore._axis_order(n, (0, 2, 4, 1, 3, 5))
+    grouped = rows[:, fwd].reshape(trials, -1, 8)
+    want = np.stack([_cumsum_total(grouped * m[i]) for i in range(8)], axis=-1)
+    inv = qcore._axis_order(n, tuple(int(i) for i in np.argsort((0, 2, 4, 1, 3, 5))))
+    got = qcore.apply_unitary(batch, m, ["b", "bt", "m2"])
+    assert _same_bits(got.amps, want.reshape(trials, -1)[:, inv])
+
+
+def _fidelity_reference(x, y):
+    overlap = _cumsum_total(x.conj() * y)
+    return np.square(overlap.real) + np.square(overlap.imag)
+
+
+def _pre_encode_states(variant, trials):
+    """Honest session states at the start of rounds 1 to 4, then a random
+    state over the same register for each parity."""
+    angles = symmetric_triple(2 * math.pi / 3) if variant is Variant.THETA else None
+    rngs = [np.random.default_rng(s) for s in range(trials)]
+    session = protocol.init_session(ProtocolConfig(variant=variant, angles=angles, num_rounds=6), rng=rngs)
+    for r in range(1, 5):
+        yield session.parity, session.states
+        protocol.encode_round(session, np.arange(trials) % 2)
+        protocol.deliver_and_decode_all(session)
+        protocol.toggle_carrier(session)
+    rng = np.random.default_rng(trials)
+    for parity in ("odd", "even"):
+        yield parity, _random_batch(rng, session.states.labels, trials)
+
+
+@pytest.mark.parametrize("trials", [1, 16])
+@pytest.mark.parametrize("variant", [Variant.PLAIN, Variant.THETA])
+def test_flipped_marginal_is_the_sent_marginal_permuted(variant, trials):
+    q = (np.arange(trials) + 1) % 2
+    for parity, pre in _pre_encode_states(variant, trials):
+        sent = qcore.reduced_density(protocol.encoded_state(pre, parity, q), protocol.MESSAGE_LABELS)
+        want = qcore.reduced_density(protocol.encoded_state(pre, parity, 1 - q), protocol.MESSAGE_LABELS)
+        f = FLIPPED_MESSAGE_INDEX[parity]
+        assert _same_bits(sent[:, f][:, :, f], want)
