@@ -17,6 +17,17 @@ session just after Alice's round-1 encoding, at batch sizes 1, 16 and 50, in
 checkouts that have measure_reset.  Each cost is the median of --repeats
 timings and is given per call and per trial.
 
+The per-trial section times what a trial pays once: building its RNG
+streams from the run's base seed the way run_trials does (the streams an
+honest trial reads, and the three of an attacked one), its protocol-stream
+measurement draws (the two reads of one honest round drawn from the
+generators, against reading them from pre-drawn uniforms, plus the
+random(2R) that pre-draws a 10-round trial's share), the announcement phase
+(build_announcements and evaluate on a 10-round honest transcript at
+fraction 0.2) and one whole instrumented 10-round honest trial.  The draw
+costs are taken at batch sizes 16 and 50; the pre-drawn ones only in
+checkouts whose measure_reset reads uniforms.
+
 Kernel calls are counted on one plain-split lockstep round of 16 trials (the
 mean over 20 rounds after the split): every call the round phases make into
 a qcore function that takes a state, plus StateBatch.check_norm, counting
@@ -46,7 +57,9 @@ import numpy as np
 
 BATCH_SIZES = (1, 16, 1000)
 KERNEL_BATCH_SIZES = (1, 16, 50)
+TRIAL_BATCH_SIZES = (16, 50)
 ROUNDS = 100
+SHORT_ROUNDS = 10
 
 
 def timed(fn, repeats: int, warmup: bool = True) -> float:
@@ -179,6 +192,60 @@ def kernel_costs(qss, repeats: int) -> dict:
         for name, kernel in kernels.items():
             seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
             out.setdefault(name, {})[batch] = cost(seconds, calls, batch)
+    return out
+
+
+def stream_setup(ex, base_seed: int, trials: int, attacked: bool) -> list:
+    """The generators run_trials builds for its trials, as this checkout builds them."""
+    if not hasattr(ex, "trial_key"):
+        return [ex.trial_rngs(seed) for seed in np.random.SeedSequence(base_seed).spawn(trials)]
+    entropy, spawn_key, pool_size = ex.trial_key(base_seed)
+    streams = ex.ALL_STREAMS if attacked else ex.HONEST_STREAMS
+    return [ex.trial_rngs((entropy, spawn_key + (t,), pool_size), streams) for t in range(trials)]
+
+
+def trial_costs(qss, repeats: int) -> dict:
+    """What one trial pays once, per trial (see the module docstring)."""
+    from qsscarrier.protocol import ProtocolConfig
+
+    qcore, proto, ex, detection = qss.qcore, qss.protocol, qss.experiments, qss.detection
+    pre_drawn = hasattr(ex, "draw_protocol_stream")
+    calls, trials = 20, 50
+    out = {}
+    for kind in ("honest", "attacked"):
+        attacked = kind == "attacked"
+        seconds = timed(lambda: [stream_setup(ex, c, trials, attacked) for c in range(calls)], repeats)
+        out[f"stream_setup_{kind}"] = cost(seconds, calls, trials)
+
+    draws = {}
+    for batch in TRIAL_BATCH_SIZES:
+        session = honest_session(qss, batch, 1)
+        proto.encode_round(session, np.arange(batch) % 2)
+        states, gens = session.states, session.rngs
+        targets = proto.MESSAGE_LABELS
+        kernels = {"measure_scalar_draws": lambda: qcore.measure_reset(states, targets, gens)}
+        if pre_drawn:
+            uniforms = np.array([g.random(2) for g in gens])
+            kernels["measure_pre_drawn"] = lambda: qcore.measure_reset(states, targets, uniforms)
+            kernels["pre_draw_short_trial"] = lambda: [g.random(2 * SHORT_ROUNDS) for g in gens]
+        for name, kernel in kernels.items():
+            seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
+            draws.setdefault(name, {})[batch] = cost(seconds, calls, batch)
+    out["draws"] = draws
+
+    config = ProtocolConfig(num_rounds=SHORT_ROUNDS)
+    results = ex.run_trials(config, trials, base_seed=1)
+
+    def announce():
+        for t, res in enumerate(results):
+            anns = ex.build_announcements(res.transcript, 0.2, np.random.default_rng(t))
+            detection.evaluate(res.transcript, anns)
+
+    out["announcement_phase"] = cost(timed(announce, repeats), 1, trials)
+    run = functools.partial(ex.run_trials, config, trials, base_seed=2, instrument_disguise=True)
+    seconds = timed(run, repeats)
+    out["honest_short_trial"] = cost(seconds, 1, trials)
+    out["honest_short_trial"]["us_per_trial_round"] = round(seconds / (trials * SHORT_ROUNDS) * 1e6, 3)
     return out
 
 
@@ -317,6 +384,7 @@ def main(argv=None) -> int:
         doc["kernel_calls"] = count_kernel_calls(qsscarrier)
     if hasattr(qsscarrier.qcore, "measure_reset"):
         doc["costs"]["kernel"] = kernel_costs(qsscarrier, args.repeats)
+        doc["costs"]["trial_setup"] = trial_costs(qsscarrier, args.repeats)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

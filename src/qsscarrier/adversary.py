@@ -325,7 +325,7 @@ def forward_round2_counterfeit_all(
         raise ValueError("round-2 counterfeit must follow the split in round 2")
     st = qcore.apply_one_qubit_gates(session.states, (("m2", gates.H),))
     st = qcore.permute(st, (("c", "m2", None),))
-    (bits,), session.states = qcore.measure_reset(st, ("m2",), session.rngs)
+    (bits,), session.states = qcore.measure_reset(st, ("m2",), session.measurement_draws(1))
     for attack, bit in zip(attacks, bits.tolist()):
         attack.charlie_round2 = bit
     protocol.append_records(session, None, bits, fraud_pattern_fidelity_all(session, attacks))
@@ -485,7 +485,7 @@ def attack_decode_and_forward_all(
         claims = np.array([int(attack.rng.integers(0, 2)) for attack in attacks])
         forward_bits = raw ^ claims
     st = qcore.permute(st, COUNTERFEIT_STEPS, (forward_bits,))
-    (charlie,), session.states = qcore.measure_reset(st, ("m2",), session.rngs)
+    (charlie,), session.states = qcore.measure_reset(st, ("m2",), session.measurement_draws(1))
 
     round_index, parity = session.round_index, session.parity
     for attack, raw_bit, claim in zip(attacks, raw.tolist(), claims.tolist()):

@@ -11,9 +11,11 @@ protocol is exact) flags cheating.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -64,14 +66,23 @@ class DetectionReport:
 
 
 def select_rounds(num_rounds: int, fraction: float, rng: np.random.Generator) -> list[int]:
-    """Uniform sample without replacement of ceil(fraction * num_rounds) rounds."""
+    """Uniform sample without replacement of ceil(fraction * num_rounds)
+    rounds, with the product taken exactly on the fraction's shortest
+    decimal, so no float rounding error opens an extra round."""
     if num_rounds < 1:
         raise ValueError("need at least one round to announce from")
     if not 0.0 < fraction <= 1.0:
         raise ValueError(f"announce fraction must be in (0, 1], got {fraction}")
-    count = math.ceil(fraction * num_rounds)
-    picks = rng.choice(np.arange(1, num_rounds + 1), size=count, replace=False)
-    return sorted(int(r) for r in picks)
+    # choice over range(num_rounds) picks the indices a draw from arange(1, num_rounds + 1) would
+    picks = rng.choice(num_rounds, size=_announce_count(num_rounds, fraction), replace=False) + 1
+    return sorted(picks.tolist())
+
+
+@functools.lru_cache(maxsize=256)
+def _announce_count(num_rounds: int, fraction: float) -> int:
+    """ceil(fraction * num_rounds) on the fraction's shortest decimal: in
+    floats 0.55 * 200 is 110.00000000000001, which would open 111 rounds."""
+    return math.ceil(Fraction(repr(float(fraction))) * num_rounds)
 
 
 def evaluate(

@@ -1,8 +1,21 @@
 """Monte Carlo harness: honest and attacked runs, detection statistics, sweeps.
 
-Each trial owns three independent RNG streams spawned from one seed (protocol
-measurements, Bob's private coins, announcement sampling), so trials can fan
-out to worker processes and aggregate in any order without changing results.
+Each trial owns three independent RNG streams derived from its seed
+(protocol measurements, Bob's private coins, announcement sampling), so
+trials can fan out to worker processes and aggregate in any order without
+changing results.  Stream i is the child ss.spawn(3)[i] of a fresh
+SeedSequence ss of the trial seed, built directly from its key
+(entropy, spawn_key + (i,), pool_size): the seed object is never spawned
+from, so a trial replays the same from the same seed however often it runs.
+Honest runs build only the protocol and announcement streams; Bob's is
+never read there.
+
+The runners draw each trial's protocol stream ahead of the rounds: the bits,
+then one random(K) for the K measurement uniforms the rounds read in order
+(2 per round honest, R + 1 in an R-round attacked run), which gives the
+values K lazy random() calls would.  Bob's stream stays lazy and scalar: it
+interleaves random() with integers(0, 2), which reads the bit generator's
+buffered 32-bit half-words, so drawing ahead would change its values.
 """
 
 from __future__ import annotations
@@ -21,6 +34,12 @@ from .protocol import AnnounceOrder, ProtocolConfig, Transcript, Variant
 INTACT_TOL = 1e-10
 
 SeedLike = int | np.random.SeedSequence
+# a trial's (entropy, spawn_key, pool_size): its SeedSequence without the hashing
+TrialKey = tuple
+
+# stream indices: 0 protocol, 1 Bob, 2 announcements; an honest Bob draws nothing
+ALL_STREAMS = (0, 1, 2)
+HONEST_STREAMS = (0, 2)
 
 # basis index i of the (m1, m2) marginal for the flipped bit reads index f[i] of the sent one
 FLIPPED_MESSAGE_INDEX = {"odd": (3, 2, 1, 0), "even": (2, 3, 0, 1)}
@@ -74,10 +93,40 @@ class AggregateStats:
         return obj
 
 
-def trial_rngs(seed: SeedLike) -> tuple[np.random.Generator, ...]:
-    """(protocol, Bob, announcement) generators, order-independent across trials."""
+def trial_key(seed: SeedLike) -> TrialKey:
+    """The key of a trial seed's SeedSequence; reads the seed, never spawns from it."""
     ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
-    return tuple(np.random.default_rng(child) for child in ss.spawn(3))
+    return ss.entropy, ss.spawn_key, ss.pool_size
+
+
+def trial_rngs(
+    seed: SeedLike | TrialKey, streams: tuple[int, ...] = ALL_STREAMS
+) -> tuple[np.random.Generator, ...]:
+    """The generators of the given streams of one trial, by default
+    (protocol, Bob, announcement): what the children of a fresh
+    SeedSequence(seed).spawn(3) would seed, order-independent across trials."""
+    entropy, spawn_key, pool_size = seed if isinstance(seed, tuple) else trial_key(seed)
+    return tuple(
+        np.random.Generator(
+            np.random.PCG64(
+                np.random.SeedSequence(entropy, spawn_key=spawn_key + (i,), pool_size=pool_size)
+            )
+        )
+        for i in streams
+    )
+
+
+def draw_protocol_stream(
+    rngs: list[np.random.Generator], num_rounds: int, measurements: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each trial's bits, then its measurement uniforms, from its protocol
+    generator: the values the lazy draws of a run would take, in their order."""
+    bits = np.empty((len(rngs), num_rounds), dtype=np.int64)
+    uniforms = np.empty((len(rngs), measurements))
+    for rng, row_bits, row_uniforms in zip(rngs, bits, uniforms):
+        row_bits[:] = rng.integers(0, 2, size=num_rounds)
+        rng.random(out=row_uniforms)
+    return bits, uniforms
 
 
 def build_announcements(
@@ -125,7 +174,7 @@ def _parity_split(announcements: list[Announcement]) -> tuple[int, int]:
 
 def _honest_trials(
     config: ProtocolConfig,
-    seeds: list[SeedLike],
+    keys: list[TrialKey],
     instrument_disguise: bool,
     tolerance: float,
 ) -> list[TrialResult]:
@@ -138,10 +187,11 @@ def _honest_trials(
     bit's encoding adds an X on m1 (and m2 in odd rounds) that commutes with
     the rest, so its marginal is the sent one read at permuted indices.
     """
-    streams = [trial_rngs(seed) for seed in seeds]
-    session = protocol.init_session(config, rng=[rng_p for rng_p, _, _ in streams])
-    bits = np.array([rng_p.integers(0, 2, size=config.num_rounds) for rng_p, _, _ in streams])
-    max_dist = np.zeros(len(seeds))
+    streams = [trial_rngs(key, HONEST_STREAMS) for key in keys]
+    rngs_p = [rng_p for rng_p, _ in streams]
+    bits, uniforms = draw_protocol_stream(rngs_p, config.num_rounds, 2 * config.num_rounds)
+    session = protocol.init_session(config, rng=rngs_p, uniforms=uniforms)
+    max_dist = np.zeros(len(keys))
     for r in range(config.num_rounds):
         protocol.encode_round(session, bits[:, r])
         if instrument_disguise:
@@ -152,9 +202,10 @@ def _honest_trials(
             max_dist = np.maximum(max_dist, qcore.trace_distance(sent, flipped))
         protocol.deliver_and_decode_all(session)
         protocol.toggle_carrier(session)
+    session.require_uniforms_spent()
 
     results = []
-    for t, (_, _, rng_ann) in enumerate(streams):
+    for t, (_, rng_ann) in enumerate(streams):
         transcript = Transcript(num_rounds=config.num_rounds, records=session.trial_records[t])
         anns = build_announcements(transcript, config.announce_fraction, rng_ann)
         odd_n, even_n = _parity_split(anns)
@@ -176,7 +227,7 @@ def _honest_trials(
 def _attack_trials(
     config: ProtocolConfig,
     policy: MaintenancePolicy,
-    seeds: list[SeedLike],
+    keys: list[TrialKey],
     su: SplitUnitary,
     tolerance: float,
 ) -> list[TrialResult]:
@@ -186,11 +237,13 @@ def _attack_trials(
     recovery."""
     if config.num_rounds < 2:
         raise ValueError("the split happens in round 2; need at least 2 rounds")
-    streams = [trial_rngs(seed) for seed in seeds]
+    streams = [trial_rngs(key) for key in keys]
+    rngs_p = [rng_p for rng_p, _, _ in streams]
+    # two reads in round 1, then Charlie's one read per round
+    bits, uniforms = draw_protocol_stream(rngs_p, config.num_rounds, config.num_rounds + 1)
     session = protocol.init_session(
-        config, rng=[rng_p for rng_p, _, _ in streams], extra_labels=adversary.ATTACK_EXTRA_LABELS
+        config, rng=rngs_p, extra_labels=adversary.ATTACK_EXTRA_LABELS, uniforms=uniforms
     )
-    bits = np.array([rng_p.integers(0, 2, size=config.num_rounds) for rng_p, _, _ in streams])
 
     protocol.encode_round(session, bits[:, 0])
     honest_round1, _ = protocol.deliver_and_decode_all(session)
@@ -205,6 +258,7 @@ def _attack_trials(
         protocol.encode_round(session, bits[:, r])
         adversary.attack_decode_and_forward_all(session, attacks)
         adversary.maintain_carriers_all(session, attacks)
+    session.require_uniforms_spent()
 
     results = []
     for t, (attack, (_, _, rng_ann)) in enumerate(zip(attacks, streams)):
@@ -241,7 +295,7 @@ def run_honest_trial(
 ) -> TrialResult:
     """One honest end-to-end run plus its announcement check (see _honest_trials)."""
     seed = config.rng_seed if seed is None else seed
-    return _honest_trials(config, [seed], instrument_disguise, tolerance)[0]
+    return _honest_trials(config, [trial_key(seed)], instrument_disguise, tolerance)[0]
 
 
 def run_attack_trial(
@@ -255,7 +309,7 @@ def run_attack_trial(
     if su is None:
         su = adversary.synthesize_split_unitary()
     seed = config.rng_seed if seed is None else seed
-    return _attack_trials(config, policy, [seed], su, tolerance)[0]
+    return _attack_trials(config, policy, [trial_key(seed)], su, tolerance)[0]
 
 
 def run_trials(
@@ -267,15 +321,17 @@ def run_trials(
     tolerance: float = 0.0,
     workers: int = 1,
 ) -> list[TrialResult]:
-    """Independent trials from spawned seeds, run in lockstep as one batch
-    (one batch per worker process); policy=None runs honestly."""
+    """Independent trials, run in lockstep as one batch (one batch per worker
+    process); policy=None runs honestly.  Trial t runs from the key of
+    SeedSequence(base_seed).spawn(trials)[t]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    seeds = np.random.SeedSequence(base_seed).spawn(trials)
+    entropy, spawn_key, pool_size = trial_key(base_seed)
+    keys = [(entropy, spawn_key + (t,), pool_size) for t in range(trials)]
     size = -(-trials // workers)
-    chunks = [seeds[i : i + size] for i in range(0, trials, size)]
+    chunks = [keys[i : i + size] for i in range(0, trials, size)]
     if policy is None:
         jobs = [(config, chunk, instrument_disguise, tolerance) for chunk in chunks]
         batch_fn = _honest_trials

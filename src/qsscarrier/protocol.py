@@ -152,8 +152,10 @@ class ProtocolSession:
 
     Every trial sits at the same round and carrier form; each has its own
     protocol-stream generator, its own in-flight bit and its own round
-    records.  A session of one trial also offers state, rng and records for
-    step-by-step use.
+    records.  The protocol's measurements draw from the generators lazily,
+    or, when the session holds uniforms, read them from those pre-drawn
+    columns in order.  A session of one trial also offers state, rng and
+    records for step-by-step use.
     """
 
     config: ProtocolConfig
@@ -163,6 +165,8 @@ class ProtocolSession:
     round_index: int = 1
     pending_q: np.ndarray | None = None
     trial_records: list[list[RoundRecord]] = field(default_factory=list)
+    uniforms: np.ndarray | None = None
+    uniforms_read: int = 0
 
     @property
     def trials(self) -> int:
@@ -191,6 +195,24 @@ class ProtocolSession:
         self.require_single()
         return self.trial_records[0]
 
+    def measurement_draws(self, count: int):
+        """What the next `count` protocol measurements of every trial draw
+        from: the generators, or the next `count` pre-drawn columns."""
+        if self.uniforms is None:
+            return self.rngs
+        stop = self.uniforms_read + count
+        if stop > self.uniforms.shape[1]:
+            raise ValueError(f"the {self.uniforms.shape[1]} pre-drawn measurement uniforms ran out")
+        cols = self.uniforms[:, self.uniforms_read : stop]
+        self.uniforms_read = stop
+        return cols
+
+    def require_uniforms_spent(self) -> None:
+        """Raise if a pre-drawn measurement uniform was never read."""
+        if self.uniforms is not None and self.uniforms_read != self.uniforms.shape[1]:
+            left = self.uniforms.shape[1] - self.uniforms_read
+            raise ValueError(f"{left} pre-drawn measurement uniform(s) per trial left unread")
+
 
 def parity_of(round_index: int) -> str:
     return "odd" if round_index % 2 == 1 else "even"
@@ -200,11 +222,15 @@ def init_session(
     config: ProtocolConfig,
     rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
     extra_labels: tuple[str, ...] = (),
+    uniforms: np.ndarray | None = None,
 ) -> ProtocolSession:
     """Fresh session: GHZ carrier on (a, b, c), message (and extras) in |0>.
 
     rng is one trial's protocol generator, or a sequence of them for a batch
     of trials played in lockstep; by default one trial seeded from the config.
+    uniforms, one row per trial, are the protocol measurements' draws taken
+    beforehand (see ProtocolSession); without them the generators are drawn
+    as the measurements happen.
     """
     labels = CARRIER_LABELS + tuple(extra_labels) + MESSAGE_LABELS
     if rng is None:
@@ -213,6 +239,8 @@ def init_session(
         rngs = [rng]
     else:
         rngs = list(rng)
+    if uniforms is not None and (uniforms.ndim != 2 or uniforms.shape[0] != len(rngs)):
+        raise ValueError(f"uniforms need one row per trial ({len(rngs)}), got shape {uniforms.shape}")
     start = _carrier_state(labels, CarrierKind.GHZ)
     return ProtocolSession(
         config=config,
@@ -220,6 +248,7 @@ def init_session(
         carrier_kind=CarrierKind.GHZ,
         rngs=rngs,
         trial_records=[[] for _ in rngs],
+        uniforms=uniforms,
     )
 
 
@@ -304,7 +333,7 @@ def deliver_and_decode_all(session: ProtocolSession) -> tuple[np.ndarray, np.nda
     if session.pending_q is None:
         raise ValueError("no message in flight; call encode_round first")
     st = qcore.permute(session.states, DECODE_STEPS)
-    (bob, charlie), session.states = qcore.measure_reset(st, MESSAGE_LABELS, session.rngs)
+    (bob, charlie), session.states = qcore.measure_reset(st, MESSAGE_LABELS, session.measurement_draws(2))
     fids = qcore.fidelity(session.states, expected_full_state(session))
     append_records(session, bob, charlie, fids)
     return bob, charlie

@@ -428,9 +428,11 @@ def measure(state: State, target: str, rng) -> tuple:
     """Projective computational-basis measurement of one qubit.
 
     Returns (outcome, collapsed renormalized state).  Randomness comes only
-    from the injected generators, one uniform draw each: a Generator for a
+    from the injected source, one uniform draw per trial: a Generator for a
     lone state, a sequence of one Generator per trial for a batch (outcomes
-    then come back as an int array).  Runs are reproducible per seed.
+    then come back as an int array), or uniforms drawn beforehand, a
+    (trials, 1) array in [0, 1) (see measure_reset).  Runs are reproducible
+    per seed.
     """
     (bit,), out = _collapse(state, (target,), rng, reset=False)
     return bit, out
@@ -443,6 +445,12 @@ def measure_reset(state: State, targets, rng) -> tuple:
     factor; the kept branch then sits in the target's |0> slot and the other
     slot holds the discarded branch times 0, exactly what measure followed
     by flip leaves.  Returns (one outcome per target, reset state).
+
+    rng is measure's: generators, one random() each per target in turn, or a
+    (trials, targets) array of uniforms in [0, 1) whose column i a target i
+    reads in place of that draw.  A generator's random(k) gives the same
+    values as k random() calls, so pre-drawn uniforms reproduce the lazy
+    draws bit for bit.
     """
     return _collapse(state, tuple(targets), rng, reset=True)
 
@@ -457,16 +465,24 @@ def _slot_masks(n: int, axis: int) -> np.ndarray:
 
 
 def _collapse(state: State, targets: tuple[str, ...], rng, reset: bool) -> tuple:
-    gens = rng if isinstance(state, StateBatch) else (rng,)
     rows = _rows(state)
     b = rows.shape[0]
-    if len(gens) != b:
-        raise ValueError(f"{len(gens)} generators for {b} trials")
+    if isinstance(rng, np.ndarray):
+        if rng.shape != (b, len(targets)) or rng.dtype != np.float64:
+            raise ValueError(
+                f"uniforms must be a ({b}, {len(targets)}) float64 array, got {rng.dtype} {rng.shape}"
+            )
+        if not ((rng >= 0.0) & (rng < 1.0)).all():
+            raise ValueError("uniforms must lie in [0, 1)")
+    else:
+        gens = rng if isinstance(state, StateBatch) else (rng,)
+        if len(gens) != b:
+            raise ValueError(f"{len(gens)} generators for {b} trials")
     trials, outcomes = np.arange(b), []
-    for target in targets:
+    for i, target in enumerate(targets):
         axis = state.position(target)
         weights = _branch_weights(rows, axis)
-        draws = np.array([g.random() for g in gens])
+        draws = rng[:, i] if isinstance(rng, np.ndarray) else np.array([g.random() for g in gens])
         bits = (draws < weights[:, 1]).astype(np.int64)
         kept = weights[trials, bits]
         if not kept.all():

@@ -8,7 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsscarrier import experiments
-from qsscarrier.detection import Announcement, DetectionReport, evaluate, select_rounds
+from qsscarrier.detection import (
+    Announcement,
+    DetectionReport,
+    _announce_count,
+    evaluate,
+    select_rounds,
+)
 from qsscarrier.experiments import symmetric_triple
 from qsscarrier.protocol import ProtocolConfig, RoundRecord, Transcript, Variant
 from qsscarrier.adversary import MaintenancePolicy
@@ -60,6 +66,36 @@ def test_select_rounds_always_well_formed(n, frac, seed):
     assert len(picks) == math.ceil(frac * n)
     assert all(1 <= r <= n for r in picks)
     assert len(set(picks)) == len(picks)
+
+
+@pytest.mark.parametrize("rounds,count", [(100, 55), (200, 110), (400, 220)])
+def test_select_rounds_opens_the_exact_decimal_share(rounds, count):
+    # in floats 0.55 * rounds lands just above the integer here
+    assert math.ceil(0.55 * rounds) == count + 1
+    assert len(select_rounds(rounds, 0.55, np.random.default_rng(0))) == count
+
+
+def test_announce_count_is_the_ceiling_of_the_exact_share():
+    for percent in range(1, 101):
+        for rounds in range(1, 401):
+            assert _announce_count(rounds, percent / 100) == -(-percent * rounds // 100)
+    # the fractions in use keep the counts they had
+    for fraction in (0.1, 0.2, 0.25, 0.5, 1.0):
+        for rounds in range(1, 1001):
+            assert _announce_count(rounds, fraction) == math.ceil(fraction * rounds)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(min_value=1, max_value=300),
+                   st.integers(min_value=10_001, max_value=12_000)),
+       frac=st.floats(min_value=0.001, max_value=1.0),
+       seed=st.integers(min_value=0, max_value=2**63 - 1))
+def test_select_rounds_draws_what_a_choice_over_arange_draws(n, frac, seed):
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    picks = select_rounds(n, frac, rng)
+    ref = ref_rng.choice(np.arange(1, n + 1), size=len(picks), replace=False)
+    assert picks == sorted(int(r) for r in ref)
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_evaluate_odd_round_rule():

@@ -7,6 +7,7 @@ share its batch, so every row of a batch has to equal, field for field and
 float for float, the same trial replayed alone from its spawned seed.
 """
 
+import copy
 import math
 
 import numpy as np
@@ -330,6 +331,44 @@ def test_measure_reset_equals_measure_then_flip(targets, trials):
     lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, lone_gen)
     assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
     assert np.array_equal(lone.amps, fused.amps[0])
+
+
+@pytest.mark.parametrize("trials", [1, 16])
+@pytest.mark.parametrize("targets", [("m1", "m2"), ("m2",)])
+def test_pre_drawn_uniforms_measure_as_the_generators_draw(targets, trials):
+    rng = np.random.default_rng(200 + trials)
+    batch = _random_batch(rng, ATTACK_LABELS, trials)
+    gens = [np.random.default_rng(80 + t) for t in range(trials)]
+    twins = copy.deepcopy(gens)
+    # one random(k) per trial, from copies of the generators
+    uniforms = np.array([g.random(len(targets)) for g in copy.deepcopy(gens)])
+    lazy_outcomes, lazy = qcore.measure_reset(batch, targets, gens)
+    outcomes, pre = qcore.measure_reset(batch, targets, uniforms)
+    assert [o.tolist() for o in outcomes] == [o.tolist() for o in lazy_outcomes]
+    assert _same_bits(pre.amps, lazy.amps)
+
+    bit, one = qcore.measure(batch, targets[0], uniforms[:, :1])
+    lazy_bit, lazy_one = qcore.measure(batch, targets[0], twins)
+    assert bit.tolist() == lazy_bit.tolist() and _same_bits(one.amps, lazy_one.amps)
+    # a lone state reads a (1, targets) array
+    lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, uniforms[:1])
+    assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
+    assert np.array_equal(lone.amps, pre.amps[0])
+
+
+@pytest.mark.parametrize("uniforms,message", [
+    (np.full((3, 2), 0.5), r"must be a \(4, 2\) float64 array"),
+    (np.full((4, 3), 0.5), r"must be a \(4, 2\) float64 array"),
+    (np.full(8, 0.5), r"must be a \(4, 2\) float64 array"),
+    (np.zeros((4, 2), dtype=np.float32), r"must be a \(4, 2\) float64 array"),
+    (np.full((4, 2), 1.0), r"must lie in \[0, 1\)"),
+    (np.full((4, 2), -0.25), r"must lie in \[0, 1\)"),
+    (np.full((4, 2), np.nan), r"must lie in \[0, 1\)"),
+])
+def test_measure_rejects_misshapen_or_out_of_range_uniforms(uniforms, message):
+    batch = _random_batch(np.random.default_rng(3), ATTACK_LABELS, 4)
+    with pytest.raises(ValueError, match=message):
+        qcore.measure_reset(batch, ("m1", "m2"), uniforms)
 
 
 def test_measure_reset_names_the_trial_with_a_zero_probability_branch():

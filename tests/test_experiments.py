@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from qsscarrier import experiments
+from qsscarrier import experiments, protocol
 from qsscarrier.adversary import MaintenancePolicy, PatternHypothesis
 from qsscarrier.experiments import (
     aggregate,
@@ -184,3 +184,72 @@ def test_build_announcements_deterministic():
     b = build_announcements(res.transcript, 0.25, rng2)
     assert a == b
     assert len(a) == 3
+
+
+# keyed streams ---------------------------------------------------------------
+
+
+def _stream_values(gens):
+    return [(g.random(3).tolist(), g.integers(0, 2, size=5).tolist()) for g in gens]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: 42,
+    lambda: np.random.SeedSequence(123),
+    lambda: np.random.SeedSequence(2**80 + 5),
+    lambda: np.random.SeedSequence(5).spawn(3)[1].spawn(4)[2],  # nested spawn key (1, 2)
+    lambda: np.random.SeedSequence(9, spawn_key=(7,), pool_size=8),
+])
+def test_trial_rngs_are_the_children_a_fresh_seed_spawns(make):
+    seed = make()
+    fresh = np.random.SeedSequence(seed) if isinstance(seed, int) else make()
+    expected = _stream_values([np.random.default_rng(child) for child in fresh.spawn(3)])
+    assert _stream_values(trial_rngs(seed)) == expected
+    assert getattr(seed, "n_children_spawned", 0) == 0
+    # a subset of streams builds only those children, in the order asked
+    assert _stream_values(trial_rngs(make(), (0, 2))) == [expected[0], expected[2]]
+
+
+@pytest.mark.parametrize("policy", [None, MaintenancePolicy.RANDOM_GUESS])
+def test_replaying_a_seed_sequence_gives_the_same_trial(policy):
+    config = theta_config(num_rounds=10, announce_order=AnnounceOrder.ALICE_FIRST)
+    seed = np.random.SeedSequence(11).spawn(4)[2]
+
+    def replay():
+        if policy is None:
+            return run_honest_trial(config, seed, instrument_disguise=True)
+        return run_attack_trial(config, policy, seed)
+
+    first, second = replay(), replay()
+    assert first == second
+    assert seed.n_children_spawned == 0
+    batch = run_trials(config, 4, base_seed=11, policy=policy, instrument_disguise=policy is None)
+    assert batch[2] == first
+
+
+def test_step_api_draws_lazily_the_values_a_run_pre_draws():
+    # run_protocol reads bits and then every measurement uniform from the
+    # generator as it goes; the runner draws them all up front
+    config = ProtocolConfig(num_rounds=9)
+    rng_p, _, _ = trial_rngs(17)
+    transcript = protocol.run_protocol(config, rng=rng_p)
+    assert transcript.records == run_honest_trial(config, seed=17).transcript.records
+
+
+@pytest.mark.parametrize("policy", [None, MaintenancePolicy.PLAIN_HADAMARD])
+@pytest.mark.parametrize("extra,message", [(1, "1 pre-drawn measurement uniform"), (-1, "ran out")])
+def test_runners_check_every_pre_drawn_uniform_is_read(monkeypatch, policy, extra, message):
+    draw = experiments.draw_protocol_stream
+
+    def misdraw(rngs, num_rounds, measurements):
+        return draw(rngs, num_rounds, measurements + extra)
+
+    monkeypatch.setattr(experiments, "draw_protocol_stream", misdraw)
+    with pytest.raises(ValueError, match=message):
+        run_trials(ProtocolConfig(num_rounds=4), 3, policy=policy)
+
+
+def test_session_rejects_uniforms_without_one_row_per_trial():
+    rngs = [np.random.default_rng(t) for t in range(3)]
+    with pytest.raises(ValueError, match="one row per trial"):
+        protocol.init_session(ProtocolConfig(num_rounds=2), rng=rngs, uniforms=np.zeros((2, 4)))
