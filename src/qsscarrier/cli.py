@@ -17,22 +17,15 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
-from . import adversary, experiments, gates, qcore
+from . import adversary, experiments, gates, identities
 from .adversary import MaintenancePolicy
-from .gates import BellKind, CarrierKind, ThetaTriple
+from .gates import ThetaTriple
 from .protocol import AnnounceOrder, ProtocolConfig, Variant
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_IDENTITY = 2
 EXIT_IO = 3
-
-IDENTITY_TOL = 1e-10
-RESIDUAL_TOL = 1e-8
-NO_SIGNALING_TOL = 1e-12
-DEGENERACY_FLOOR = 1e-3
 
 
 def _is_int(value) -> bool:
@@ -299,181 +292,6 @@ def cmd_run(ns: argparse.Namespace) -> int:
 # verify
 
 
-def _sample_hardened_triple(rng: np.random.Generator, margin: float = 0.3) -> ThetaTriple:
-    while True:
-        a, b = rng.uniform(0.0, gates.TWO_PI, size=2)
-        triple = ThetaTriple.from_ab(float(a), float(b))
-        if min(gates.distance_to_degenerate(t) for t in triple.as_tuple()) >= margin:
-            return triple
-
-
-def _sample_hardened_pair(rng: np.random.Generator, margin: float = 0.3) -> tuple[float, float]:
-    out = []
-    while len(out) < 2:
-        t = float(rng.uniform(0.0, gates.TWO_PI))
-        if gates.distance_to_degenerate(t) >= margin:
-            out.append(t)
-    return out[0], out[1]
-
-
-def _state_fidelity(x: np.ndarray, y: np.ndarray) -> float:
-    return float(abs(np.vdot(x, y)) ** 2)
-
-
-def _toggle_fidelities(ta: float, tb: float, tc: float) -> tuple[float, float]:
-    """(forward GHZ -> even-parity, inverse even-parity -> GHZ) fidelities."""
-    ghz = gates.carrier_amplitudes(CarrierKind.GHZ)
-    even = gates.carrier_amplitudes(CarrierKind.EVEN_PARITY)
-    m = np.kron(np.kron(gates.h_theta(ta), gates.h_theta(tb)), gates.h_theta(tc))
-    return _state_fidelity(m @ ghz, even), _state_fidelity(m.conj().T @ even, ghz)
-
-
-def _closest_pattern(state: qcore.StateVector) -> tuple[str, float]:
-    best_name, best_fid = "", -1.0
-    for k1 in BellKind:
-        for k2 in BellKind:
-            fid = qcore.fidelity(state, adversary.pattern_pair_state(k1, k2))
-            if fid > best_fid:
-                best_name, best_fid = f"{k1.name}(a,bt) {k2.name}(b,c)", fid
-    return best_name, best_fid
-
-
-def run_identity_suite(
-    thetas: list[float] | None, seed: int = 0
-) -> list[tuple[str, bool | None, str]]:
-    """All identity checks as (name, ok, detail); ok=None is informational.
-
-    With no angles given, angles are sampled away from the degenerate points.
-    A two-angle input derives the third to satisfy the sum constraint; a
-    three-angle input is taken raw, so deliberately broken triples show the
-    identities failing.
-    """
-    rng = np.random.default_rng(seed)
-    items: list[tuple[str, bool | None, str]] = []
-
-    f1, f2 = _toggle_fidelities(0.0, 0.0, 0.0)  # h_theta(0) is H exactly
-    items.append(
-        ("plain-toggle", min(f1, f2) >= 1 - IDENTITY_TOL,
-         f"GHZ<->even-parity fidelities {f1:.12f}, {f2:.12f}")
-    )
-
-    if thetas is None:
-        triples = [_sample_hardened_triple(rng).as_tuple() for _ in range(25)]
-        raw_mode = False
-    elif len(thetas) == 2:
-        triples = [ThetaTriple.from_ab(thetas[0], thetas[1]).as_tuple()]
-        raw_mode = False
-    else:
-        triples = [tuple(thetas)]
-        raw_mode = True
-
-    worst = 1.0
-    for ta, tb, tc in triples:
-        fwd, inv = _toggle_fidelities(ta, tb, tc)
-        worst = min(worst, fwd, inv)
-    residue = float(np.mod(sum(triples[0]), gates.TWO_PI))
-    residue = min(residue, gates.TWO_PI - residue)
-    detail = f"worst fidelity {worst:.12f} over {len(triples)} triple(s)"
-    if raw_mode and residue > gates.ANGLE_SUM_TOL:
-        detail += f" (angle sum residue {residue:.3f} breaks the identity, as the constraint requires)"
-    items.append(("theta-toggle", worst >= 1 - IDENTITY_TOL, detail))
-
-    hardened_ok = True
-    hardened_detail = "sum constraint and degeneracy gap hold"
-    try:
-        for ta, tb, tc in triples:
-            ThetaTriple(ta, tb, tc).require_hardened()
-    except ValueError as exc:
-        hardened_ok = False
-        hardened_detail = str(exc)
-    items.append(("hardened-angles", hardened_ok, hardened_detail))
-
-    su = adversary.synthesize_split_unitary()
-    split_ok = su.unitarity_defect < IDENTITY_TOL and max(su.residuals) < RESIDUAL_TOL
-    items.append(
-        ("split-maps", split_ok,
-         f"residuals {su.residuals[0]:.3e}, {su.residuals[1]:.3e};"
-         f" unitarity defect {su.unitarity_defect:.3e}")
-    )
-
-    dists = adversary.no_signaling_distances(su)
-    ns_worst = max(dists.values())
-    items.append(
-        ("split-no-signaling", ns_worst < NO_SIGNALING_TOL,
-         f"max trace distance over Bob's subsystems {ns_worst:.3e}")
-    )
-
-    # ten plain toggles: PhiPlus pattern is fixed, the other orbit alternates
-    # PhiMinus <-> PsiPlus
-    phi_plus = adversary.pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)
-    phi_minus = adversary.pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
-    state, alt = phi_plus, phi_minus
-    orbit = [BellKind.PSI_PLUS, BellKind.PHI_MINUS]
-    worst_plain = 1.0
-    for step in range(10):
-        state = adversary.maintenance_step(state, None, "h", step + 1)
-        alt = adversary.maintenance_step(alt, None, "h", step + 1)
-        expect = orbit[step % 2]
-        worst_plain = min(
-            worst_plain,
-            qcore.fidelity(state, phi_plus),
-            qcore.fidelity(alt, adversary.pattern_pair_state(expect, expect)),
-        )
-    items.append(
-        ("plain-maintenance", worst_plain >= 1 - IDENTITY_TOL,
-         f"both patterns track their orbit for 10 toggles; worst fidelity {worst_plain:.12f}")
-    )
-
-    if thetas is None:
-        pairs = [_sample_hardened_pair(rng) for _ in range(10)]
-    else:
-        pairs = [(triples[0][0], triples[0][2])]
-    pair_angles = [ThetaTriple(ta, -(ta + tc), tc) for ta, tc in pairs]
-    worst_a = 1.0
-    for angles in pair_angles:
-        for round_index in (1, 2):
-            img = adversary.maintenance_step(phi_plus, angles, "u", round_index)
-            worst_a = min(worst_a, qcore.fidelity(img, phi_plus))
-    items.append(
-        ("conjugate-maintenance", worst_a >= 1 - IDENTITY_TOL,
-         f"PhiPlus pattern preserved both directions; worst fidelity {worst_a:.12f}")
-    )
-
-    ta, tc = pairs[0]
-    img = adversary.maintenance_step(phi_minus, pair_angles[0], "v", 1)
-    psi_p = qcore.fidelity(img, adversary.pattern_pair_state(BellKind.PSI_PLUS, BellKind.PSI_PLUS))
-    psi_m = qcore.fidelity(img, adversary.pattern_pair_state(BellKind.PSI_MINUS, BellKind.PSI_MINUS))
-    name, best = _closest_pattern(img)
-    items.append(
-        ("transpose-maintenance", None,
-         f"recorded at theta=({ta:.3f}, {tc:.3f}): PhiMinus pattern maps to"
-         f" PsiPlus/PsiMinus pattern with fidelity {psi_p:.6f}/{psi_m:.6f};"
-         f" closest pattern {name} at {best:.6f}")
-    )
-
-    d0 = gates.best_scalar_distance(gates.h_theta(0.0).T, gates.h_theta(-0.0))
-    dpi = gates.best_scalar_distance(gates.h_theta(np.pi).T, gates.h_theta(-np.pi))
-    deg_ok = d0 < IDENTITY_TOL and dpi < IDENTITY_TOL
-    deg_detail = f"transpose = conjugate-angle at 0 and pi (distances {d0:.2e}, {dpi:.2e})"
-    check_angles = [t for pair in pairs for t in pair]
-    hazard = [t for t in check_angles if gates.distance_to_degenerate(t) <= 1e-6]
-    if hazard:
-        deg_ok = False
-        deg_detail = (
-            f"degenerate-angle hazard: at theta={hazard[0]:.3f} the transpose pair equals the"
-            " conjugate-angle pair and the defense collapses to the plain toggle"
-        )
-    else:
-        worst_sep = min(
-            gates.best_scalar_distance(gates.h_theta(t).T, gates.h_theta(-t))
-            for t in check_angles
-        )
-        deg_ok = deg_ok and worst_sep > DEGENERACY_FLOOR
-        deg_detail += f"; distinct elsewhere (min scalar distance {worst_sep:.3e})"
-    items.append(("transpose-degeneracy", deg_ok, deg_detail))
-    return items
-
-
 def cmd_verify(ns: argparse.Namespace) -> int:
     thetas = [float(t) for t in ns.theta] if ns.theta is not None else None
     if thetas is not None and len(thetas) not in (2, 3):
@@ -483,7 +301,7 @@ def cmd_verify(ns: argparse.Namespace) -> int:
         gates.require_finite(thetas or ())
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    items = run_identity_suite(thetas, seed=ns.seed)
+    items = identities.suite(thetas, seed=ns.seed)
     failed = False
     for name, ok, detail in items:
         if ok is None:

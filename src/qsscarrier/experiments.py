@@ -185,7 +185,10 @@ def _honest_trials(
     marginal for the bit actually sent and for its flip; their trace distance
     is what an interceptor without carrier access could exploit.  The flipped
     bit's encoding adds an X on m1 (and m2 in odd rounds) that commutes with
-    the rest, so its marginal is the sent one read at permuted indices.
+    the rest, so its marginal is the sent one read at permuted indices.  That
+    copy is not validated again: reduced_density has just validated the sent
+    marginal, and a symmetric permutation moves its entries exactly, computes
+    none, and so keeps it Hermitian, of unit trace and with the same spectrum.
     """
     streams = [trial_rngs(key, HONEST_STREAMS) for key in keys]
     rngs_p = [rng_p for rng_p, _ in streams]
@@ -197,9 +200,7 @@ def _honest_trials(
         if instrument_disguise:
             sent = qcore.reduced_density(session.states, protocol.MESSAGE_LABELS)
             f = FLIPPED_MESSAGE_INDEX[session.parity]
-            flipped = sent[:, f][:, :, f]
-            qcore.validate_density(flipped)
-            max_dist = np.maximum(max_dist, qcore.trace_distance(sent, flipped))
+            max_dist = np.maximum(max_dist, qcore.trace_distance(sent, sent[:, f][:, :, f]))
         protocol.deliver_and_decode_all(session)
         protocol.toggle_carrier(session)
     session.require_uniforms_spent()

@@ -6,7 +6,9 @@ pinned tolerances and runtime budget.  The psi half of the pattern-tracking
 criterion is kept as a faithful assertion and marked as an expected
 failure: the transpose pair only reaches a Psi pattern at the degenerate
 angles, everywhere else the overlap decays as the fourth power of the angle
-cosines.
+cosines.  The identity gates (c1-c4, c8) call the checks of
+qsscarrier.identities, the catalogue `qsscarrier verify` prints, on their
+own seeded samples.
 """
 
 import math
@@ -15,13 +17,11 @@ import time
 import numpy as np
 import pytest
 
-from qsscarrier import adversary, detection, experiments, gates, protocol, qcore
-from qsscarrier.adversary import MaintenancePolicy, choice_operators, pattern_pair_state
-from qsscarrier.gates import BellKind, CarrierKind, ThetaTriple
+from qsscarrier import adversary, experiments, gates, identities
+from qsscarrier.adversary import MaintenancePolicy
+from qsscarrier.gates import BellKind, ThetaTriple
 from qsscarrier.protocol import AnnounceOrder, ProtocolConfig, Variant
 
-TRIPLE_LABELS = ("a", "b", "c")
-PAIR_LABELS = ("a", "bt", "b", "c")
 HARDENED_REF = 2.0 * math.pi / 3.0
 ANGLE_MARGIN = 0.3  # keeps sampled angles clear of the degenerate points
 
@@ -42,37 +42,14 @@ def _hardened_angle(rng: np.random.Generator) -> float:
             return t
 
 
-def _apply_triple(state: qcore.StateVector, angles, forward: bool = True) -> qcore.StateVector:
-    for lab, ang in zip(state.labels, angles):
-        op = gates.h_theta(ang) if forward else gates.h_theta_inverse(ang)
-        state = qcore.apply_unitary(state, op, [lab])
-    return state
-
-
-def _pattern_toggle(state, ta, tc, choice, forward):
-    """One maintained round on the two fraud pairs: honest toggles on the
-    outer qubits, Bob's chosen corrections on his two halves."""
-    on_a = gates.h_theta(ta) if forward else gates.h_theta_inverse(ta)
-    on_c = gates.h_theta(tc) if forward else gates.h_theta_inverse(tc)
-    on_bt, on_b = choice_operators(ThetaTriple(ta, -(ta + tc), tc), choice, forward)
-    for op, lab in ((on_a, "a"), (on_bt, "bt"), (on_b, "b"), (on_c, "c")):
-        state = qcore.apply_unitary(state, op, [lab])
-    return state
-
-
 def test_c1_toggle_identities():
     t0 = time.perf_counter()
-    ghz = gates.make_carrier(CarrierKind.GHZ, TRIPLE_LABELS)
-    even = gates.make_carrier(CarrierKind.EVEN_PARITY, TRIPLE_LABELS)
-    worst = min(
-        qcore.fidelity(_apply_triple(ghz, (0.0, 0.0, 0.0)), even),
-        qcore.fidelity(_apply_triple(even, (0.0, 0.0, 0.0)), ghz),
-    )
     rng = np.random.default_rng(101)
-    for _ in range(200):
-        tri = ThetaTriple.from_ab(rng.uniform(0.0, gates.TWO_PI), rng.uniform(0.0, gates.TWO_PI))
-        worst = min(worst, qcore.fidelity(_apply_triple(ghz, tri.as_tuple()), even))
-        worst = min(worst, qcore.fidelity(_apply_triple(even, tri.as_tuple(), forward=False), ghz))
+    triples = [(0.0, 0.0, 0.0)] + [
+        ThetaTriple.from_ab(rng.uniform(0.0, gates.TWO_PI), rng.uniform(0.0, gates.TWO_PI)).as_tuple()
+        for _ in range(200)
+    ]
+    worst = identities.worst_toggle_fidelity(triples)
     dt = time.perf_counter() - t0
     ok = worst >= 1.0 - 1e-10 and dt < 1.0
     _verdict(ok, "toggle-identities", f"worst fidelity 1-{1.0 - worst:.1e} over 200 random triples, {dt:.2f}s")
@@ -86,13 +63,7 @@ def test_c2_split_maps():
     dists = adversary.no_signaling_distances(su)
     # second route to the same claim: run the raw matrix on the canonical
     # encoded state and name the resulting pairs in the Bell basis
-    pair_ok = True
-    for q, kind in ((0, BellKind.PHI_PLUS), (1, BellKind.PSI_PLUS)):
-        st = adversary._encoded_round2_state(q)
-        st = qcore.apply_unitary(st, su.matrix, ["b", "m1", "m2"])
-        idx = list(BellKind).index(kind)
-        for pair in (("a", "m1"), ("b", "c")):
-            pair_ok &= abs(gates.bell_decompose(st, pair)[idx]) ** 2 >= 1.0 - 1e-8
+    pair_ok = identities.split_bell_weight(su) >= 1.0 - 1e-8
     dt = time.perf_counter() - t0
     ok = (
         su.unitarity_defect < 1e-10
@@ -118,19 +89,7 @@ def test_c3_plain_maintenance():
     # both fraud patterns under ten plain rounds: H on all four qubits; the
     # PhiPlus pattern is a fixed point, the PsiPlus one orbits through
     # PhiMinus and back
-    orbits = {
-        BellKind.PHI_PLUS: [BellKind.PHI_PLUS, BellKind.PHI_PLUS],
-        BellKind.PSI_PLUS: [BellKind.PHI_MINUS, BellKind.PSI_PLUS],
-    }
-    worst = 1.0
-    for start, orbit in orbits.items():
-        state = pattern_pair_state(start, start)
-        for step in range(10):
-            for lab in PAIR_LABELS:
-                state = qcore.apply_unitary(state, gates.H, [lab])
-            want = orbit[step % 2]
-            worst = min(worst, qcore.fidelity(state, pattern_pair_state(want, want)))
-        worst = min(worst, qcore.fidelity(state, pattern_pair_state(start, start)))
+    worst = identities.plain_orbit_fidelity((BellKind.PHI_PLUS, BellKind.PSI_PLUS))
     ok = worst >= 1.0 - 1e-10
     _verdict(ok, "plain-maintenance", f"worst pattern fidelity 1-{1.0 - worst:.1e} over 10 rounds")
     assert worst >= 1.0 - 1e-10
@@ -138,19 +97,9 @@ def test_c3_plain_maintenance():
 
 def test_c4_pattern_tracking_phi_and_cross_use():
     rng = np.random.default_rng(202)
-    phi_plus = pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)
-    phi_minus = pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
-    worst_keep = 1.0
-    worst_cross = 0.0
-    for _ in range(100):
-        ta, tc = _hardened_angle(rng), _hardened_angle(rng)
-        for forward in (True, False):
-            img = _pattern_toggle(phi_plus, ta, tc, "u", forward)
-            worst_keep = min(worst_keep, qcore.fidelity(img, phi_plus))
-            # wrong-pattern use, scored against the pattern being maintained
-            cross_u = qcore.fidelity(_pattern_toggle(phi_minus, ta, tc, "u", forward), phi_minus)
-            cross_v = qcore.fidelity(_pattern_toggle(phi_plus, ta, tc, "v", forward), phi_plus)
-            worst_cross = max(worst_cross, cross_u, cross_v)
+    pairs = [(_hardened_angle(rng), _hardened_angle(rng)) for _ in range(100)]
+    # cross-use is wrong-pattern use, scored against the pattern being maintained
+    worst_keep, worst_cross = identities.pattern_tracking(pairs)
     ok = worst_keep >= 1.0 - 1e-10 and worst_cross <= 0.9
     _verdict(
         ok,
@@ -169,15 +118,11 @@ def test_c4_pattern_tracking_phi_and_cross_use():
 )
 def test_c4_pattern_tracking_psi_transpose():
     rng = np.random.default_rng(303)
-    phi_minus = pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
-    psi_plus = pattern_pair_state(BellKind.PSI_PLUS, BellKind.PSI_PLUS)
-    psi_minus = pattern_pair_state(BellKind.PSI_MINUS, BellKind.PSI_MINUS)
     worst = 1.0
     sample = None
     for _ in range(20):
         ta, tc = _hardened_angle(rng), _hardened_angle(rng)
-        img = _pattern_toggle(phi_minus, ta, tc, "v", True)
-        best_psi = max(qcore.fidelity(img, psi_plus), qcore.fidelity(img, psi_minus))
+        best_psi = max(identities.psi_overlaps(identities.transpose_image(ta, tc)))
         if best_psi < worst:
             worst, sample = best_psi, (ta, tc)
     _verdict(
@@ -289,15 +234,14 @@ def test_c7_honest_run_soundness():
 
 def test_c8_degeneracy_check():
     for t in (0.0, math.pi):
-        d = gates.best_scalar_distance(gates.h_theta(t).T.copy(), gates.h_theta(-t))
-        assert d < 1e-10
+        assert identities.transpose_separation(t) < 1e-10
     rng = np.random.default_rng(404)
     worst = math.inf
     for _ in range(100):
         t = rng.uniform(0.05, 2.0 * math.pi - 0.05)
         while abs(t - math.pi) < 0.05:
             t = rng.uniform(0.05, 2.0 * math.pi - 0.05)
-        worst = min(worst, gates.best_scalar_distance(gates.h_theta(t).T.copy(), gates.h_theta(-t)))
+        worst = min(worst, identities.transpose_separation(t))
     with pytest.raises(ValueError, match="degenerate"):
         ThetaTriple.from_ab(0.0, 1.0).require_hardened()
     with pytest.raises(ValueError, match="degenerate"):

@@ -188,6 +188,25 @@ def _pair_toggle(state, ta, tc, choice, forward):
     return state
 
 
+@pytest.mark.parametrize("round_index", [1, 2])
+@pytest.mark.parametrize("choice", ["h", "u", "v"])
+def test_maintenance_step_equals_the_gate_by_gate_toggle(choice, round_index):
+    # the engine's one-pass step against _pair_toggle's per-label route; at
+    # angles (0, 0) h_theta is H exactly, so "h" there is the plain protocol
+    forward = round_index == 1
+    cases = [(ThetaTriple(ta, -(ta + tc), tc), ta, tc)
+             for ta, tc in ((1.0, 0.7), (2 * math.pi / 3, 2 * math.pi / 3), (5.8, 0.4))]
+    if choice == "h":
+        cases.append((None, 0.0, 0.0))
+    for kind in (BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS):
+        state = pattern_pair_state(kind, kind)
+        for angles, ta, tc in cases:
+            got = adversary.maintenance_step(state, angles, choice, round_index)
+            want = _pair_toggle(state, ta, tc, choice, forward)
+            assert got.labels == want.labels
+            assert np.allclose(got.amps, want.amps, rtol=0.0, atol=1e-12)
+
+
 def test_conjugate_choice_preserves_phi_plus_pattern():
     rng = np.random.default_rng(2)
     phi = pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)

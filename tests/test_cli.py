@@ -349,3 +349,62 @@ def test_negative_non_finite_angles_reach_the_finiteness_check(capsys, argv):
 def test_negative_exponent_angle_is_parsed_as_its_value():
     ns = cli.build_parser().parse_args(["run", "--variant", "theta", "--theta", "-2.5E+1", "-.5"])
     assert ns.theta == [-25.0, -0.5]
+
+
+# verify's stdout, recorded before the identity checks moved out of the cli
+_VERIFY_SHARED = (
+    "PASS  plain-toggle             GHZ<->even-parity fidelities 1.000000000000, 1.000000000000",
+    "PASS  split-maps               residuals 2.526e-16, 2.526e-16; unitarity defect 3.331e-16",
+    "PASS  split-no-signaling       max trace distance over Bob's subsystems 2.737e-48",
+    "PASS  plain-maintenance        both patterns track their orbit for 10 toggles;"
+    " worst fidelity 1.000000000000",
+    "PASS  conjugate-maintenance    PhiPlus pattern preserved both directions;"
+    " worst fidelity 1.000000000000",
+)
+
+
+def _verify_lines(toggle, hardened, transpose, degeneracy):
+    plain, split, no_signaling, maintenance, conjugate = _VERIFY_SHARED
+    return [plain, toggle, hardened, split, no_signaling, maintenance, conjugate,
+            transpose, degeneracy]
+
+
+VERIFY_GOLDEN = {
+    (): (cli.EXIT_OK, _verify_lines(
+        "PASS  theta-toggle             worst fidelity 1.000000000000 over 25 triple(s)",
+        "PASS  hardened-angles          sum constraint and degeneracy gap hold",
+        "INFO  transpose-maintenance    recorded at theta=(5.827, 5.426): PhiMinus pattern maps to"
+        " PsiPlus/PsiMinus pattern with fidelity 0.119507/0.038288;"
+        " closest pattern PSI_PLUS(a,bt) PHI_MINUS(b,c) at 0.211947",
+        "PASS  transpose-degeneracy     transpose = conjugate-angle at 0 and pi"
+        " (distances 0.00e+00, 2.45e-16); distinct elsewhere (min scalar distance 6.818e-01)",
+    )),
+    ("--theta", "0", "0"): (cli.EXIT_IDENTITY, _verify_lines(
+        "PASS  theta-toggle             worst fidelity 1.000000000000 over 1 triple(s)",
+        "FAIL  hardened-angles          degenerate toggle angle(s) [0.0, 0.0, 0.0]: hardened"
+        " configuration requires every angle farther than 1e-06 from 0 and pi",
+        "INFO  transpose-maintenance    recorded at theta=(0.000, 0.000): PhiMinus pattern maps to"
+        " PsiPlus/PsiMinus pattern with fidelity 1.000000/0.000000;"
+        " closest pattern PSI_PLUS(a,bt) PSI_PLUS(b,c) at 1.000000",
+        "FAIL  transpose-degeneracy     degenerate-angle hazard: at theta=0.000 the transpose pair"
+        " equals the conjugate-angle pair and the defense collapses to the plain toggle",
+    )),
+    ("--theta", "1.0", "1.0", "1.0"): (cli.EXIT_IDENTITY, _verify_lines(
+        "FAIL  theta-toggle             worst fidelity 0.980085143325 over 1 triple(s)"
+        " (angle sum residue 3.000 breaks the identity, as the constraint requires)",
+        "FAIL  hardened-angles          angles must sum to 0 mod 2pi; got residue 3.000e+00",
+        "INFO  transpose-maintenance    recorded at theta=(1.000, 1.000): PhiMinus pattern maps to"
+        " PsiPlus/PsiMinus pattern with fidelity 0.007263/0.042727;"
+        " closest pattern PHI_MINUS(a,bt) PHI_MINUS(b,c) at 0.251370",
+        "PASS  transpose-degeneracy     transpose = conjugate-angle at 0 and pi"
+        " (distances 0.00e+00, 2.45e-16); distinct elsewhere (min scalar distance 1.353e+00)",
+    )),
+}
+
+
+@pytest.mark.parametrize("argv", list(VERIFY_GOLDEN), ids=["default", "degenerate", "raw-triple"])
+def test_verify_output_is_pinned(capsys, argv):
+    code, out, err = run_main(capsys, "verify", *argv)
+    want_code, want_lines = VERIFY_GOLDEN[argv]
+    assert (code, out) == (want_code, "\n".join(want_lines) + "\n")
+    assert err == ""

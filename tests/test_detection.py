@@ -1,10 +1,11 @@
 """Announcement sampling and the parity cross-check."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qsscarrier import experiments
@@ -61,9 +62,11 @@ def test_select_rounds_validation():
 @given(n=st.integers(min_value=1, max_value=200),
        frac=st.floats(min_value=0.01, max_value=1.0),
        seed=st.integers(min_value=0, max_value=2**31 - 1))
+@example(n=100, frac=0.55, seed=0)  # the float count, ceil(0.55 * 100), is 56
 def test_select_rounds_always_well_formed(n, frac, seed):
     picks = select_rounds(n, frac, np.random.default_rng(seed))
-    assert len(picks) == math.ceil(frac * n)
+    share = Fraction(repr(frac)) * n
+    assert len(picks) == -(-share.numerator // share.denominator)
     assert all(1 <= r <= n for r in picks)
     assert len(set(picks)) == len(picks)
 

@@ -567,3 +567,7 @@ def test_flipped_marginal_is_the_sent_marginal_permuted(variant, trials):
         want = qcore.reduced_density(protocol.encoded_state(pre, parity, 1 - q), protocol.MESSAGE_LABELS)
         f = FLIPPED_MESSAGE_INDEX[parity]
         assert _same_bits(sent[:, f][:, :, f], want)
+
+
+def test_flipped_message_index_is_a_permutation():
+    assert all(sorted(f) == [0, 1, 2, 3] for f in FLIPPED_MESSAGE_INDEX.values())

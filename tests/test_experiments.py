@@ -1,6 +1,10 @@
 """Monte Carlo harness: trial runners, aggregation, sweeps, survival odds."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,3 +257,15 @@ def test_session_rejects_uniforms_without_one_row_per_trial():
     rngs = [np.random.default_rng(t) for t in range(3)]
     with pytest.raises(ValueError, match="one row per trial"):
         protocol.init_session(ProtocolConfig(num_rounds=2), rng=rngs, uniforms=np.zeros((2, 4)))
+
+
+def test_experiments_import_leaves_the_cli_modules_unloaded():
+    # the benchmark loads experiments; CLI-only code must not add to its set-up
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = ("import sys, qsscarrier.experiments; "
+             "print(sorted(m for m in ('qsscarrier.cli', 'qsscarrier.identities') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
