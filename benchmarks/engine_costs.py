@@ -34,6 +34,11 @@ a qcore function that takes a state, plus StateBatch.check_norm, counting
 only the outermost call when one kernel calls another; StateBatch builds
 are counted alongside.
 
+The round phases are driven through their batch functions, which take a
+session and one attack ledger per trial.  They go by their step names
+(deliver_and_decode, execute_split, ...); checkouts that kept one-trial
+wrappers under those names call the batch functions *_all.
+
 --src may point at the src/ directory of any checkout: a checkout whose
 engine runs one trial at a time is timed on lone states, batch size 1 only
 for the kernels, trial by trial inside run_trials, and without the phase
@@ -52,6 +57,7 @@ import statistics
 import sys
 import time
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -81,8 +87,22 @@ def cost(seconds: float, calls: int, trials: int) -> dict:
     }
 
 
+PHASES = ("execute_split", "forward_round2_counterfeit", "maintain_carriers", "attack_decode_and_forward")
+
+
+def batch_phases(qss) -> SimpleNamespace:
+    """The batch round phases of a batched checkout, by their step names."""
+    proto, adv = qss.protocol, qss.adversary
+    suffix = "_all" if hasattr(adv, "execute_split_all") else ""
+    return SimpleNamespace(
+        deliver_and_decode=getattr(proto, "deliver_and_decode" + suffix),
+        **{name: getattr(adv, name + suffix) for name in PHASES},
+    )
+
+
 def attacked_session(qss, batch: int):
-    """A plain-split session of `batch` trials, right after round 2's toggle."""
+    """A plain-split session of `batch` trials, right after round 2's toggle,
+    with its attack ledgers (the lone ledger in a one-trial engine)."""
     from qsscarrier.adversary import MaintenancePolicy
     from qsscarrier.protocol import ProtocolConfig
 
@@ -91,7 +111,7 @@ def attacked_session(qss, batch: int):
     su = adv.synthesize_split_unitary()
     gens = [np.random.default_rng(t) for t in range(batch)]
     bob = [np.random.default_rng(10_000 + t) for t in range(batch)]
-    if batch == 1:
+    if not hasattr(qss.qcore, "StateBatch"):  # an engine of one trial at a time
         session = proto.init_session(config, rng=gens[0], extra_labels=adv.ATTACK_EXTRA_LABELS)
         proto.encode_round(session, 1)
         proto.deliver_and_decode(session)
@@ -101,14 +121,15 @@ def attacked_session(qss, batch: int):
         adv.forward_round2_counterfeit(session, attack)
         adv.maintain_carriers(session, attack)
         return session, attack
+    phases = batch_phases(qss)
     session = proto.init_session(config, rng=gens, extra_labels=adv.ATTACK_EXTRA_LABELS)
     proto.encode_round(session, np.ones(batch, dtype=int))
-    proto.deliver_and_decode_all(session)
+    phases.deliver_and_decode(session)
     proto.toggle_carrier(session)
     proto.encode_round(session, np.zeros(batch, dtype=int))
-    attacks = adv.execute_split_all(session, su, MaintenancePolicy.PLAIN_HADAMARD, bob)
-    adv.forward_round2_counterfeit_all(session, attacks)
-    adv.maintain_carriers_all(session, attacks)
+    attacks = phases.execute_split(session, su, MaintenancePolicy.PLAIN_HADAMARD, bob)
+    phases.forward_round2_counterfeit(session, attacks)
+    phases.maintain_carriers(session, attacks)
     return session, attacks
 
 
@@ -124,19 +145,19 @@ def honest_session(qss, batch: int, round_index: int):
     """An honest plain session of `batch` trials at the start of the given round."""
     from qsscarrier.protocol import ProtocolConfig
 
-    proto = qss.protocol
+    proto, phases = qss.protocol, batch_phases(qss)
     gens = [np.random.default_rng(t) for t in range(batch)]
     session = proto.init_session(ProtocolConfig(num_rounds=ROUNDS), rng=gens)
     for r in range(1, round_index):
         proto.encode_round(session, np.full(batch, r % 2))
-        proto.deliver_and_decode_all(session)
+        phases.deliver_and_decode(session)
         proto.toggle_carrier(session)
     return session
 
 
 def phase_costs(qss, batch: int, repeats: int) -> dict:
     """Per call of each round phase, from a saved session state each time."""
-    proto, adv = qss.protocol, qss.adversary
+    proto, phases = qss.protocol, batch_phases(qss)
     q = np.arange(batch) % 2  # a mix of 0s and 1s
 
     def replay(session, phase, *args):
@@ -155,7 +176,6 @@ def phase_costs(qss, batch: int, repeats: int) -> dict:
     encoded = honest_session(qss, batch, 1)
     proto.encode_round(encoded, q)
     attacked, attacks = attacked_session(qss, batch)
-    attacks = [attacks] if batch == 1 else attacks
     decoded = copy.copy(attacked)
     proto.encode_round(attacked, q)
     # the copies share generators, transcripts and attack ledgers: the phases
@@ -163,9 +183,9 @@ def phase_costs(qss, batch: int, repeats: int) -> dict:
     seconds = {
         "encode_odd": median_of(odd, proto.encode_round, q),
         "encode_even": median_of(even, proto.encode_round, q),
-        "honest_decode": median_of(encoded, proto.deliver_and_decode_all),
-        "bob_decode_forward": median_of(attacked, adv.attack_decode_and_forward_all, attacks),
-        "maintained_toggle": median_of(decoded, adv.maintain_carriers_all, attacks),
+        "honest_decode": median_of(encoded, phases.deliver_and_decode),
+        "bob_decode_forward": median_of(attacked, phases.attack_decode_and_forward, attacks),
+        "maintained_toggle": median_of(decoded, phases.maintain_carriers, attacks),
     }
     return {name: cost(sec, PHASE_CALLS, batch) for name, sec in seconds.items()}
 
@@ -251,7 +271,7 @@ def trial_costs(qss, repeats: int) -> dict:
 
 def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
     """Outermost qcore kernel calls and StateBatch builds per lockstep round."""
-    qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
+    qcore, proto, phases = qss.qcore, qss.protocol, batch_phases(qss)
     session, attacks = attacked_session(qss, batch)
     counts = {"builds": 0}
     depth = [0]
@@ -284,8 +304,8 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
     try:
         for r in range(rounds):
             proto.encode_round(session, np.full(batch, r % 2))
-            adv.attack_decode_and_forward_all(session, attacks)
-            adv.maintain_carriers_all(session, attacks)
+            phases.attack_decode_and_forward(session, attacks)
+            phases.maintain_carriers(session, attacks)
     finally:
         for name, fn in originals.items():
             setattr(qcore, name, fn)
@@ -306,6 +326,7 @@ def measure_costs(qss, repeats: int) -> dict:
 
     qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
     batched = hasattr(qcore, "StateBatch")
+    phases = batch_phases(qss) if batched else adv
     out = {"gate_1q": {}, "gate_cnot": {}, "measure": {}, "phase": {}, "round": {}, "trial": {}}
     for batch in BATCH_SIZES:
         if batch == 1 or batched:
@@ -331,14 +352,9 @@ def measure_costs(qss, repeats: int) -> dict:
                 s, a = attacked_session(qss, batch)
                 t0 = time.perf_counter()
                 for r in range(rounds):
-                    if batch == 1:
-                        proto.encode_round(s, r % 2)
-                        adv.attack_decode_and_forward(s, a)
-                        adv.maintain_carriers(s, a)
-                    else:
-                        proto.encode_round(s, np.full(batch, r % 2))
-                        adv.attack_decode_and_forward_all(s, a)
-                        adv.maintain_carriers_all(s, a)
+                    proto.encode_round(s, np.full(batch, r % 2) if batched else r % 2)
+                    phases.attack_decode_and_forward(s, a)
+                    phases.maintain_carriers(s, a)
                 return time.perf_counter() - t0
 
             play_rounds()

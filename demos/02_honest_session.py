@@ -29,7 +29,7 @@ secrets = [int(b) for b in rng_p.integers(0, 2, size=config.num_rounds)]
 print("round  parity  sent  bob  charlie  reconstructed")
 for q in secrets:
     protocol.encode_round(session, q)
-    bob, charlie = protocol.deliver_and_decode(session)
+    (bob,), (charlie,) = protocol.deliver_and_decode(session)  # one trial's reads
     rec = session.records[-1]
     # odd rounds deliver the bit to both readers; even rounds split it so
     # only the XOR of the two readings reveals it

@@ -29,10 +29,10 @@ config = ProtocolConfig(variant=Variant.PLAIN, num_rounds=12, rng_seed=3)
 session = protocol.init_session(config, extra_labels=adversary.ATTACK_EXTRA_LABELS)
 rng_bob = np.random.default_rng(99)
 protocol.encode_round(session, int(session.rng.integers(0, 2)))
-bob_bit, _ = protocol.deliver_and_decode(session)
+protocol.deliver_and_decode(session)
 protocol.toggle_carrier(session)
 protocol.encode_round(session, int(session.rng.integers(0, 2)))
-attack = adversary.execute_split(session, su, MaintenancePolicy.PLAIN_HADAMARD, rng_bob)
+adversary.execute_split(session, su, MaintenancePolicy.PLAIN_HADAMARD, [rng_bob])
 
 print("\npost-split pairs, in the Bell basis:")
 for pair in (("a", "bt"), ("b", "c")):

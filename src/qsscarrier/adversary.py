@@ -79,8 +79,7 @@ class RawRecord:
     parity: str
     raw: int
     claim: int
-    psi_tagged: bool  # pair was Psi-family at read time under the q2=1 branch
-    honest: bool = False
+    psi_tagged: bool  # pair was Psi-family at read time under the q2=1 branch: even rounds
 
 
 @dataclass
@@ -88,11 +87,8 @@ class AttackState:
     maintenance_policy: MaintenancePolicy
     rng: np.random.Generator
     pattern_hypothesis: PatternHypothesis = PatternHypothesis.UNKNOWN
-    # True while the q2=1 branch would be Psi-family; flips at every toggle.
-    psi_family_now: bool = True
     current_guess: str | None = None
     records: dict[int, RawRecord] = field(default_factory=dict)
-    charlie_round2: int | None = None
     round2_bit: int | None = None
     # experiment-side truth for instrumentation; Bob's logic never reads it
     q2_truth: int | None = None
@@ -110,9 +106,7 @@ class AttackState:
         rec = self.records.get(round_index)
         if rec is None:
             return None
-        if rec.honest or not rec.psi_tagged:
-            return rec.raw
-        if self.pattern_hypothesis is PatternHypothesis.UNKNOWN:
+        if not rec.psi_tagged or self.pattern_hypothesis is PatternHypothesis.UNKNOWN:
             return rec.raw
         return rec.raw ^ (self.pattern_hypothesis is PatternHypothesis.PSI)
 
@@ -222,7 +216,7 @@ def no_signaling_distances(su: SplitUnitary) -> dict[str, float]:
 # attack execution
 
 
-def execute_split_all(
+def execute_split(
     session: ProtocolSession,
     su: SplitUnitary,
     policy: MaintenancePolicy,
@@ -250,17 +244,6 @@ def execute_split_all(
         AttackState(maintenance_policy=policy, rng=rng, q2_truth=q)
         for rng, q in zip(rngs, session.pending_q.tolist())
     ]
-
-
-def execute_split(
-    session: ProtocolSession,
-    su: SplitUnitary,
-    policy: MaintenancePolicy,
-    rng: np.random.Generator,
-) -> AttackState:
-    """execute_split_all for a session of one trial."""
-    session.require_single()
-    return execute_split_all(session, su, policy, [rng])[0]
 
 
 def pattern_pair_state(
@@ -296,21 +279,18 @@ def _pattern_table(labels: tuple[str, ...]) -> np.ndarray:
     return gates.read_only(np.stack(rows))
 
 
-def fraud_pattern_fidelity_all(session: ProtocolSession, attacks: Sequence[AttackState]) -> np.ndarray:
+def fraud_pattern_fidelity(session: ProtocolSession, attacks: Sequence[AttackState]) -> np.ndarray:
     """Per trial, the fidelity with the intact-orbit pattern the pairs should
-    be in right now (truth-side instrumentation)."""
+    be in right now (truth-side instrumentation): PhiPlus pairs for q2 = 0,
+    and for q2 = 1 PsiPlus pairs in even rounds, PhiMinus in odd ones."""
     table = _pattern_table(session.states.labels)
-    which = [0 if a.q2_truth == 0 else (1 if a.psi_family_now else 2) for a in attacks]
+    q2_row = 1 if session.parity == "even" else 2
+    which = [0 if a.q2_truth == 0 else q2_row for a in attacks]
     expected = qcore.StateBatch(session.states.labels, table[which])
     return qcore.fidelity(session.states, expected)
 
 
-def fraud_pattern_fidelity(session: ProtocolSession, attack: AttackState) -> float:
-    session.require_single()
-    return float(fraud_pattern_fidelity_all(session, [attack])[0])
-
-
-def forward_round2_counterfeit_all(
+def forward_round2_counterfeit(
     session: ProtocolSession, attacks: Sequence[AttackState]
 ) -> np.ndarray:
     """Send the blank on to Charlie and let him decode round 2 honestly, every trial.
@@ -326,15 +306,8 @@ def forward_round2_counterfeit_all(
     st = qcore.apply_one_qubit_gates(session.states, (("m2", gates.H),))
     st = qcore.permute(st, (("c", "m2", None),))
     (bits,), session.states = qcore.measure_reset(st, ("m2",), session.measurement_draws(1))
-    for attack, bit in zip(attacks, bits.tolist()):
-        attack.charlie_round2 = bit
-    protocol.append_records(session, None, bits, fraud_pattern_fidelity_all(session, attacks))
+    protocol.append_records(session, None, bits, fraud_pattern_fidelity(session, attacks))
     return bits
-
-
-def forward_round2_counterfeit(session: ProtocolSession, attack: AttackState) -> int:
-    session.require_single()
-    return int(forward_round2_counterfeit_all(session, [attack])[0])
 
 
 # Bob's disentangling CNOTs from bt on odd and even rounds, as qcore.permute steps
@@ -428,13 +401,13 @@ def _choose(variant: Variant, attack: AttackState, forward: bool) -> str:
     return choice
 
 
-def maintain_carriers_all(session: ProtocolSession, attacks: Sequence[AttackState]) -> list[str]:
+def maintain_carriers(session: ProtocolSession, attacks: Sequence[AttackState]) -> list[str]:
     """End-of-round toggle for attacked sessions, every trial.
 
     Alice and Charlie toggle a and c honestly; Bob applies his maintenance
     choice on (bt, b) instead of the honest toggle on b, one choice per trial.
-    Checks every state's norm, advances the round and flips the family
-    phase.  Returns the choices played ("h", "u" or "v").
+    Checks every state's norm and advances the round.  Returns the choices
+    played ("h", "u" or "v"), one per trial.
     """
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
@@ -447,18 +420,10 @@ def maintain_carriers_all(session: ProtocolSession, attacks: Sequence[AttackStat
         choices = [_choose(session.config.variant, attack, forward) for attack in attacks]
     toggled = maintenance_step(session.states, session.config.angles, choices, session.round_index)
     protocol.end_round(session, toggled)
-    for attack in attacks:
-        attack.psi_family_now = not attack.psi_family_now
     return [choices] * len(attacks) if isinstance(choices, str) else choices
 
 
-def maintain_carriers(session: ProtocolSession, attack: AttackState) -> str:
-    """maintain_carriers_all for a session of one trial."""
-    session.require_single()
-    return maintain_carriers_all(session, [attack])[0]
-
-
-def attack_decode_and_forward_all(
+def attack_decode_and_forward(
     session: ProtocolSession, attacks: Sequence[AttackState]
 ) -> np.ndarray:
     """One man-in-the-middle delivery for a round after the split, every trial.
@@ -494,17 +459,10 @@ def attack_decode_and_forward_all(
             parity=parity,
             raw=raw_bit,
             claim=claim,
-            psi_tagged=attack.psi_family_now,
+            psi_tagged=parity == "even",
         )
-    protocol.append_records(session, claims, charlie, fraud_pattern_fidelity_all(session, attacks))
+    protocol.append_records(session, claims, charlie, fraud_pattern_fidelity(session, attacks))
     return charlie
-
-
-def attack_decode_and_forward(session: ProtocolSession, attack: AttackState) -> tuple[int | None, int]:
-    """attack_decode_and_forward_all for a session of one trial: (bob_learned, charlie_bit)."""
-    session.require_single()
-    charlie = attack_decode_and_forward_all(session, [attack])
-    return attack.learned_bit(session.round_index), int(charlie[0])
 
 
 def record_honest_round(attack: AttackState, round_index: int, parity: str, bob_bit: int) -> None:
@@ -515,7 +473,6 @@ def record_honest_round(attack: AttackState, round_index: int, parity: str, bob_
         raw=bob_bit,
         claim=bob_bit,
         psi_tagged=False,
-        honest=True,
     )
 
 

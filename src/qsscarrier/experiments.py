@@ -201,7 +201,7 @@ def _honest_trials(
             sent = qcore.reduced_density(session.states, protocol.MESSAGE_LABELS)
             f = FLIPPED_MESSAGE_INDEX[session.parity]
             max_dist = np.maximum(max_dist, qcore.trace_distance(sent, sent[:, f][:, :, f]))
-        protocol.deliver_and_decode_all(session)
+        protocol.deliver_and_decode(session)
         protocol.toggle_carrier(session)
     session.require_uniforms_spent()
 
@@ -247,18 +247,18 @@ def _attack_trials(
     )
 
     protocol.encode_round(session, bits[:, 0])
-    honest_round1, _ = protocol.deliver_and_decode_all(session)
+    honest_round1, _ = protocol.deliver_and_decode(session)
     protocol.toggle_carrier(session)
     protocol.encode_round(session, bits[:, 1])
-    attacks = adversary.execute_split_all(session, su, policy, [rng_bob for _, rng_bob, _ in streams])
+    attacks = adversary.execute_split(session, su, policy, [rng_bob for _, rng_bob, _ in streams])
     for attack, bob_bit in zip(attacks, honest_round1.tolist()):
         adversary.record_honest_round(attack, 1, "odd", bob_bit)
-    adversary.forward_round2_counterfeit_all(session, attacks)
-    adversary.maintain_carriers_all(session, attacks)
+    adversary.forward_round2_counterfeit(session, attacks)
+    adversary.maintain_carriers(session, attacks)
     for r in range(2, config.num_rounds):
         protocol.encode_round(session, bits[:, r])
-        adversary.attack_decode_and_forward_all(session, attacks)
-        adversary.maintain_carriers_all(session, attacks)
+        adversary.attack_decode_and_forward(session, attacks)
+        adversary.maintain_carriers(session, attacks)
     session.require_uniforms_spent()
 
     results = []
@@ -439,6 +439,8 @@ def survival_probability(
     plays one maintenance step, and scores survival as fidelity 1 with the
     pre-toggle pattern.  angles=None runs the plain-protocol variant.
     """
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(base_seed)
     policy_choice = adversary.POLICY_CHOICE[policy]
     survived = 0

@@ -178,7 +178,7 @@ class ProtocolSession:
 
     def require_single(self) -> None:
         if self.trials != 1:
-            raise ValueError(f"this step returns one trial's values; the session holds {self.trials}")
+            raise ValueError(f"this view reads one trial; the session holds {self.trials}")
 
     @property
     def state(self) -> qcore.StateVector:
@@ -323,7 +323,7 @@ def append_records(
     session.pending_q = None
 
 
-def deliver_and_decode_all(session: ProtocolSession) -> tuple[np.ndarray, np.ndarray]:
+def deliver_and_decode(session: ProtocolSession) -> tuple[np.ndarray, np.ndarray]:
     """Bob and Charlie disentangle and read their message qubits, every trial.
 
     Restores the carrier (fidelity recorded per round), resets the message
@@ -337,13 +337,6 @@ def deliver_and_decode_all(session: ProtocolSession) -> tuple[np.ndarray, np.nda
     fids = qcore.fidelity(session.states, expected_full_state(session))
     append_records(session, bob, charlie, fids)
     return bob, charlie
-
-
-def deliver_and_decode(session: ProtocolSession) -> tuple[int, int]:
-    """deliver_and_decode_all for a session of one trial: (bob_bit, charlie_bit)."""
-    session.require_single()
-    bob, charlie = deliver_and_decode_all(session)
-    return int(bob[0]), int(charlie[0])
 
 
 def toggle_triple(config: ProtocolConfig, round_index: int) -> np.ndarray:
@@ -387,6 +380,6 @@ def run_protocol(
         raise ValueError(f"need {config.num_rounds} bits, got {len(bits)}")
     for q in bits:
         encode_round(session, q)
-        deliver_and_decode_all(session)
+        deliver_and_decode(session)
         toggle_carrier(session)
     return Transcript(num_rounds=config.num_rounds, records=session.records)

@@ -47,13 +47,13 @@ def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PL
     session = init_session(cfg, extra_labels=adversary.ATTACK_EXTRA_LABELS)
     rng = np.random.default_rng(seed + 1)
     encode_round(session, int(session.rng.integers(0, 2)))
-    bob, _ = protocol.deliver_and_decode(session)
+    (bob,), _ = protocol.deliver_and_decode(session)
     record = (session.records[-1].round_index, session.records[-1].parity, bob)
     protocol.toggle_carrier(session)
     encode_round(session, int(session.rng.integers(0, 2)))
-    attack = execute_split(session, su_ or synthesize_split_unitary(), policy, rng)
+    [attack] = execute_split(session, su_ or synthesize_split_unitary(), policy, [rng])
     record_honest_round(attack, record[0], record[1], record[2])
-    forward_round2_counterfeit(session, attack)
+    forward_round2_counterfeit(session, [attack])
     return session, attack
 
 
@@ -133,19 +133,19 @@ def test_execute_split_guards(su):
     rng = np.random.default_rng(0)
     s = init_session(cfg, extra_labels=("bt",))
     with pytest.raises(ValueError, match="round-2"):
-        execute_split(s, su, MaintenancePolicy.PLAIN_HADAMARD, rng)
+        execute_split(s, su, MaintenancePolicy.PLAIN_HADAMARD, [rng])
     s2 = init_session(cfg)
     encode_round(s2, 0)
     protocol.deliver_and_decode(s2)
     protocol.toggle_carrier(s2)
     encode_round(s2, 0)
     with pytest.raises(ValueError, match="slot"):
-        execute_split(s2, su, MaintenancePolicy.PLAIN_HADAMARD, rng)
+        execute_split(s2, su, MaintenancePolicy.PLAIN_HADAMARD, [rng])
 
 
 def test_split_inside_session_leaves_intact_pattern(su):
     session, attack = _attacked_session(su_=su)
-    assert adversary.fraud_pattern_fidelity(session, attack) >= 1 - 1e-10
+    assert adversary.fraud_pattern_fidelity(session, [attack])[0] >= 1 - 1e-10
     # fresh |0> sits where the stolen message qubit was
     assert qcore.probability_of_one(session.state, "m1") < 1e-20
     rec = session.records[-1]
@@ -153,7 +153,8 @@ def test_split_inside_session_leaves_intact_pattern(su):
 
 
 def test_round2_counterfeit_read_is_uniform(su):
-    reads = [_attacked_session(seed=s, su_=su)[1].charlie_round2 for s in range(24)]
+    # Charlie's read of the forwarded blank, from the round-2 transcript record
+    reads = [_attacked_session(seed=s, su_=su)[0].records[1].charlie_bit for s in range(24)]
     assert set(reads) == {0, 1}
 
 
@@ -266,7 +267,7 @@ def test_choice_operator_errors():
 def test_plain_variant_rejects_theta_policies(su):
     session, attack = _attacked_session(su_=su, policy=MaintenancePolicy.KNOWN_THETA_U)
     with pytest.raises(ValueError, match="plain protocol has none"):
-        maintain_carriers(session, attack)
+        maintain_carriers(session, [attack])
 
 
 def test_random_guess_coin_reused_across_toggle_pairs(su):
@@ -274,11 +275,11 @@ def test_random_guess_coin_reused_across_toggle_pairs(su):
         variant=Variant.THETA, angles=HARDENED, su_=su,
         policy=MaintenancePolicy.RANDOM_GUESS, seed=6,
     )
-    choices = [maintain_carriers(session, attack)]  # end of round 2, orphan draw
+    choices = maintain_carriers(session, [attack])  # end of round 2, orphan draw
     for _ in range(8):
         encode_round(session, int(session.rng.integers(0, 2)))
-        attack_decode_and_forward(session, attack)
-        choices.append(maintain_carriers(session, attack))
+        attack_decode_and_forward(session, [attack])
+        choices += maintain_carriers(session, [attack])
     # pairs: (end of round 3, end of round 4), (5, 6), (7, 8)
     assert choices[2] == choices[1]
     assert choices[4] == choices[3]
@@ -291,25 +292,26 @@ def test_random_guess_coin_reused_across_toggle_pairs(su):
 
 def test_attack_rounds_stay_consistent_in_plain_runs(su):
     session, attack = _attacked_session(su_=su, seed=9)
-    maintain_carriers(session, attack)
+    maintain_carriers(session, [attack])
     for _ in range(6):
         q = int(session.rng.integers(0, 2))
         encode_round(session, q)
-        learned, charlie = attack_decode_and_forward(session, attack)
+        attack_decode_and_forward(session, [attack])
         rec = session.records[-1]
+        learned = attack.learned_bit(rec.round_index)
         assert rec.carrier_fidelity >= 1 - 1e-10
         if rec.parity == "odd":
             assert rec.bob_bit == q and rec.charlie_bit == q
             assert learned == q
         else:
             assert rec.bob_bit ^ rec.charlie_bit == q
-        maintain_carriers(session, attack)
+        maintain_carriers(session, [attack])
 
 
 def test_decode_guards(su):
     session, attack = _attacked_session(su_=su)
     with pytest.raises(ValueError, match="no message in flight"):
-        attack_decode_and_forward(session, attack)
+        attack_decode_and_forward(session, [attack])
 
 
 # pattern resolution ---------------------------------------------------------

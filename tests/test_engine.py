@@ -161,14 +161,14 @@ def test_encode_rejects_unreset_message_in_one_trial():
 def test_split_rejects_occupied_slot_in_one_trial():
     session = _batch_session(extra_labels=adversary.ATTACK_EXTRA_LABELS)
     protocol.encode_round(session, [0, 1, 1])
-    protocol.deliver_and_decode_all(session)
+    protocol.deliver_and_decode(session)
     protocol.toggle_carrier(session)
     protocol.encode_round(session, [1, 0, 1])
     session.states = qcore.flip(session.states, "bt", [False, False, True])
     rngs = [np.random.default_rng(9 + t) for t in range(3)]
     with pytest.raises(ValueError, match=r"slot is occupied.*trial 2;"):
-        adversary.execute_split_all(session, adversary.synthesize_split_unitary(),
-                                    MaintenancePolicy.PLAIN_HADAMARD, rngs)
+        adversary.execute_split(session, adversary.synthesize_split_unitary(),
+                                MaintenancePolicy.PLAIN_HADAMARD, rngs)
 
 
 def test_toggles_reject_a_message_in_flight():
@@ -177,7 +177,7 @@ def test_toggles_reject_a_message_in_flight():
     with pytest.raises(ValueError, match="in flight"):
         protocol.toggle_carrier(session)
     with pytest.raises(ValueError, match="in flight"):
-        adversary.maintain_carriers_all(session, [])
+        adversary.maintain_carriers(session, [])
 
 
 def test_measure_rejects_zero_probability_branch_in_one_trial():
@@ -201,7 +201,7 @@ def test_reduced_density_validates_every_trial():
 def test_round_norm_check_names_the_drifting_trial():
     session = _batch_session()
     protocol.encode_round(session, [0, 0, 1])
-    protocol.deliver_and_decode_all(session)
+    protocol.deliver_and_decode(session)
     amps = np.array(session.states.amps)
     amps[2] *= 1.0 + 1e-9
     session.states = qcore.StateBatch(session.states.labels, amps)
@@ -213,9 +213,6 @@ def test_one_trial_views_refuse_a_batch():
     session = _batch_session()
     with pytest.raises(ValueError, match="holds 3"):
         session.state
-    protocol.encode_round(session, 1)
-    with pytest.raises(ValueError, match="holds 3"):
-        protocol.deliver_and_decode(session)
 
 
 def test_operator_tables_are_built_once_per_configuration():
@@ -228,7 +225,7 @@ def test_operator_tables_are_built_once_per_configuration():
 
 @pytest.mark.parametrize("round_index", [1, 2])
 def test_maintenance_step_batch_rows_equal_lone_steps(round_index):
-    # maintain_carriers_all runs the step with one choice per trial, while
+    # maintain_carriers runs the step with one choice per trial, while
     # survival_probability and verify run it on a lone state with one choice
     angles = symmetric_triple(2 * math.pi / 3)
     kinds = [BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS]
@@ -246,7 +243,7 @@ def test_plain_variant_rejects_policies_that_need_angles(policy):
     session = _batch_session(trials=1, extra_labels=adversary.ATTACK_EXTRA_LABELS)
     attack = adversary.AttackState(maintenance_policy=policy, rng=np.random.default_rng(1))
     with pytest.raises(ValueError, match="plain protocol has none"):
-        adversary.maintain_carriers_all(session, [attack])
+        adversary.maintain_carriers(session, [attack])
     with pytest.raises(ValueError, match="plain protocol has none"):
         survival_probability(None, policy, trials=4)
 
@@ -392,7 +389,7 @@ def test_fixed_policy_plays_one_choice_without_tossing():
     gens = [np.random.default_rng(t) for t in range(3)]
     attacks = [adversary.AttackState(MaintenancePolicy.PLAIN_HADAMARD, rng=g) for g in gens]
     before = [g.bit_generator.state for g in gens]
-    assert adversary.maintain_carriers_all(session, attacks) == ["h", "h", "h"]
+    assert adversary.maintain_carriers(session, attacks) == ["h", "h", "h"]
     assert [g.bit_generator.state for g in gens] == before
 
 
@@ -551,7 +548,7 @@ def _pre_encode_states(variant, trials):
     for r in range(1, 5):
         yield session.parity, session.states
         protocol.encode_round(session, np.arange(trials) % 2)
-        protocol.deliver_and_decode_all(session)
+        protocol.deliver_and_decode(session)
         protocol.toggle_carrier(session)
     rng = np.random.default_rng(trials)
     for parity in ("odd", "even"):

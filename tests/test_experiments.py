@@ -8,8 +8,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from qsscarrier import experiments, protocol
+from qsscarrier import experiments, gates, protocol
 from qsscarrier.adversary import MaintenancePolicy, PatternHypothesis
 from qsscarrier.experiments import (
     aggregate,
@@ -22,9 +24,15 @@ from qsscarrier.experiments import (
     symmetric_triple,
     trial_rngs,
 )
+from qsscarrier.gates import ThetaTriple
 from qsscarrier.protocol import AnnounceOrder, ProtocolConfig, Variant
 
 TRI = symmetric_triple(2 * math.pi / 3)
+# angles at least 1e-3 from the degenerate points 0 and pi
+HARDENED_ANGLE = st.one_of(
+    st.floats(min_value=1e-3, max_value=math.pi - 1e-3),
+    st.floats(min_value=math.pi + 1e-3, max_value=2 * math.pi - 1e-3),
+)
 
 
 def theta_config(**kw) -> ProtocolConfig:
@@ -178,6 +186,35 @@ def test_survival_probability_invariant():
                                    trials=2000, base_seed=0)
         assert got == pytest.approx(expect, abs=1e-12)
         assert got <= 0.5 + 1e-2
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_survival_probability_rejects_fewer_than_one_trial(trials):
+    with pytest.raises(ValueError, match="trials must be >= 1"):
+        survival_probability(TRI, MaintenancePolicy.RANDOM_GUESS, trials=trials)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    ta=HARDENED_ANGLE,
+    tb=HARDENED_ANGLE,
+    frac=st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    rounds=st.integers(min_value=1, max_value=12),
+    order=st.sampled_from(AnnounceOrder),
+    trials=st.integers(min_value=1, max_value=3),
+    instrument=st.booleans(),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_honest_runs_are_never_flagged(ta, tb, frac, rounds, order, trials, instrument, seed):
+    angles = ThetaTriple.from_ab(ta, tb)
+    assume(gates.distance_to_degenerate(angles.c) >= 1e-3)
+    config = ProtocolConfig(variant=Variant.THETA, angles=angles, num_rounds=rounds,
+                            announce_fraction=frac, announce_order=order)
+    results = run_trials(config, trials, base_seed=seed, instrument_disguise=instrument)
+    assert len(results) == trials
+    for res in results:
+        assert res.report.verdict == "clean"
+        assert res.report.rate == 0.0
 
 
 def test_build_announcements_deterministic():

@@ -10,12 +10,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsscarrier import gates, protocol, qcore
 from qsscarrier.gates import CarrierKind, ThetaTriple
 from qsscarrier.protocol import (
     AnnounceOrder,
     ProtocolConfig,
+    RoundRecord,
     Transcript,
     Variant,
     deliver_and_decode,
@@ -70,7 +73,7 @@ def test_odd_round_delivers_bit_to_both():
     for q in (0, 1):
         s = init_session(ProtocolConfig(rng_seed=q))
         encode_round(s, q)
-        bob, charlie = deliver_and_decode(s)
+        (bob,), (charlie,) = deliver_and_decode(s)
         assert bob == q and charlie == q
         assert s.records[-1].carrier_fidelity >= 1 - 1e-10
 
@@ -84,7 +87,7 @@ def test_even_round_xor_rule():
         toggle_carrier(s)
         q = seed % 2
         encode_round(s, q)
-        bob, charlie = deliver_and_decode(s)
+        (bob,), (charlie,) = deliver_and_decode(s)
         assert bob ^ charlie == q
         assert s.records[-1].carrier_fidelity >= 1 - 1e-10
 
@@ -178,6 +181,32 @@ def test_transcript_jsonl_round_trip():
     t = run_protocol(cfg)
     back = Transcript.from_jsonl(t.to_jsonl())
     assert [r.to_json_obj() for r in back.records] == [r.to_json_obj() for r in t.records]
+
+
+@st.composite
+def transcripts(draw):
+    """Well-formed transcripts: rounds 1..n, any bits, Bob's read or none."""
+    n = draw(st.integers(min_value=0, max_value=40))
+    bit = st.integers(min_value=0, max_value=1)
+    records = [
+        RoundRecord(i, parity_of(i), draw(bit), draw(st.none() | bit), draw(bit),
+                    draw(st.floats(min_value=0.0, max_value=1.0)))
+        for i in range(1, n + 1)
+    ]
+    return Transcript(num_rounds=n, records=records)
+
+
+# an attacked run's shape: round 2 has no Bob read
+@example(Transcript(3, [RoundRecord(1, "odd", 1, 1, 1, 1.0),
+                        RoundRecord(2, "even", 0, None, 1, 0.9999999999999996),
+                        RoundRecord(3, "odd", 0, 1, 0, 1.0)]))
+@settings(max_examples=50, deadline=None)
+@given(t=transcripts())
+def test_transcript_jsonl_round_trip_property(t):
+    text = t.to_jsonl()
+    back = Transcript.from_jsonl(text)
+    assert back == t
+    assert back.to_jsonl() == text
 
 
 def test_announce_order_values():
