@@ -28,16 +28,25 @@ fraction 0.2) and one whole instrumented 10-round honest trial.  The draw
 costs are taken at batch sizes 16 and 50; the pre-drawn ones only in
 checkouts whose measure_reset reads uniforms.
 
+The Bob-stream section times Bob's private draws for one 100-round
+random-guess trial at batch size 16, per trial and per trial-round: drawn
+lazily, one scalar call per trial and draw as the rounds ask for them, and
+drawn ahead as the raw PCG64 words of the whole schedule, decoded into the
+ledger's columns (adversary.AttackState.draw, in checkouts that have it).
+
 Kernel calls are counted on one plain-split lockstep round of 16 trials (the
 mean over 20 rounds after the split): every call the round phases make into
 a qcore function that takes a state, plus StateBatch.check_norm, counting
-only the outermost call when one kernel calls another; StateBatch builds
-are counted alongside.
+only the outermost call when one kernel calls another.  StateBatch builds
+are counted alongside: those that check their labels, and the kernel results
+wrapped over the labels of their input (StateBatch.with_rows).
 
 The round phases are driven through their batch functions, which take a
-session and one attack ledger per trial.  They go by their step names
-(deliver_and_decode, execute_split, ...); checkouts that kept one-trial
-wrappers under those names call the batch functions *_all.
+session and Bob's attack ledger (one ledger of every trial, or in older
+checkouts one ledger per trial, which this script passes along unopened).
+They go by their step names (deliver_and_decode, execute_split, ...);
+checkouts that kept one-trial wrappers under those names call the batch
+functions *_all.
 
 --src may point at the src/ directory of any checkout: a checkout whose
 engine runs one trial at a time is timed on lone states, batch size 1 only
@@ -292,15 +301,23 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
     originals = {name: getattr(qcore, name) for name in KERNELS if hasattr(qcore, name)}
     batch_cls = qcore.StateBatch
     check_norm, post_init = batch_cls.check_norm, batch_cls.__post_init__
+    with_rows = getattr(batch_cls, "with_rows", None)
+    counts["rewraps"] = 0
 
     def counted_post_init(state):
         counts["builds"] += 1
         post_init(state)
 
+    def counted_with_rows(state, rows):
+        counts["rewraps"] += 1
+        return with_rows(state, rows)
+
     for name, fn in originals.items():
         setattr(qcore, name, counted(name, fn))
     batch_cls.check_norm = counted("check_norm", check_norm)
     batch_cls.__post_init__ = counted_post_init
+    if with_rows is not None:
+        batch_cls.with_rows = counted_with_rows
     try:
         for r in range(rounds):
             proto.encode_round(session, np.full(batch, r % 2))
@@ -310,13 +327,51 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
         for name, fn in originals.items():
             setattr(qcore, name, fn)
         batch_cls.check_norm, batch_cls.__post_init__ = check_norm, post_init
-    builds = counts.pop("builds")
+        if with_rows is not None:
+            batch_cls.with_rows = with_rows
+    builds, rewraps = counts.pop("builds"), counts.pop("rewraps")
     return {
         "batch": batch,
         "kernel_calls_per_round": round(sum(counts.values()) / rounds, 2),
         "by_kernel": {name: n / rounds for name, n in sorted(counts.items())},
         "state_batch_builds_per_round": round(builds / rounds, 2),
+        "state_batch_with_rows_per_round": round(rewraps / rounds, 2),
     }
+
+
+def bob_stream_costs(qss, repeats: int, batch: int = 16) -> dict:
+    """Bob's draws for one ROUNDS-round random-guess trial, lazy against
+    drawn ahead (see the module docstring), per trial and per trial-round."""
+    from qsscarrier.adversary import MaintenancePolicy
+
+    # the streams are built once, outside the timings; each timed call draws on
+    gens = [np.random.default_rng(10_000 + t) for t in range(batch)]
+    streams = [np.random.PCG64(10_000 + t) for t in range(batch)]
+
+    def lazy():
+        [g.random() for g in gens]  # the coin of the toggle ending round 2
+        for r in range(3, ROUNDS + 1):
+            [g.random() for g in gens]  # his two measurements
+            [g.random() for g in gens]
+            if r % 2 == 0:
+                [int(g.integers(0, 2)) for g in gens]  # his claim
+            else:
+                [g.random() for g in gens]  # the coin of a forward toggle
+
+    kinds = {"lazy": lazy}
+    attack_state = qss.adversary.AttackState
+    if hasattr(attack_state, "draw"):
+
+        def pre_drawn():
+            attack_state.draw(MaintenancePolicy.RANDOM_GUESS, ROUNDS, streams)
+
+        kinds["pre_drawn"] = pre_drawn
+    out = {}
+    for name, fn in kinds.items():
+        seconds = timed(fn, repeats)
+        out[name] = cost(seconds, 1, batch)
+        out[name]["us_per_trial_round"] = round(seconds / (batch * ROUNDS) * 1e6, 4)
+    return {"batch": batch, "rounds": ROUNDS, **out}
 
 
 def measure_costs(qss, repeats: int) -> dict:
@@ -401,6 +456,7 @@ def main(argv=None) -> int:
     if hasattr(qsscarrier.qcore, "measure_reset"):
         doc["costs"]["kernel"] = kernel_costs(qsscarrier, args.repeats)
         doc["costs"]["trial_setup"] = trial_costs(qsscarrier, args.repeats)
+        doc["costs"]["bob_stream"] = bob_stream_costs(qsscarrier, args.repeats)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -11,9 +11,9 @@ From round 3 on Bob plays man-in-the-middle: he decodes Alice's bit through
 the (a, bt) pair and re-encodes a counterfeit for Charlie through (b, c).
 Reads that go through a Psi-family pair come out complemented, and under the
 end-of-round toggles the q2 = 1 branch alternates between the PsiPlus and
-PhiMinus forms (the q2 = 0 branch stays PhiPlus), so Bob's records carry a
-per-round family tag: the complement applies exactly to the tagged rounds
-once the pattern hypothesis is resolved from a public announcement.
+PhiMinus forms (the q2 = 0 branch stays PhiPlus), so Bob's reads of the
+even rounds are tagged: the complement applies exactly to them once the
+pattern hypothesis is resolved from a public announcement.
 
 Maintenance choices Bob can play at each toggle: the plain Hadamard pair, the
 conjugate pair h(-ta) (x) h(-tc), or the transpose pair h(ta)^T (x) h(tc)^T
@@ -26,7 +26,7 @@ import enum
 import functools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -82,33 +82,264 @@ class RawRecord:
     psi_tagged: bool  # pair was Psi-family at read time under the q2=1 branch: even rounds
 
 
+# pattern hypotheses by code; a resolved code is the round-2 bit it names
+HYPOTHESES = (PatternHypothesis.PHI, PatternHypothesis.PSI, PatternHypothesis.UNKNOWN)
+UNRESOLVED = HYPOTHESES.index(PatternHypothesis.UNKNOWN)
+
+
 @dataclass
 class AttackState:
+    """Bob's ledger for trials played in lockstep, one row per trial.
+
+    Round columns run over rounds 1..num_rounds, column r - 1 for round r:
+    raw_bits holds what Bob read (NO_READ where he read nothing), claims the
+    share he will announce.  Reads of even rounds went through a Psi-family
+    pair in the q2 = 1 branch, so they are the tagged ones: their complement
+    applies once the pattern hypothesis is resolved.  hypotheses holds each
+    trial's code into HYPOTHESES and round2_bits the round-2 bit heard at
+    announcement (NO_READ until then).
+
+    Bob's private stream comes drawn ahead and decoded (see draw): two
+    measurement uniforms per decode-and-forward round (read_draws), the u/v
+    coin uniforms of a guessing policy (coin_draws) and his even-round claim
+    bits, the last of them kept for an alice-first round-2 claim
+    (claim_draws).  A ledger of one trial also offers records, learned_bit,
+    pattern_hypothesis and round2_bit; row(t) is trial t's ledger of one,
+    whose columns are views of this one's.
+    """
+
     maintenance_policy: MaintenancePolicy
-    rng: np.random.Generator
-    pattern_hypothesis: PatternHypothesis = PatternHypothesis.UNKNOWN
-    current_guess: str | None = None
-    records: dict[int, RawRecord] = field(default_factory=dict)
-    round2_bit: int | None = None
+    read_draws: np.ndarray
+    coin_draws: np.ndarray
+    claim_draws: np.ndarray
+    raw_bits: np.ndarray
+    claims: np.ndarray
+    hypotheses: np.ndarray
+    round2_bits: np.ndarray
     # experiment-side truth for instrumentation; Bob's logic never reads it
-    q2_truth: int | None = None
+    q2_truth: np.ndarray
+
+    @classmethod
+    def draw(
+        cls,
+        policy: MaintenancePolicy,
+        num_rounds: int,
+        streams: Sequence[np.random.Generator | np.random.PCG64],
+        q2_truth: np.ndarray | None = None,
+    ) -> "AttackState":
+        """A fresh ledger for num_rounds rounds whose trial t draws Bob's
+        whole stream from streams[t], a PCG64 or a Generator over one."""
+        if num_rounds < 2:
+            raise ValueError("the split happens in round 2; need at least 2 rounds")
+        _check_decoding_once()
+        steps = _bob_schedule(num_rounds, POLICY_CHOICE[policy] is None)
+        words = np.empty((len(streams), word_count(steps.kinds)), dtype=np.uint64)
+        for row, stream in zip(words, streams):
+            bitgen = stream.bit_generator if isinstance(stream, np.random.Generator) else stream
+            if not isinstance(bitgen, np.random.PCG64):
+                raise TypeError(f"Bob's streams must be PCG64, got {type(bitgen).__name__}")
+            if bitgen.state["has_uint32"]:
+                # a lazy integers(0, 2) would read that half first; decoding starts on a fresh word
+                raise ValueError("Bob's stream holds a half-word an earlier draw buffered; pass a fresh one")
+            row[:] = bitgen.random_raw(words.shape[1])
+        values = decode_stream(words, steps.kinds)
+        trials = len(streams)
+        unset = np.full(trials, protocol.NO_READ, dtype=np.int64)
+        return cls(
+            maintenance_policy=policy,
+            read_draws=values[:, steps.reads],
+            coin_draws=values[:, steps.coins],
+            claim_draws=values[:, steps.claims].astype(np.int64),
+            raw_bits=np.full((trials, num_rounds), protocol.NO_READ, dtype=np.int64),
+            claims=np.full((trials, num_rounds), protocol.NO_READ, dtype=np.int64),
+            hypotheses=np.full(trials, UNRESOLVED, dtype=np.int64),
+            round2_bits=unset.copy(),
+            q2_truth=unset if q2_truth is None else q2_truth.copy(),
+        )
+
+    @property
+    def trials(self) -> int:
+        return self.raw_bits.shape[0]
+
+    def row(self, trial: int) -> "AttackState":
+        """Trial t's ledger of one: its columns are views of this ledger's."""
+        one = slice(trial, trial + 1)
+        # every field after the policy is a column with one row per trial
+        columns = (getattr(self, f.name)[one] for f in fields(self)[1:])
+        return AttackState(self.maintenance_policy, *columns)
+
+    def learned_bits(self) -> np.ndarray:
+        """Per trial and round, Bob's best current value for Alice's bit;
+        NO_READ where he has none.
+
+        Tagged reads are complemented where the hypothesis resolved to Psi.
+        Round 2's bit is the one heard at announcement, else the resolved
+        hypothesis itself: the split bit is the pattern.
+        """
+        resolved = self.hypotheses != UNRESOLVED
+        learned = self.raw_bits.copy()
+        tagged = learned[:, 1::2]  # even rounds
+        psi = np.where(resolved, self.hypotheses, 0)[:, np.newaxis]
+        learned[:, 1::2] = np.where(tagged == protocol.NO_READ, protocol.NO_READ, tagged ^ psi)
+        named = np.where(resolved, self.hypotheses, protocol.NO_READ)
+        learned[:, 1] = np.where(self.round2_bits != protocol.NO_READ, self.round2_bits, named)
+        return learned
+
+    # one-trial views ---------------------------------------------------------
+
+    def require_single(self) -> None:
+        if self.trials != 1:
+            raise ValueError(f"this view reads one trial; the ledger holds {self.trials}")
 
     def learned_bit(self, round_index: int) -> int | None:
         """Bob's best current value for Alice's bit in the given round."""
-        if round_index == 2:
-            # the split bit IS the pattern: either heard directly or read off
-            # the resolved hypothesis
-            if self.round2_bit is not None:
-                return self.round2_bit
-            if self.pattern_hypothesis is PatternHypothesis.UNKNOWN:
-                return None
-            return int(self.pattern_hypothesis is PatternHypothesis.PSI)
-        rec = self.records.get(round_index)
-        if rec is None:
+        self.require_single()
+        if not 1 <= round_index <= self.raw_bits.shape[1]:
             return None
-        if not rec.psi_tagged or self.pattern_hypothesis is PatternHypothesis.UNKNOWN:
-            return rec.raw
-        return rec.raw ^ (self.pattern_hypothesis is PatternHypothesis.PSI)
+        bit = int(self.learned_bits()[0, round_index - 1])
+        return None if bit == protocol.NO_READ else bit
+
+    @property
+    def records(self) -> dict[int, RawRecord]:
+        self.require_single()
+        raws, claims = self.raw_bits[0].tolist(), self.claims[0].tolist()
+        return {
+            r: RawRecord(r, protocol.parity_of(r), raw, claim, psi_tagged=r % 2 == 0)
+            for r, raw, claim in zip(range(1, len(raws) + 1), raws, claims)
+            if raw != protocol.NO_READ
+        }
+
+    @property
+    def pattern_hypothesis(self) -> PatternHypothesis:
+        self.require_single()
+        return HYPOTHESES[int(self.hypotheses[0])]
+
+    @pattern_hypothesis.setter
+    def pattern_hypothesis(self, value: PatternHypothesis) -> None:
+        self.require_single()
+        self.hypotheses[0] = HYPOTHESES.index(value)
+
+    @property
+    def round2_bit(self) -> int | None:
+        self.require_single()
+        bit = int(self.round2_bits[0])
+        return None if bit == protocol.NO_READ else bit
+
+
+# ---------------------------------------------------------------------------
+# Bob's stream, drawn ahead
+#
+# A Generator's random() is one 64-bit word w of its PCG64, as (w >> 11) *
+# 2**-53.  Its integers(0, 2) is bit 31 of a 32-bit half-word: the low half
+# of a fresh word, whose high half stays buffered and serves the next
+# integers call; random() does not touch that buffer.  So a schedule of
+# draws fixes which word and bit each draw reads, and a trial's whole stream
+# is one random_raw call.  This follows numpy's C code, not a documented
+# API, so the decoding is checked against lazy draws once per process.
+
+
+def word_count(kinds: str) -> int:
+    """Words of a schedule of random() ("d") and integers(0, 2) ("i") draws."""
+    return kinds.count("d") + (kinds.count("i") + 1) // 2
+
+
+@functools.lru_cache(maxsize=64)
+def _word_layout(kinds: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per draw of a schedule: the word it reads, the shift that brings its
+    bits down, and the mask that keeps them."""
+    word, shift, fresh, buffered = [], [], 0, None
+    for kind in kinds:
+        if kind == "d":
+            word.append(fresh)
+            shift.append(11)
+            fresh += 1
+        elif kind != "i":
+            raise ValueError(f"unknown draw kind {kind!r}")
+        elif buffered is None:
+            word.append(fresh)
+            shift.append(31)
+            buffered, fresh = fresh, fresh + 1
+        else:
+            word.append(buffered)
+            shift.append(63)
+            buffered = None
+    layout = (
+        np.array(word, dtype=np.intp),
+        np.array(shift, dtype=np.uint64),
+        np.array([2**53 - 1 if kind == "d" else 1 for kind in kinds], dtype=np.uint64),
+    )
+    for part in layout:
+        part.setflags(write=False)
+    return layout
+
+
+def decode_stream(words: np.ndarray, kinds: str) -> np.ndarray:
+    """The values a schedule of lazy draws takes, one row of raw PCG64 words
+    per trial: random() as its double, integers(0, 2) as 0.0 or 1.0."""
+    word, shift, mask = _word_layout(kinds)
+    picked = (words[:, word] >> shift) & mask
+    return picked * np.where(mask == 1, 1.0, 2.0**-53)
+
+
+# a schedule whose decoding covers every case: a low half, doubles between
+# it and its high half, two halves in a row, and a high half left buffered;
+# under this seed the two halves of each word differ in bit 31, so reading
+# them in the wrong order or at the wrong bit changes a value
+_GUARD_KINDS = "iddiiidddid"
+_GUARD_SEED = 2014
+
+
+def check_stream_decoding(decode=decode_stream) -> None:
+    """Raise unless decode gives the values lazy draws from a fresh
+    Generator take, on a schedule covering every way a draw reads a word."""
+    lazy = np.random.Generator(np.random.PCG64(_GUARD_SEED))
+    expected = [lazy.random() if kind == "d" else float(lazy.integers(0, 2)) for kind in _GUARD_KINDS]
+    words = np.random.PCG64(_GUARD_SEED).random_raw(word_count(_GUARD_KINDS))
+    got = decode(words[np.newaxis], _GUARD_KINDS)[0].tolist()
+    if got != expected:
+        raise RuntimeError(
+            f"numpy {np.__version__} draws Bob's stream differently from its raw PCG64 words;"
+            " the pre-drawn stream would not reproduce the lazy draws"
+        )
+
+
+@functools.cache
+def _check_decoding_once() -> None:
+    check_stream_decoding()
+
+
+@dataclass(frozen=True)
+class _BobSchedule:
+    """Bob's draws in the order a run takes them, as draw kinds, with the
+    positions of each purpose's draws."""
+
+    kinds: str
+    reads: np.ndarray
+    coins: np.ndarray
+    claims: np.ndarray
+
+
+@functools.lru_cache(maxsize=64)
+def _bob_schedule(num_rounds: int, tosses: bool) -> _BobSchedule:
+    """Bob's draws in an attacked run of num_rounds rounds.
+
+    A guessing policy (tosses) draws a coin for the inverse toggle ending
+    round 2 and one for each forward toggle, reused by the inverse toggle
+    after it.  Every round from 3 on draws his two measurements; an even one
+    then draws his claim.  Last comes the claim an alice-first Bob makes for
+    round 2, which is read only if round 2 is announced.
+    """
+    steps = "c" if tosses else ""
+    for r in range(3, num_rounds + 1):
+        steps += "rr" + ("b" if r % 2 == 0 else "c" if tosses else "")
+    steps += "b"
+    at = np.frombuffer(steps.encode(), dtype="S1")
+    return _BobSchedule(
+        kinds=steps.replace("r", "d").replace("c", "d").replace("b", "i"),
+        reads=np.flatnonzero(at == b"r"),
+        coins=np.flatnonzero(at == b"c"),
+        claims=np.flatnonzero(at == b"b"),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -220,30 +451,28 @@ def execute_split(
     session: ProtocolSession,
     su: SplitUnitary,
     policy: MaintenancePolicy,
-    rngs: Sequence[np.random.Generator],
-) -> list[AttackState]:
+    streams: Sequence[np.random.Generator | np.random.PCG64],
+) -> AttackState:
     """Apply the splitting operator during round 2 in every trial and keep m1 as bt.
 
     Requires the round-2 message to be encoded but not yet delivered, and an
     idle bt slot in every trial.  The label swap m1 <-> bt is bookkeeping
     only; afterwards bt holds the Bell half paired with a, m1 is a fresh |0>,
-    and m2 holds the blank counterfeit.  rngs are Bob's generators, one per
-    trial; returns one attack ledger per trial.
+    and m2 holds the blank counterfeit.  streams are Bob's, one per trial (a
+    PCG64 or a Generator over one); his whole stream for the session's rounds
+    is drawn from them here.  Returns the attack ledger of every trial.
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("split must run on the encoded, undelivered round-2 state")
     if KEPT_LABEL not in session.states.labels:
         raise ValueError(f"register has no {KEPT_LABEL!r} slot for the kept qubit")
-    if len(rngs) != session.trials:
-        raise ValueError(f"{len(rngs)} attacker generators for {session.trials} trials")
+    if len(streams) != session.trials:
+        raise ValueError(f"{len(streams)} attacker generators for {session.trials} trials")
     occupied = qcore.probability_of_one(session.states, KEPT_LABEL) > 1e-12
     qcore.check_trials(occupied, f"{KEPT_LABEL!r} slot is occupied")
     st = qcore.apply_unitary(session.states, su.matrix, ["b", "m1", "m2"])
     session.states = st.relabeled({"m1": KEPT_LABEL, KEPT_LABEL: "m1"})
-    return [
-        AttackState(maintenance_policy=policy, rng=rng, q2_truth=q)
-        for rng, q in zip(rngs, session.pending_q.tolist())
-    ]
+    return AttackState.draw(policy, session.config.num_rounds, streams, q2_truth=session.pending_q)
 
 
 def pattern_pair_state(
@@ -279,34 +508,31 @@ def _pattern_table(labels: tuple[str, ...]) -> np.ndarray:
     return gates.read_only(np.stack(rows))
 
 
-def fraud_pattern_fidelity(session: ProtocolSession, attacks: Sequence[AttackState]) -> np.ndarray:
+def fraud_pattern_fidelity(session: ProtocolSession, attack: AttackState) -> np.ndarray:
     """Per trial, the fidelity with the intact-orbit pattern the pairs should
     be in right now (truth-side instrumentation): PhiPlus pairs for q2 = 0,
     and for q2 = 1 PsiPlus pairs in even rounds, PhiMinus in odd ones."""
     table = _pattern_table(session.states.labels)
     q2_row = 1 if session.parity == "even" else 2
-    which = [0 if a.q2_truth == 0 else q2_row for a in attacks]
-    expected = qcore.StateBatch(session.states.labels, table[which])
-    return qcore.fidelity(session.states, expected)
+    which = np.where(attack.q2_truth == 0, 0, q2_row)
+    return qcore.fidelity(session.states, session.states.with_rows(table[which]))
 
 
-def forward_round2_counterfeit(
-    session: ProtocolSession, attacks: Sequence[AttackState]
-) -> np.ndarray:
+def forward_round2_counterfeit(session: ProtocolSession, attack: AttackState) -> np.ndarray:
     """Send the blank on to Charlie and let him decode round 2 honestly, every trial.
 
     Bob rotates the blank to |+> first: Charlie's decode CNOT is inert on an
     X eigenstate, so his measurement is uniform noise and the (b, c) pair
     survives.  Forwarding the raw |0> would let that CNOT copy c and collapse
-    the pair.  Appends the round-2 records (Bob has no bit of his own here)
-    and returns Charlie's reads.
+    the pair.  Closes round 2 (Bob has no bit of his own here) and returns
+    Charlie's reads.
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("round-2 counterfeit must follow the split in round 2")
     st = qcore.apply_one_qubit_gates(session.states, (("m2", gates.H),))
     st = qcore.permute(st, (("c", "m2", None),))
     (bits,), session.states = qcore.measure_reset(st, ("m2",), session.measurement_draws(1))
-    protocol.append_records(session, None, bits, fraud_pattern_fidelity(session, attacks))
+    protocol.close_round(session, None, bits, fraud_pattern_fidelity(session, attack))
     return bits
 
 
@@ -359,6 +585,12 @@ def choice_operators(
     return tuple(gates.read_only(m if forward else m.conj().T) for m in pair)
 
 
+@functools.lru_cache(maxsize=128)
+def _choice_stack(angles: gates.ThetaTriple | None, choices: tuple[str, ...], forward: bool) -> np.ndarray:
+    """The choices' (bt, b) operators stacked, one (2, 2, 2, 2) slice per choice."""
+    return gates.read_only(np.stack([choice_operators(angles, choice, forward) for choice in choices]))
+
+
 def maintenance_step(
     state: qcore.State,
     angles: gates.ThetaTriple | None,
@@ -377,55 +609,46 @@ def maintenance_step(
     if isinstance(choices, str):
         on_bt, on_b = choice_operators(angles, choices, forward)
     else:
-        distinct = sorted(set(choices))
-        table = np.stack([choice_operators(angles, choice, forward) for choice in distinct])
-        picked = table[[distinct.index(choice) for choice in choices]]
+        names = np.asarray(choices)
+        distinct = tuple(sorted(set(names.tolist())))
+        picks = np.zeros(names.shape, dtype=np.intp)
+        for i, choice in enumerate(distinct[1:], start=1):
+            picks[names == choice] = i
+        picked = _choice_stack(angles, distinct, forward)[picks]
         on_bt, on_b = picked[:, 0], picked[:, 1]
     ops = (("a", on_a), ("c", on_c), (KEPT_LABEL, on_bt), ("b", on_b))
     return qcore.apply_one_qubit_gates(state, ops)
 
 
-def _choose(variant: Variant, attack: AttackState, forward: bool) -> str:
-    """Bob's maintenance choice for this toggle direction."""
-    policy = attack.maintenance_policy
-    choice = POLICY_CHOICE[policy]
-    if variant is Variant.PLAIN and choice != "h":
-        raise ValueError(f"policy {policy.value!r} needs toggle angles; plain protocol has none")
-    if choice is None:
-        # one fair coin per toggle-direction pair: drawn at each forward
-        # toggle, reused for the inverse one that follows; the lone inverse
-        # toggle ending round 2 draws its own
-        if forward or attack.current_guess is None:
-            attack.current_guess = toss_choice(attack.rng)
-        return attack.current_guess
-    return choice
-
-
-def maintain_carriers(session: ProtocolSession, attacks: Sequence[AttackState]) -> list[str]:
+def maintain_carriers(session: ProtocolSession, attack: AttackState) -> list[str]:
     """End-of-round toggle for attacked sessions, every trial.
 
     Alice and Charlie toggle a and c honestly; Bob applies his maintenance
     choice on (bt, b) instead of the honest toggle on b, one choice per trial.
-    Checks every state's norm and advances the round.  Returns the choices
-    played ("h", "u" or "v"), one per trial.
+    A guessing policy plays one fair u/v coin per toggle-direction pair: the
+    coin drawn for a forward toggle serves the inverse one after it, and the
+    lone inverse toggle ending round 2 has its own.  Checks every state's
+    norm and advances the round.  Returns the choices played ("h", "u" or
+    "v"), one per trial.
     """
     if session.pending_q is not None:
         raise ValueError("cannot toggle with a message still in flight")
-    forward = session.parity == "odd"
-    policies = {attack.maintenance_policy for attack in attacks}
-    if len(policies) == 1 and POLICY_CHOICE[next(iter(policies))] is not None:
-        # a fixed policy plays one choice in every trial: checked once, no per-trial stacks
-        choices = _choose(session.config.variant, attacks[0], forward)
+    policy = attack.maintenance_policy
+    choice = POLICY_CHOICE[policy]
+    if session.config.variant is Variant.PLAIN and choice != "h":
+        raise ValueError(f"policy {policy.value!r} needs toggle angles; plain protocol has none")
+    if choice is None:
+        # toss_choice's rule: "u" below one half
+        coins = attack.coin_draws[:, (session.round_index - 1) // 2]
+        choices = np.where(coins < 0.5, "u", "v")
     else:
-        choices = [_choose(session.config.variant, attack, forward) for attack in attacks]
+        choices = choice
     toggled = maintenance_step(session.states, session.config.angles, choices, session.round_index)
     protocol.end_round(session, toggled)
-    return [choices] * len(attacks) if isinstance(choices, str) else choices
+    return [choices] * session.trials if isinstance(choices, str) else choices.tolist()
 
 
-def attack_decode_and_forward(
-    session: ProtocolSession, attacks: Sequence[AttackState]
-) -> np.ndarray:
+def attack_decode_and_forward(session: ProtocolSession, attack: AttackState) -> np.ndarray:
     """One man-in-the-middle delivery for a round after the split, every trial.
 
     Bob disentangles the intercepted message with bt, reads his raw bit, then
@@ -438,51 +661,38 @@ def attack_decode_and_forward(
         raise ValueError("no message in flight; Alice must encode first")
     if session.round_index <= 2:
         raise ValueError("decode-and-forward applies to rounds after the split")
+    r = session.round_index
     odd = session.parity == "odd"
-    bob_rngs = [attack.rng for attack in attacks]
     st = qcore.permute(session.states, BOB_DECODE_STEPS[odd])
-    (r1, r2), st = qcore.measure_reset(st, protocol.MESSAGE_LABELS, bob_rngs)
+    first = 2 * (r - 3)  # his two measurement uniforms of round r
+    (r1, r2), st = qcore.measure_reset(st, protocol.MESSAGE_LABELS, attack.read_draws[:, first : first + 2])
     if odd:
         raw = r1
         forward_bits = claims = raw
     else:
         raw = r1 ^ r2
-        claims = np.array([int(attack.rng.integers(0, 2)) for attack in attacks])
+        claims = attack.claim_draws[:, (r - 4) // 2]
         forward_bits = raw ^ claims
     st = qcore.permute(st, COUNTERFEIT_STEPS, (forward_bits,))
     (charlie,), session.states = qcore.measure_reset(st, ("m2",), session.measurement_draws(1))
-
-    round_index, parity = session.round_index, session.parity
-    for attack, raw_bit, claim in zip(attacks, raw.tolist(), claims.tolist()):
-        attack.records[round_index] = RawRecord(
-            round_index=round_index,
-            parity=parity,
-            raw=raw_bit,
-            claim=claim,
-            psi_tagged=parity == "even",
-        )
-    protocol.append_records(session, claims, charlie, fraud_pattern_fidelity(session, attacks))
+    record_reads(attack, r, raw, claims)
+    protocol.close_round(session, claims, charlie, fraud_pattern_fidelity(session, attack))
     return charlie
 
 
-def record_honest_round(attack: AttackState, round_index: int, parity: str, bob_bit: int) -> None:
-    """Pre-split rounds Bob played honestly still go into his ledger."""
-    attack.records[round_index] = RawRecord(
-        round_index=round_index,
-        parity=parity,
-        raw=bob_bit,
-        claim=bob_bit,
-        psi_tagged=False,
-    )
+def record_reads(attack: AttackState, round_index: int, raw, claims) -> None:
+    """Bob's read and the share he will claim for one round, every trial;
+    the rounds before the split, played honestly, claim what he read."""
+    attack.raw_bits[:, round_index - 1] = raw
+    attack.claims[:, round_index - 1] = claims
 
 
 def resolve_from_round2(attack: AttackState, alice_bit: int) -> PatternHypothesis:
-    """Hearing q2 itself names the pattern outright."""
-    if attack.pattern_hypothesis is PatternHypothesis.UNKNOWN:
-        attack.pattern_hypothesis = (
-            PatternHypothesis.PHI if alice_bit == 0 else PatternHypothesis.PSI
-        )
-    attack.round2_bit = alice_bit
+    """Hearing q2 itself names the pattern outright (one trial's ledger)."""
+    attack.require_single()
+    if attack.hypotheses[0] == UNRESOLVED:
+        attack.hypotheses[0] = alice_bit
+    attack.round2_bits[0] = alice_bit
     return attack.pattern_hypothesis
 
 
@@ -493,14 +703,14 @@ def resolve_pattern(attack: AttackState, announcement: tuple[int, int]) -> Patte
     tagged raw equal to the announcement means the Phi branch, a complemented
     one the Psi branch.  Untagged rounds (odd rounds in protocol runs, where
     both branches show a Phi-family pair) are consistency checks only.  Once
-    resolved the hypothesis never reverts.
+    resolved the hypothesis never reverts.  Reads one trial's ledger.
     """
+    attack.require_single()
     round_index, alice_bit = announcement
-    rec = attack.records.get(round_index)
-    if rec is None:
+    recorded = 1 <= round_index <= attack.raw_bits.shape[1]
+    raw = attack.raw_bits[0, round_index - 1] if recorded else protocol.NO_READ
+    if raw == protocol.NO_READ:
         raise KeyError(f"no recorded bit for announced round {round_index}")
-    if rec.psi_tagged and attack.pattern_hypothesis is PatternHypothesis.UNKNOWN:
-        attack.pattern_hypothesis = (
-            PatternHypothesis.PHI if rec.raw == alice_bit else PatternHypothesis.PSI
-        )
+    if round_index % 2 == 0 and attack.hypotheses[0] == UNRESOLVED:
+        attack.hypotheses[0] = raw ^ alice_bit  # the Psi branch complements the read
     return attack.pattern_hypothesis

@@ -13,14 +13,18 @@ never read there.
 The runners draw each trial's protocol stream ahead of the rounds: the bits,
 then one random(K) for the K measurement uniforms the rounds read in order
 (2 per round honest, R + 1 in an R-round attacked run), which gives the
-values K lazy random() calls would.  Bob's stream stays lazy and scalar: it
-interleaves random() with integers(0, 2), which reads the bit generator's
-buffered 32-bit half-words, so drawing ahead would change its values.
+values K lazy random() calls would.  Bob's stream is drawn ahead too, as
+the raw words of his PCG64 (adversary.AttackState.draw): it interleaves
+random() with integers(0, 2), which reads buffered 32-bit half-words, so
+its words are decoded draw by draw as the lazy calls would read them.
+Every round value lands in (trials, rounds) columns; the records of a
+transcript are built from them once, when the rounds are over.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,9 +41,11 @@ SeedLike = int | np.random.SeedSequence
 # a trial's (entropy, spawn_key, pool_size): its SeedSequence without the hashing
 TrialKey = tuple
 
-# stream indices: 0 protocol, 1 Bob, 2 announcements; an honest Bob draws nothing
+# stream indices: 0 protocol, 1 Bob, 2 announcements; an honest Bob draws nothing,
+# and an attacking one draws raw words from his stream's bit generator alone
 ALL_STREAMS = (0, 1, 2)
 HONEST_STREAMS = (0, 2)
+BOB_STREAM = 1
 
 # basis index i of the (m1, m2) marginal for the flipped bit reads index f[i] of the sent one
 FLIPPED_MESSAGE_INDEX = {"odd": (3, 2, 1, 0), "even": (2, 3, 0, 1)}
@@ -105,15 +111,14 @@ def trial_rngs(
     """The generators of the given streams of one trial, by default
     (protocol, Bob, announcement): what the children of a fresh
     SeedSequence(seed).spawn(3) would seed, order-independent across trials."""
-    entropy, spawn_key, pool_size = seed if isinstance(seed, tuple) else trial_key(seed)
-    return tuple(
-        np.random.Generator(
-            np.random.PCG64(
-                np.random.SeedSequence(entropy, spawn_key=spawn_key + (i,), pool_size=pool_size)
-            )
-        )
-        for i in streams
-    )
+    key = seed if isinstance(seed, tuple) else trial_key(seed)
+    return tuple(np.random.Generator(_bit_generator(key, i)) for i in streams)
+
+
+def _bit_generator(key: TrialKey, stream: int) -> np.random.PCG64:
+    entropy, spawn_key, pool_size = key
+    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key + (stream,), pool_size=pool_size)
+    return np.random.PCG64(seq)
 
 
 def draw_protocol_stream(
@@ -139,8 +144,8 @@ def build_announcements(
     """Open a random subset of rounds and collect the three parties' claims.
 
     Honest claims come straight off the transcript.  A cheating Bob answers
-    from his attack ledger, resolving his pattern hypothesis as Alice's bits
-    come out.  His round-2 claim is pure fabrication: announcing last he can
+    from his attack ledger, one trial's, resolving his pattern hypothesis as
+    Alice's bits come out.  His round-2 claim is pure fabrication: announcing last he can
     name alice XOR charlie and always pass; announcing before Charlie he can
     only guess the blank read, which fails half the time.
     """
@@ -157,10 +162,10 @@ def build_announcements(
             if order is AnnounceOrder.BOB_LAST:
                 bob = alice ^ charlie
             else:
-                bob = alice ^ int(attack.rng.integers(0, 2))
+                bob = alice ^ int(attack.claim_draws[0, -1])
         else:
             adversary.resolve_pattern(attack, (r, alice))
-            bob = attack.records[r].claim
+            bob = int(attack.claims[0, r - 1])
         if bob is None:
             raise ValueError(f"round {r} has no Bob read to announce; pass the attack ledger")
         anns.append(Announcement(r, alice, bob, charlie))
@@ -206,8 +211,9 @@ def _honest_trials(
     session.require_uniforms_spent()
 
     results = []
-    for t, (_, rng_ann) in enumerate(streams):
-        transcript = Transcript(num_rounds=config.num_rounds, records=session.trial_records[t])
+    min_fids = session.fidelities.min(axis=1).tolist()
+    dists = max_dist.tolist() if instrument_disguise else [None] * len(keys)
+    for transcript, (_, rng_ann), min_fid, dist in zip(session.transcripts(), streams, min_fids, dists):
         anns = build_announcements(transcript, config.announce_fraction, rng_ann)
         odd_n, even_n = _parity_split(anns)
         results.append(
@@ -218,8 +224,8 @@ def _honest_trials(
                 announced_odd=odd_n,
                 announced_even=even_n,
                 attacked=False,
-                min_restore_fidelity=min(rec.carrier_fidelity for rec in transcript.records),
-                max_disguise_distance=float(max_dist[t]) if instrument_disguise else None,
+                min_restore_fidelity=min_fid,
+                max_disguise_distance=dist,
             )
         )
     return results
@@ -238,8 +244,8 @@ def _attack_trials(
     recovery."""
     if config.num_rounds < 2:
         raise ValueError("the split happens in round 2; need at least 2 rounds")
-    streams = [trial_rngs(key) for key in keys]
-    rngs_p = [rng_p for rng_p, _, _ in streams]
+    streams = [trial_rngs(key, HONEST_STREAMS) for key in keys]
+    rngs_p = [rng_p for rng_p, _ in streams]
     # two reads in round 1, then Charlie's one read per round
     bits, uniforms = draw_protocol_stream(rngs_p, config.num_rounds, config.num_rounds + 1)
     session = protocol.init_session(
@@ -250,26 +256,34 @@ def _attack_trials(
     honest_round1, _ = protocol.deliver_and_decode(session)
     protocol.toggle_carrier(session)
     protocol.encode_round(session, bits[:, 1])
-    attacks = adversary.execute_split(session, su, policy, [rng_bob for _, rng_bob, _ in streams])
-    for attack, bob_bit in zip(attacks, honest_round1.tolist()):
-        adversary.record_honest_round(attack, 1, "odd", bob_bit)
-    adversary.forward_round2_counterfeit(session, attacks)
-    adversary.maintain_carriers(session, attacks)
+    bob_streams = [_bit_generator(key, BOB_STREAM) for key in keys]
+    attack = adversary.execute_split(session, su, policy, bob_streams)
+    adversary.record_reads(attack, 1, honest_round1, honest_round1)
+    adversary.forward_round2_counterfeit(session, attack)
+    adversary.maintain_carriers(session, attack)
     for r in range(2, config.num_rounds):
         protocol.encode_round(session, bits[:, r])
-        adversary.attack_decode_and_forward(session, attacks)
-        adversary.maintain_carriers(session, attacks)
+        adversary.attack_decode_and_forward(session, attack)
+        adversary.maintain_carriers(session, attack)
     session.require_uniforms_spent()
 
-    results = []
-    for t, (attack, (_, _, rng_ann)) in enumerate(zip(attacks, streams)):
-        transcript = Transcript(num_rounds=config.num_rounds, records=session.trial_records[t])
-        anns = build_announcements(
-            transcript, config.announce_fraction, rng_ann, attack, config.announce_order
+    transcripts = session.transcripts()
+    # each trial's announcements resolve its row of the ledger, which the
+    # recovered bits are then read from
+    announced = [
+        build_announcements(
+            transcript, config.announce_fraction, rng_ann, attack.row(t), config.announce_order
         )
+        for t, (transcript, (_, rng_ann)) in enumerate(zip(transcripts, streams))
+    ]
+    recovered = ((attack.learned_bits() == bits).sum(axis=1) / config.num_rounds).tolist()
+    hypotheses = [adversary.HYPOTHESES[code].value for code in attack.hypotheses.tolist()]
+    min_fids = session.fidelities[:, 1:].min(axis=1).tolist()
+    results = []
+    for transcript, anns, fraction, hypothesis, min_fid in zip(
+        transcripts, announced, recovered, hypotheses, min_fids
+    ):
         odd_n, even_n = _parity_split(anns)
-        sent = bits[t].tolist()
-        recovered = sum(attack.learned_bit(i) == q for i, q in enumerate(sent, start=1)) / len(sent)
         results.append(
             TrialResult(
                 transcript=transcript,
@@ -278,11 +292,9 @@ def _attack_trials(
                 announced_odd=odd_n,
                 announced_even=even_n,
                 attacked=True,
-                recovered_fraction=recovered,
-                hypothesis=attack.pattern_hypothesis.value,
-                min_pattern_fidelity=min(
-                    rec.carrier_fidelity for rec in transcript.records if rec.round_index >= 2
-                ),
+                recovered_fraction=fraction,
+                hypothesis=hypothesis,
+                min_pattern_fidelity=min_fid,
             )
         )
     return results
@@ -341,7 +353,8 @@ def run_trials(
         jobs = [(config, policy, chunk, su, tolerance) for chunk in chunks]
         batch_fn = _attack_trials
     if len(jobs) > 1:
-        with multiprocessing.Pool(len(jobs)) as pool:
+        # chunks never outnumber the cores in processes: the pool hands them out
+        with multiprocessing.Pool(min(len(jobs), os.cpu_count() or 1)) as pool:
             batches = pool.starmap(batch_fn, jobs)
     else:
         batches = [batch_fn(*job) for job in jobs]
@@ -438,6 +451,7 @@ def survival_probability(
     q2 = 0; PhiMinus at odd rounds and PsiPlus at even ones for q2 = 1),
     plays one maintenance step, and scores survival as fidelity 1 with the
     pre-toggle pattern.  angles=None runs the plain-protocol variant.
+    survival_probability_exact gives the value this estimates.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -447,12 +461,34 @@ def survival_probability(
     for _ in range(trials):
         q2 = int(rng.integers(0, 2))
         odd_round = bool(rng.integers(0, 2))
-        if q2 == 0:
-            kind = BellKind.PHI_PLUS
-        else:
-            kind = BellKind.PHI_MINUS if odd_round else BellKind.PSI_PLUS
-        state = adversary.pattern_pair_state(kind, kind)
-        choice = policy_choice or adversary.toss_choice(rng)
-        after = adversary.maintenance_step(state, angles, choice, 1 if odd_round else 2)
-        survived += qcore.fidelity(after, state) >= 1.0 - INTACT_TOL
+        survived += _survives(angles, q2, odd_round, policy_choice or adversary.toss_choice(rng))
     return survived / trials
+
+
+def survival_probability_exact(angles: ThetaTriple | None, policy: MaintenancePolicy) -> float:
+    """The value survival_probability estimates, by enumeration.
+
+    The split bit, the round parity and a guessing policy's u/v coin are
+    fair and independent, so the at most 2 x 2 x 2 cases it samples are
+    equally likely: the chance is the share of them that survive.
+    """
+    policy_choice = adversary.POLICY_CHOICE[policy]
+    cases = [
+        _survives(angles, q2, odd_round, choice)
+        for q2 in (0, 1)
+        for odd_round in (True, False)
+        for choice in ((policy_choice,) if policy_choice else ("u", "v"))
+    ]
+    return sum(cases) / len(cases)
+
+
+def _survives(angles: ThetaTriple | None, q2: int, odd_round: bool, choice: str) -> bool:
+    """Whether one maintenance step with the given choice leaves the pairs
+    in the pattern the intact orbit shows for this split bit and parity."""
+    if q2 == 0:
+        kind = BellKind.PHI_PLUS
+    else:
+        kind = BellKind.PHI_MINUS if odd_round else BellKind.PSI_PLUS
+    state = adversary.pattern_pair_state(kind, kind)
+    after = adversary.maintenance_step(state, angles, choice, 1 if odd_round else 2)
+    return qcore.fidelity(after, state) >= 1.0 - INTACT_TOL

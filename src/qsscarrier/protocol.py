@@ -35,6 +35,8 @@ from .gates import CarrierKind, ThetaTriple
 CARRIER_LABELS = ("a", "b", "c")
 MESSAGE_LABELS = ("m1", "m2")
 RESET_TOL = 1e-9
+# a round column's value where the party read nothing (Bob in the round he splits)
+NO_READ = -1
 
 
 class Variant(enum.Enum):
@@ -151,20 +153,27 @@ class ProtocolSession:
     """Trials of one configuration played in lockstep, one state row each.
 
     Every trial sits at the same round and carrier form; each has its own
-    protocol-stream generator, its own in-flight bit and its own round
-    records.  The protocol's measurements draw from the generators lazily,
-    or, when the session holds uniforms, read them from those pre-drawn
-    columns in order.  A session of one trial also offers state, rng and
-    records for step-by-step use.
+    protocol-stream generator and its own in-flight bit.  The round values
+    are columns of (trials, num_rounds) arrays, column r - 1 for round r:
+    Alice's bits, Bob's and Charlie's reads (NO_READ where a party read
+    nothing) and the carrier or pattern fidelities; transcripts() turns the
+    closed rounds into records.  The protocol's measurements draw from the
+    generators lazily, or, when the session holds uniforms, read them from
+    those pre-drawn columns in order.  A session of one trial also offers
+    state, rng and records for step-by-step use.
     """
 
     config: ProtocolConfig
     states: qcore.StateBatch
     carrier_kind: CarrierKind
     rngs: list[np.random.Generator]
+    q_bits: np.ndarray
+    bob_bits: np.ndarray
+    charlie_bits: np.ndarray
+    fidelities: np.ndarray
     round_index: int = 1
+    rounds_closed: int = 0
     pending_q: np.ndarray | None = None
-    trial_records: list[list[RoundRecord]] = field(default_factory=list)
     uniforms: np.ndarray | None = None
     uniforms_read: int = 0
 
@@ -193,7 +202,25 @@ class ProtocolSession:
     @property
     def records(self) -> list[RoundRecord]:
         self.require_single()
-        return self.trial_records[0]
+        return self.transcripts()[0].records
+
+    def transcripts(self) -> list[Transcript]:
+        """Every trial's closed rounds as a transcript of the config's length."""
+        n = self.rounds_closed
+        rounds = range(1, n + 1)
+        parities = [parity_of(i) for i in rounds]
+        bobs = self.bob_bits[:, :n].astype(object)
+        bobs[self.bob_bits[:, :n] == NO_READ] = None
+        rows = zip(
+            self.q_bits[:, :n].tolist(),
+            bobs.tolist(),
+            self.charlie_bits[:, :n].tolist(),
+            self.fidelities[:, :n].tolist(),
+        )
+        return [
+            Transcript(self.config.num_rounds, list(map(RoundRecord, rounds, parities, q, bob, charlie, fid)))
+            for q, bob, charlie, fid in rows
+        ]
 
     def measurement_draws(self, count: int):
         """What the next `count` protocol measurements of every trial draw
@@ -242,12 +269,16 @@ def init_session(
     if uniforms is not None and (uniforms.ndim != 2 or uniforms.shape[0] != len(rngs)):
         raise ValueError(f"uniforms need one row per trial ({len(rngs)}), got shape {uniforms.shape}")
     start = _carrier_state(labels, CarrierKind.GHZ)
+    shape = (len(rngs), config.num_rounds)
     return ProtocolSession(
         config=config,
         states=qcore.StateBatch.repeat(start, len(rngs)),
         carrier_kind=CarrierKind.GHZ,
         rngs=rngs,
-        trial_records=[[] for _ in rngs],
+        q_bits=np.zeros(shape, dtype=np.int64),
+        bob_bits=np.zeros(shape, dtype=np.int64),
+        charlie_bits=np.zeros(shape, dtype=np.int64),
+        fidelities=np.zeros(shape),
         uniforms=uniforms,
     )
 
@@ -286,6 +317,8 @@ def encode_round(session: ProtocolSession, q) -> None:
         raise ValueError(f"q must be 0 or 1 for each of {session.trials} trial(s), got {q!r}")
     if session.pending_q is not None:
         raise ValueError("previous round's message was never delivered")
+    if session.round_index > session.config.num_rounds:
+        raise ValueError(f"all {session.config.num_rounds} rounds of the session are played")
     _require_reset_messages(session)
     qs = np.repeat(qs.astype(np.int64).reshape(-1), session.trials // qs.size)
     session.states = encoded_state(session.states, session.parity, qs)
@@ -297,29 +330,20 @@ def expected_full_state(session: ProtocolSession) -> qcore.StateVector:
     return _carrier_state(session.states.labels, session.carrier_kind)
 
 
-def append_records(
+def close_round(
     session: ProtocolSession,
     bob_bits: np.ndarray | None,
     charlie_bits: np.ndarray,
     fidelities: np.ndarray,
 ) -> None:
-    """Close the round in every trial's transcript; bob_bits None records no Bob read."""
-    parity = session.parity
-    qs = session.pending_q.tolist()
-    bobs = [None] * session.trials if bob_bits is None else bob_bits.tolist()
-    for records, q, bob, charlie, fid in zip(
-        session.trial_records, qs, bobs, charlie_bits.tolist(), fidelities.tolist()
-    ):
-        records.append(
-            RoundRecord(
-                round_index=session.round_index,
-                parity=parity,
-                q=q,
-                bob_bit=bob,
-                charlie_bit=charlie,
-                carrier_fidelity=fid,
-            )
-        )
+    """Write the round's column in every trial: Alice's bit in flight, the
+    reads (bob_bits None records no Bob read) and the fidelities."""
+    col = session.round_index - 1
+    session.q_bits[:, col] = session.pending_q
+    session.bob_bits[:, col] = NO_READ if bob_bits is None else bob_bits
+    session.charlie_bits[:, col] = charlie_bits
+    session.fidelities[:, col] = fidelities
+    session.rounds_closed = session.round_index
     session.pending_q = None
 
 
@@ -327,7 +351,7 @@ def deliver_and_decode(session: ProtocolSession) -> tuple[np.ndarray, np.ndarray
     """Bob and Charlie disentangle and read their message qubits, every trial.
 
     Restores the carrier (fidelity recorded per round), resets the message
-    register, and appends the round records.  Returns the per-trial
+    register, and closes the round.  Returns the per-trial
     (bob_bits, charlie_bits).
     """
     if session.pending_q is None:
@@ -335,7 +359,7 @@ def deliver_and_decode(session: ProtocolSession) -> tuple[np.ndarray, np.ndarray
     st = qcore.permute(session.states, DECODE_STEPS)
     (bob, charlie), session.states = qcore.measure_reset(st, MESSAGE_LABELS, session.measurement_draws(2))
     fids = qcore.fidelity(session.states, expected_full_state(session))
-    append_records(session, bob, charlie, fids)
+    close_round(session, bob, charlie, fids)
     return bob, charlie
 
 
@@ -382,4 +406,4 @@ def run_protocol(
         encode_round(session, q)
         deliver_and_decode(session)
         toggle_carrier(session)
-    return Transcript(num_rounds=config.num_rounds, records=session.records)
+    return session.transcripts()[0]

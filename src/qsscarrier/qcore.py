@@ -28,8 +28,9 @@ ordered sum over the amplitudes with any of the named qubits set.
 
 State values are immutable: every operation returns a new state and the
 amplitude buffers are marked read-only.  A StateVector checks its norm when
-it is built; a StateBatch is built by the kernels unchecked, and its owner
-calls check_norm() once per protocol round.
+it is built; a StateBatch is built by the kernels unchecked, over the labels
+their input was built with (with_rows), and its owner calls check_norm()
+once per protocol round.
 """
 
 from __future__ import annotations
@@ -154,6 +155,16 @@ class StateBatch:
         """One trial's state, validated as a StateVector."""
         return StateVector(self.labels, self.amps[trial])
 
+    def with_rows(self, rows: np.ndarray) -> "StateBatch":
+        """The same register over other (trials, 2**n) complex128 rows, such
+        as a kernel's result, built without checking the labels again: they
+        were checked when this batch was built."""
+        batch = object.__new__(StateBatch)
+        rows.setflags(write=False)
+        object.__setattr__(batch, "labels", self.labels)
+        object.__setattr__(batch, "amps", rows)
+        return batch
+
     def relabeled(self, mapping: dict[str, str]) -> "StateBatch":
         """Rename qubits in every trial (pure bookkeeping, amplitudes untouched)."""
         return StateBatch(tuple(mapping.get(lab, lab) for lab in self.labels), self.amps)
@@ -196,10 +207,10 @@ def _rows(state: State) -> np.ndarray:
     return state.amps if isinstance(state, StateBatch) else state.amps[np.newaxis]
 
 
-def _like(state: State, labels: tuple[str, ...], rows: np.ndarray) -> State:
+def _like(state: State, rows: np.ndarray) -> State:
     if isinstance(state, StateBatch):
-        return StateBatch(labels, rows)
-    return StateVector(labels, rows[0])
+        return state.with_rows(rows)
+    return StateVector(state.labels, rows[0])
 
 
 def _per_trial(state: State, values: np.ndarray):
@@ -314,7 +325,7 @@ def apply_unitary(state: State, matrix: np.ndarray, targets: list[str] | tuple[s
         out = _two_row_update(rows, n, axes[0], m)
     else:
         out = _dense_update(rows, n, axes, m)
-    return _like(state, state.labels, out)
+    return _like(state, out)
 
 
 def apply_one_qubit_gates(state: State, ops) -> State:
@@ -330,7 +341,7 @@ def apply_one_qubit_gates(state: State, ops) -> State:
         if m.shape != (2, 2) and not (m.shape == (rows.shape[0], 2, 2) and isinstance(state, StateBatch)):
             raise ValueError(f"matrix shape {m.shape} does not fit one target")
         rows = _two_row_update(rows, n, state.position(label), m)
-    return _like(state, state.labels, rows)
+    return _like(state, rows)
 
 
 @functools.lru_cache(maxsize=256)
@@ -373,14 +384,14 @@ def permute(state: State, steps, bits=()) -> State:
     b = rows.shape[0]
     table = _gather_table(state.labels, tuple(steps), len(bits))
     if not bits:
-        return _like(state, state.labels, rows[:, table[0]])
+        return _like(state, rows[:, table[0]])
     code = np.zeros(b, dtype=np.intp)
     for j, values in enumerate(bits):
         flags = np.asarray(values).reshape(-1) != 0
         if flags.shape[0] not in (1, b):
             raise ValueError(f"{flags.shape[0]} flip flags for {b} trials")
         code |= flags.astype(np.intp) << j
-    return _like(state, state.labels, _gather(rows, table, code))
+    return _like(state, _gather(rows, table, code))
 
 
 def _gather(rows: np.ndarray, table: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -499,7 +510,7 @@ def _collapse(state: State, targets: tuple[str, ...], rng, reset: bool) -> tuple
         factor = (masks[0] if reset else masks[bits]) * (1.0 / np.sqrt(kept))[:, np.newaxis]
         rows = (np.ascontiguousarray(rows).view(np.float64) * factor).view(np.complex128)
         outcomes.append(_per_trial(state, bits))
-    return tuple(outcomes), _like(state, state.labels, rows)
+    return tuple(outcomes), _like(state, rows)
 
 
 def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarray:

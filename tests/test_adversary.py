@@ -7,9 +7,12 @@ decomposition of the pairs it actually produces inside a live session.
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsscarrier import adversary, gates, protocol, qcore
 from qsscarrier.adversary import (
@@ -24,7 +27,7 @@ from qsscarrier.adversary import (
     maintain_carriers,
     no_signaling_distances,
     pattern_pair_state,
-    record_honest_round,
+    record_reads,
     resolve_from_round2,
     resolve_pattern,
     synthesize_split_unitary,
@@ -51,9 +54,9 @@ def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PL
     record = (session.records[-1].round_index, session.records[-1].parity, bob)
     protocol.toggle_carrier(session)
     encode_round(session, int(session.rng.integers(0, 2)))
-    [attack] = execute_split(session, su_ or synthesize_split_unitary(), policy, [rng])
-    record_honest_round(attack, record[0], record[1], record[2])
-    forward_round2_counterfeit(session, [attack])
+    attack = execute_split(session, su_ or synthesize_split_unitary(), policy, [rng])
+    record_reads(attack, record[0], record[2], record[2])
+    forward_round2_counterfeit(session, attack)
     return session, attack
 
 
@@ -145,7 +148,7 @@ def test_execute_split_guards(su):
 
 def test_split_inside_session_leaves_intact_pattern(su):
     session, attack = _attacked_session(su_=su)
-    assert adversary.fraud_pattern_fidelity(session, [attack])[0] >= 1 - 1e-10
+    assert adversary.fraud_pattern_fidelity(session, attack)[0] >= 1 - 1e-10
     # fresh |0> sits where the stolen message qubit was
     assert qcore.probability_of_one(session.state, "m1") < 1e-20
     rec = session.records[-1]
@@ -267,7 +270,7 @@ def test_choice_operator_errors():
 def test_plain_variant_rejects_theta_policies(su):
     session, attack = _attacked_session(su_=su, policy=MaintenancePolicy.KNOWN_THETA_U)
     with pytest.raises(ValueError, match="plain protocol has none"):
-        maintain_carriers(session, [attack])
+        maintain_carriers(session, attack)
 
 
 def test_random_guess_coin_reused_across_toggle_pairs(su):
@@ -275,11 +278,11 @@ def test_random_guess_coin_reused_across_toggle_pairs(su):
         variant=Variant.THETA, angles=HARDENED, su_=su,
         policy=MaintenancePolicy.RANDOM_GUESS, seed=6,
     )
-    choices = maintain_carriers(session, [attack])  # end of round 2, orphan draw
+    choices = maintain_carriers(session, attack)  # end of round 2, orphan draw
     for _ in range(8):
         encode_round(session, int(session.rng.integers(0, 2)))
-        attack_decode_and_forward(session, [attack])
-        choices += maintain_carriers(session, [attack])
+        attack_decode_and_forward(session, attack)
+        choices += maintain_carriers(session, attack)
     # pairs: (end of round 3, end of round 4), (5, 6), (7, 8)
     assert choices[2] == choices[1]
     assert choices[4] == choices[3]
@@ -292,11 +295,11 @@ def test_random_guess_coin_reused_across_toggle_pairs(su):
 
 def test_attack_rounds_stay_consistent_in_plain_runs(su):
     session, attack = _attacked_session(su_=su, seed=9)
-    maintain_carriers(session, [attack])
+    maintain_carriers(session, attack)
     for _ in range(6):
         q = int(session.rng.integers(0, 2))
         encode_round(session, q)
-        attack_decode_and_forward(session, [attack])
+        attack_decode_and_forward(session, attack)
         rec = session.records[-1]
         learned = attack.learned_bit(rec.round_index)
         assert rec.carrier_fidelity >= 1 - 1e-10
@@ -305,13 +308,13 @@ def test_attack_rounds_stay_consistent_in_plain_runs(su):
             assert learned == q
         else:
             assert rec.bob_bit ^ rec.charlie_bit == q
-        maintain_carriers(session, [attack])
+        maintain_carriers(session, attack)
 
 
 def test_decode_guards(su):
     session, attack = _attacked_session(su_=su)
     with pytest.raises(ValueError, match="no message in flight"):
-        attack_decode_and_forward(session, [attack])
+        attack_decode_and_forward(session, attack)
 
 
 # pattern resolution ---------------------------------------------------------
@@ -321,8 +324,9 @@ def test_resolution_from_tagged_even_round():
     # A family-tagged even round whose raw read complements Alice's bit names
     # the Psi branch, and every tagged record is then reinterpreted: raw 0
     # becomes learned 1.
-    attack = AttackState(MaintenancePolicy.PLAIN_HADAMARD, np.random.default_rng(0))
-    attack.records[4] = RawRecord(4, "even", raw=0, claim=1, psi_tagged=True)
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    record_reads(attack, 4, 0, 1)
+    assert attack.records == {4: RawRecord(4, "even", raw=0, claim=1, psi_tagged=True)}
     assert attack.learned_bit(4) == 0  # unresolved, raw passes through
     got = resolve_pattern(attack, (4, 1))
     assert got is PatternHypothesis.PSI
@@ -331,25 +335,25 @@ def test_resolution_from_tagged_even_round():
 
 
 def test_resolution_phi_branch():
-    attack = AttackState(MaintenancePolicy.PLAIN_HADAMARD, np.random.default_rng(0))
-    attack.records[6] = RawRecord(6, "even", raw=1, claim=0, psi_tagged=True)
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    record_reads(attack, 6, 1, 0)
     assert resolve_pattern(attack, (6, 1)) is PatternHypothesis.PHI
     assert attack.learned_bit(6) == 1
     assert attack.learned_bit(2) == 0
 
 
 def test_resolution_never_reverts():
-    attack = AttackState(MaintenancePolicy.PLAIN_HADAMARD, np.random.default_rng(0))
-    attack.records[4] = RawRecord(4, "even", raw=0, claim=0, psi_tagged=True)
-    attack.records[6] = RawRecord(6, "even", raw=0, claim=0, psi_tagged=True)
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    record_reads(attack, 4, 0, 0)
+    record_reads(attack, 6, 0, 0)
     assert resolve_pattern(attack, (4, 1)) is PatternHypothesis.PSI
     assert resolve_pattern(attack, (6, 0)) is PatternHypothesis.PSI
 
 
 def test_untagged_rounds_do_not_resolve():
-    attack = AttackState(MaintenancePolicy.PLAIN_HADAMARD, np.random.default_rng(0))
-    record_honest_round(attack, 1, "odd", 1)
-    attack.records[3] = RawRecord(3, "odd", raw=0, claim=0, psi_tagged=False)
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    record_reads(attack, 1, 1, 1)
+    record_reads(attack, 3, 0, 0)
     assert resolve_pattern(attack, (1, 1)) is PatternHypothesis.UNKNOWN
     assert resolve_pattern(attack, (3, 0)) is PatternHypothesis.UNKNOWN
     assert attack.learned_bit(1) == 1
@@ -359,15 +363,109 @@ def test_untagged_rounds_do_not_resolve():
 
 
 def test_resolution_from_round2_announcement():
-    attack = AttackState(MaintenancePolicy.PLAIN_HADAMARD, np.random.default_rng(0))
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
     assert resolve_from_round2(attack, 1) is PatternHypothesis.PSI
     assert attack.round2_bit == 1
     assert attack.learned_bit(2) == 1
     # an already-resolved hypothesis is not overwritten
-    attack2 = AttackState(MaintenancePolicy.PLAIN_HADAMARD, np.random.default_rng(0))
+    attack2 = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
     attack2.pattern_hypothesis = PatternHypothesis.PHI
     assert resolve_from_round2(attack2, 1) is PatternHypothesis.PHI
     assert attack2.round2_bit == 1
+
+
+# Bob's stream ---------------------------------------------------------------
+
+
+def _lazy_draws(rng: np.random.Generator, kinds: str) -> list[float]:
+    return [rng.random() if kind == "d" else float(rng.integers(0, 2)) for kind in kinds]
+
+
+# the tail of a 100-round run: 49 even-round claims leave a high half buffered,
+# which an alice-first claim for round 2 then reads
+@example(seed=0, kinds="ddi" * 49 + "i")
+@example(seed=7, kinds="ddi")
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2**64 - 1), kinds=st.text(alphabet="di", max_size=60))
+def test_decoded_stream_equals_lazy_draws(seed, kinds):
+    lazy = np.random.default_rng(seed)
+    expected = _lazy_draws(lazy, kinds)
+    count = adversary.word_count(kinds)
+    words = np.random.PCG64(seed).random_raw(count)
+    assert adversary.decode_stream(words[np.newaxis], kinds)[0].tolist() == expected
+    # the lazy draws read exactly those words, and an odd number of
+    # integers(0, 2) calls leaves the last one's high half buffered
+    raw = np.random.PCG64(seed)
+    raw.random_raw(count)
+    state = lazy.bit_generator.state
+    assert state["state"] == raw.state["state"]
+    assert state["has_uint32"] == kinds.count("i") % 2
+    if state["has_uint32"]:
+        last_low_half = max(i for i, kind in enumerate(kinds) if kind == "i")
+        assert state["uinteger"] == int(words[adversary._word_layout(kinds)[0][last_low_half]]) >> 32
+
+
+@pytest.mark.parametrize("policy", list(MaintenancePolicy))
+@pytest.mark.parametrize("rounds", [2, 3, 4, 9, 10])
+def test_pre_drawn_ledger_holds_the_lazy_draws_in_run_order(policy, rounds):
+    # the draws a lazy Bob took, in the order the rounds take them
+    seeds = (11, 12)
+    coins, reads, claims = [], [], []
+    for seed in seeds:
+        rng = np.random.default_rng(seed)
+        tosses = adversary.POLICY_CHOICE[policy] is None
+        row_coins = [rng.random()] if tosses else []
+        row_reads, row_claims = [], []
+        for r in range(3, rounds + 1):
+            row_reads += [rng.random(), rng.random()]
+            if r % 2 == 0:
+                row_claims.append(int(rng.integers(0, 2)))
+            elif tosses:
+                row_coins.append(rng.random())
+        row_claims.append(int(rng.integers(0, 2)))  # an alice-first round-2 claim
+        coins.append(row_coins)
+        reads.append(row_reads)
+        claims.append(row_claims)
+    streams = [np.random.PCG64(seed) for seed in seeds]
+    attack = AttackState.draw(policy, rounds, streams)
+    assert attack.coin_draws.tolist() == coins
+    assert attack.read_draws.tolist() == reads
+    assert attack.claim_draws.tolist() == claims
+
+
+def _ints_off_by_one_bit(words, kinds):
+    """Doubles right, integers(0, 2) read from bit 30 of each half-word."""
+    values = adversary.decode_stream(words, kinds)
+    ints = np.array([kind == "i" for kind in kinds])
+    values[:, ints] = adversary.decode_stream(words << np.uint64(1), kinds)[:, ints]
+    return values
+
+
+def _high_half_first(words, kinds):
+    """Every half-word pair read in the wrong order."""
+    swapped = (words << np.uint64(32)) | (words >> np.uint64(32))
+    values = adversary.decode_stream(words, kinds)
+    ints = np.array([kind == "i" for kind in kinds])
+    values[:, ints] = adversary.decode_stream(swapped, kinds)[:, ints]
+    return values
+
+
+@pytest.mark.parametrize("decode", [_ints_off_by_one_bit, _high_half_first])
+def test_stream_guard_raises_on_a_wrong_decoding(decode):
+    adversary.check_stream_decoding()  # the true decoding passes
+    with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
+        adversary.check_stream_decoding(decode)
+
+
+def test_bob_streams_must_be_fresh_pcg64():
+    with pytest.raises(TypeError, match="PCG64"):
+        AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 4, [np.random.Generator(np.random.MT19937(0))])
+    used = np.random.default_rng(0)
+    used.integers(0, 2)  # leaves the word's high half buffered
+    with pytest.raises(ValueError, match="buffered"):
+        AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 4, [used])
+    used.integers(0, 2)  # reads it
+    AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 4, [used])
 
 
 # one wrong guess ------------------------------------------------------------
@@ -414,3 +512,18 @@ def test_one_wrong_guess_poisons_the_next_odd_round():
                                     for _ in range(n)))
     assert bad / n == pytest.approx(0.3739, abs=1e-12)
     assert bad / n >= 0.25
+
+
+def test_ledger_rows_are_views_of_the_batch():
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.PCG64(t) for t in range(3)])
+    record_reads(attack, 4, np.array([0, 1, 1]), np.array([1, 1, 0]))
+    one = attack.row(1)
+    assert one.records == {4: RawRecord(4, "even", raw=1, claim=1, psi_tagged=True)}
+    # resolving one trial's row writes its column of the batch, and no other
+    assert resolve_pattern(one, (4, 0)) is PatternHypothesis.PSI
+    assert attack.hypotheses.tolist() == [adversary.UNRESOLVED, 1, adversary.UNRESOLVED]
+    assert attack.learned_bits()[:, 3].tolist() == [0, 0, 1]
+    with pytest.raises(ValueError, match="holds 3"):
+        attack.learned_bit(4)
+    with pytest.raises(ValueError, match="holds 3"):
+        resolve_pattern(attack, (4, 0))

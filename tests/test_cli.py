@@ -6,15 +6,20 @@ it points at.  Exit codes: 0 ok, 1 bad config, 2 identity-suite failure,
 3 i/o error.
 """
 
+import contextlib
+import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qsscarrier import cli
 from qsscarrier.cli import main
@@ -417,3 +422,68 @@ def test_verify_output_is_pinned(capsys, argv):
     want_code, want_lines = VERIFY_GOLDEN[argv]
     assert (code, out) == (want_code, "\n".join(want_lines) + "\n")
     assert err == ""
+
+
+# run's inputs, as config-file values and as flags: values of the type each
+# key takes (kept small: rounds <= 4, trials <= 2, workers 1), which may still
+# be out of range or clash, and values of other types
+_TYPED_VALUES = {
+    "rounds": st.integers(-1, 4),
+    "seed": st.integers(-2, 2**70),
+    "variant": st.sampled_from(["plain", "theta", "Theta"]),
+    "theta": st.one_of(
+        st.just([2.0943951023931953, 2.0943951023931953]),
+        st.lists(st.one_of(st.floats(), st.integers(-7, 7)), min_size=2, max_size=2),
+    ),
+    "attack": st.sampled_from(["none", "split", ""]),
+    "policy": st.sampled_from(["u", "v", "random", "plain", "h"]),
+    "announce_frac": st.one_of(st.floats(), st.integers(-1, 2)),
+    "order": st.sampled_from(["alice-first", "bob-last", "first"]),
+    "trials": st.integers(-1, 2),
+    "tolerance": st.floats(),
+    "workers": st.one_of(st.just(1), st.integers(-1, 0)),
+}
+_ODD_VALUES = st.one_of(st.none(), st.booleans(), st.text(max_size=3), st.lists(st.integers(), max_size=3))
+_RUN_INPUTS = st.one_of(
+    st.fixed_dictionaries({}, optional=_TYPED_VALUES),
+    st.fixed_dictionaries(
+        {}, optional={key: st.one_of(values, _ODD_VALUES) for key, values in _TYPED_VALUES.items()}
+    ),
+)
+
+
+def _flag_tokens(key, value):
+    if value is None:
+        return []
+    values = value if isinstance(value, list) else [value]
+    return ["--" + key.replace("_", "-"), *(str(v) for v in values)]
+
+
+@example(file_values={}, flag_values={"rounds": 3, "trials": 2})
+@example(
+    file_values={"variant": "theta", "theta": [1.0, 1.5], "attack": "split", "policy": "random"},
+    flag_values={"rounds": 4, "order": "alice-first", "announce_frac": 1},
+)
+@example(file_values={"attack": "split", "policy": "plain", "rounds": 2}, flag_values={"workers": 1})
+@settings(max_examples=30, deadline=None)
+@given(
+    file_values=_RUN_INPUTS,
+    flag_values=_RUN_INPUTS,
+)
+def test_run_accepts_or_rejects_every_input_cleanly(file_values, flag_values):
+    # an accepted input runs and exits 0; a rejected one exits 1 with an
+    # error line, never with a traceback or another code
+    argv = ["run"]
+    for key, value in flag_values.items():
+        argv += _flag_tokens(key, value)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "run.json"
+        path.write_text(json.dumps(file_values))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv + ["--config", str(path)])
+    assert code in (cli.EXIT_OK, cli.EXIT_CONFIG), (argv, file_values, code)
+    if code == cli.EXIT_CONFIG:
+        assert err.getvalue().startswith("error: "), (argv, file_values, err.getvalue())
+    else:
+        assert out.getvalue().startswith("trials:"), (argv, file_values, out.getvalue())

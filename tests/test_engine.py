@@ -241,9 +241,9 @@ def test_maintenance_step_batch_rows_equal_lone_steps(round_index):
 @pytest.mark.parametrize("policy", [MaintenancePolicy.KNOWN_THETA_U, MaintenancePolicy.KNOWN_THETA_V])
 def test_plain_variant_rejects_policies_that_need_angles(policy):
     session = _batch_session(trials=1, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    attack = adversary.AttackState(maintenance_policy=policy, rng=np.random.default_rng(1))
+    attack = adversary.AttackState.draw(policy, 6, [np.random.default_rng(1)])
     with pytest.raises(ValueError, match="plain protocol has none"):
-        adversary.maintain_carriers(session, [attack])
+        adversary.maintain_carriers(session, attack)
     with pytest.raises(ValueError, match="plain protocol has none"):
         survival_probability(None, policy, trials=4)
 
@@ -387,9 +387,9 @@ def test_reset_check_names_the_first_trial_with_m2_set():
 def test_fixed_policy_plays_one_choice_without_tossing():
     session = _batch_session(trials=3, extra_labels=adversary.ATTACK_EXTRA_LABELS)
     gens = [np.random.default_rng(t) for t in range(3)]
-    attacks = [adversary.AttackState(MaintenancePolicy.PLAIN_HADAMARD, rng=g) for g in gens]
+    attack = adversary.AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, gens)
     before = [g.bit_generator.state for g in gens]
-    assert adversary.maintain_carriers(session, attacks) == ["h", "h", "h"]
+    assert adversary.maintain_carriers(session, attack) == ["h", "h", "h"]
     assert [g.bit_generator.state for g in gens] == before
 
 

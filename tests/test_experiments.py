@@ -20,6 +20,7 @@ from qsscarrier.experiments import (
     run_honest_trial,
     run_trials,
     survival_probability,
+    survival_probability_exact,
     sweep,
     symmetric_triple,
     trial_rngs,
@@ -130,6 +131,37 @@ def test_worker_pool_matches_serial():
     assert honest.detection_probability == 0.0
 
 
+class _RecordingPool:
+    """Stands in for multiprocessing.Pool: records the process count asked
+    for and runs the jobs in this process, starting nothing."""
+
+    processes: list[int] = []
+
+    def __init__(self, processes):
+        _RecordingPool.processes.append(processes)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def starmap(self, fn, jobs):
+        return [fn(*job) for job in jobs]
+
+
+@pytest.mark.parametrize("workers", [3, 64])
+def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, workers):
+    monkeypatch.setattr(experiments.multiprocessing, "Pool", _RecordingPool)
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
+    _RecordingPool.processes = []
+    cfg = ProtocolConfig(num_rounds=3, rng_seed=0)
+    pooled = run_trials(cfg, 64, base_seed=4, workers=workers)
+    assert _RecordingPool.processes == [2]
+    # the chunking still follows workers, and results do not depend on it
+    assert pooled == run_trials(cfg, 64, base_seed=4)
+
+
 def test_alice_first_exposes_round2_guessing():
     # Under alice-first ordering Bob must guess Charlie's uniform round-2
     # read, so detection happens only in trials that announce round 2 and
@@ -186,6 +218,30 @@ def test_survival_probability_invariant():
                                    trials=2000, base_seed=0)
         assert got == pytest.approx(expect, abs=1e-12)
         assert got <= 0.5 + 1e-2
+
+
+def test_survival_probability_samples_lie_near_the_exact_values():
+    # The exact values enumerate the equally likely (q2, parity, coin) cases.
+    # Each frozen 2000-sample estimate lies within 4 binomial standard errors
+    # of its exact value (a false failure has chance below 1e-4).
+    cases = {
+        (True, MaintenancePolicy.RANDOM_GUESS): (0.25, 0.2505),
+        (True, MaintenancePolicy.KNOWN_THETA_U): (0.5, 0.482),
+        (True, MaintenancePolicy.KNOWN_THETA_V): (0.0, 0.0),
+        (True, MaintenancePolicy.PLAIN_HADAMARD): (0.0, 0.0),
+        (False, MaintenancePolicy.PLAIN_HADAMARD): (0.5, 0.482),
+    }
+    n = 2000
+    for (theta, policy), (exact, sampled) in cases.items():
+        angles = TRI if theta else None
+        assert survival_probability_exact(angles, policy) == exact
+        assert survival_probability(angles, policy, trials=n, base_seed=0) == sampled
+        assert abs(sampled - exact) <= 4 * math.sqrt(exact * (1 - exact) / n)
+
+
+def test_survival_probability_exact_rejects_choices_the_plain_protocol_lacks():
+    with pytest.raises(ValueError, match="plain protocol has none"):
+        survival_probability_exact(None, MaintenancePolicy.RANDOM_GUESS)
 
 
 @pytest.mark.parametrize("trials", [0, -3])
