@@ -13,7 +13,8 @@ Reads that go through a Psi-family pair come out complemented, and under the
 end-of-round toggles the q2 = 1 branch alternates between the PsiPlus and
 PhiMinus forms (the q2 = 0 branch stays PhiPlus), so Bob's reads of the
 even rounds are tagged: the complement applies exactly to them once the
-pattern hypothesis is resolved from a public announcement.
+pattern hypothesis is resolved from the public announcements, one array
+rule over every trial (pattern_hypotheses).
 
 Maintenance choices Bob can play at each toggle: the plain Hadamard pair, the
 conjugate pair h(-ta) (x) h(-tc), or the transpose pair h(ta)^T (x) h(tc)^T
@@ -26,7 +27,7 @@ import enum
 import functools
 import json
 from collections.abc import Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -73,15 +74,6 @@ class SplitUnitary:
         )
 
 
-@dataclass
-class RawRecord:
-    round_index: int
-    parity: str
-    raw: int
-    claim: int
-    psi_tagged: bool  # pair was Psi-family at read time under the q2=1 branch: even rounds
-
-
 # pattern hypotheses by code; a resolved code is the round-2 bit it names
 HYPOTHESES = (PatternHypothesis.PHI, PatternHypothesis.PSI, PatternHypothesis.UNKNOWN)
 UNRESOLVED = HYPOTHESES.index(PatternHypothesis.UNKNOWN)
@@ -91,21 +83,20 @@ UNRESOLVED = HYPOTHESES.index(PatternHypothesis.UNKNOWN)
 class AttackState:
     """Bob's ledger for trials played in lockstep, one row per trial.
 
-    Round columns run over rounds 1..num_rounds, column r - 1 for round r:
-    raw_bits holds what Bob read (NO_READ where he read nothing), claims the
-    share he will announce.  Reads of even rounds went through a Psi-family
-    pair in the q2 = 1 branch, so they are the tagged ones: their complement
-    applies once the pattern hypothesis is resolved.  hypotheses holds each
-    trial's code into HYPOTHESES and round2_bits the round-2 bit heard at
-    announcement (NO_READ until then).
+    raw_bits runs over rounds 1..num_rounds, column r - 1 for round r, and
+    holds what Bob read (NO_READ where he read nothing).  The shares he
+    claims are the session's Bob column, so the ledger does not keep them.
+    Reads of even rounds went through a Psi-family pair in the q2 = 1
+    branch, so they are the tagged ones: their complement applies once the
+    pattern hypothesis is resolved.  hypotheses holds each trial's code into
+    HYPOTHESES, UNRESOLVED until the announcements set it
+    (pattern_hypotheses).
 
     Bob's private stream comes drawn ahead and decoded (see draw): two
     measurement uniforms per decode-and-forward round (read_draws), the u/v
     coin uniforms of a guessing policy (coin_draws) and his even-round claim
     bits, the last of them kept for an alice-first round-2 claim
-    (claim_draws).  A ledger of one trial also offers records, learned_bit,
-    pattern_hypothesis and round2_bit; row(t) is trial t's ledger of one,
-    whose columns are views of this one's.
+    (claim_draws).
     """
 
     maintenance_policy: MaintenancePolicy
@@ -113,9 +104,7 @@ class AttackState:
     coin_draws: np.ndarray
     claim_draws: np.ndarray
     raw_bits: np.ndarray
-    claims: np.ndarray
     hypotheses: np.ndarray
-    round2_bits: np.ndarray
     # experiment-side truth for instrumentation; Bob's logic never reads it
     q2_truth: np.ndarray
 
@@ -151,79 +140,25 @@ class AttackState:
             coin_draws=values[:, steps.coins],
             claim_draws=values[:, steps.claims].astype(np.int64),
             raw_bits=np.full((trials, num_rounds), protocol.NO_READ, dtype=np.int64),
-            claims=np.full((trials, num_rounds), protocol.NO_READ, dtype=np.int64),
             hypotheses=np.full(trials, UNRESOLVED, dtype=np.int64),
-            round2_bits=unset.copy(),
             q2_truth=unset if q2_truth is None else q2_truth.copy(),
         )
-
-    @property
-    def trials(self) -> int:
-        return self.raw_bits.shape[0]
-
-    def row(self, trial: int) -> "AttackState":
-        """Trial t's ledger of one: its columns are views of this ledger's."""
-        one = slice(trial, trial + 1)
-        # every field after the policy is a column with one row per trial
-        columns = (getattr(self, f.name)[one] for f in fields(self)[1:])
-        return AttackState(self.maintenance_policy, *columns)
 
     def learned_bits(self) -> np.ndarray:
         """Per trial and round, Bob's best current value for Alice's bit;
         NO_READ where he has none.
 
         Tagged reads are complemented where the hypothesis resolved to Psi.
-        Round 2's bit is the one heard at announcement, else the resolved
-        hypothesis itself: the split bit is the pattern.
+        Round 2's bit is the resolved hypothesis itself: the split bit is
+        the pattern.
         """
         resolved = self.hypotheses != UNRESOLVED
         learned = self.raw_bits.copy()
         tagged = learned[:, 1::2]  # even rounds
         psi = np.where(resolved, self.hypotheses, 0)[:, np.newaxis]
         learned[:, 1::2] = np.where(tagged == protocol.NO_READ, protocol.NO_READ, tagged ^ psi)
-        named = np.where(resolved, self.hypotheses, protocol.NO_READ)
-        learned[:, 1] = np.where(self.round2_bits != protocol.NO_READ, self.round2_bits, named)
+        learned[:, 1] = np.where(resolved, self.hypotheses, protocol.NO_READ)
         return learned
-
-    # one-trial views ---------------------------------------------------------
-
-    def require_single(self) -> None:
-        if self.trials != 1:
-            raise ValueError(f"this view reads one trial; the ledger holds {self.trials}")
-
-    def learned_bit(self, round_index: int) -> int | None:
-        """Bob's best current value for Alice's bit in the given round."""
-        self.require_single()
-        if not 1 <= round_index <= self.raw_bits.shape[1]:
-            return None
-        bit = int(self.learned_bits()[0, round_index - 1])
-        return None if bit == protocol.NO_READ else bit
-
-    @property
-    def records(self) -> dict[int, RawRecord]:
-        self.require_single()
-        raws, claims = self.raw_bits[0].tolist(), self.claims[0].tolist()
-        return {
-            r: RawRecord(r, protocol.parity_of(r), raw, claim, psi_tagged=r % 2 == 0)
-            for r, raw, claim in zip(range(1, len(raws) + 1), raws, claims)
-            if raw != protocol.NO_READ
-        }
-
-    @property
-    def pattern_hypothesis(self) -> PatternHypothesis:
-        self.require_single()
-        return HYPOTHESES[int(self.hypotheses[0])]
-
-    @pattern_hypothesis.setter
-    def pattern_hypothesis(self, value: PatternHypothesis) -> None:
-        self.require_single()
-        self.hypotheses[0] = HYPOTHESES.index(value)
-
-    @property
-    def round2_bit(self) -> int | None:
-        self.require_single()
-        bit = int(self.round2_bits[0])
-        return None if bit == protocol.NO_READ else bit
 
 
 # ---------------------------------------------------------------------------
@@ -675,42 +610,37 @@ def attack_decode_and_forward(session: ProtocolSession, attack: AttackState) -> 
         forward_bits = raw ^ claims
     st = qcore.permute(st, COUNTERFEIT_STEPS, (forward_bits,))
     (charlie,), session.states = qcore.measure_reset(st, ("m2",), session.measurement_draws(1))
-    record_reads(attack, r, raw, claims)
+    record_reads(attack, r, raw)
     protocol.close_round(session, claims, charlie, fraud_pattern_fidelity(session, attack))
     return charlie
 
 
-def record_reads(attack: AttackState, round_index: int, raw, claims) -> None:
-    """Bob's read and the share he will claim for one round, every trial;
-    the rounds before the split, played honestly, claim what he read."""
+def record_reads(attack: AttackState, round_index: int, raw) -> None:
+    """Bob's read of one round, every trial."""
     attack.raw_bits[:, round_index - 1] = raw
-    attack.claims[:, round_index - 1] = claims
 
 
-def resolve_from_round2(attack: AttackState, alice_bit: int) -> PatternHypothesis:
-    """Hearing q2 itself names the pattern outright (one trial's ledger)."""
-    attack.require_single()
-    if attack.hypotheses[0] == UNRESOLVED:
-        attack.hypotheses[0] = alice_bit
-    attack.round2_bits[0] = alice_bit
-    return attack.pattern_hypothesis
+def pattern_hypotheses(raw_bits: np.ndarray, announced: np.ndarray, alice_bits: np.ndarray) -> np.ndarray:
+    """Every trial's pattern hypothesis code once the announcements are out.
 
-
-def resolve_pattern(attack: AttackState, announcement: tuple[int, int]) -> PatternHypothesis:
-    """Update the pattern hypothesis from one announced (round, alice_bit).
-
-    Only rounds whose record is family-tagged carry pattern information: a
-    tagged raw equal to the announcement means the Phi branch, a complemented
-    one the Psi branch.  Untagged rounds (odd rounds in protocol runs, where
-    both branches show a Phi-family pair) are consistency checks only.  Once
-    resolved the hypothesis never reverts.  Reads one trial's ledger.
+    raw_bits (Bob's reads), announced (the opened rounds) and alice_bits
+    (her bits) are (trials, rounds) columns, column r - 1 for round r.  Only
+    tagged rounds, the even ones, carry pattern information: a raw read
+    equal to Alice's bit means the Phi branch, a complemented one the Psi
+    branch.  Hearing q2 itself names the pattern outright, as a raw read of 0
+    would.  Rounds open in ascending order and a resolved hypothesis never
+    reverts, so the first opened even round decides; with none opened the
+    code stays UNRESOLVED.  Raises if Bob has no read of an opened round
+    other than round 2, the one he splits.
     """
-    attack.require_single()
-    round_index, alice_bit = announcement
-    recorded = 1 <= round_index <= attack.raw_bits.shape[1]
-    raw = attack.raw_bits[0, round_index - 1] if recorded else protocol.NO_READ
-    if raw == protocol.NO_READ:
+    unread = announced & (raw_bits == protocol.NO_READ)
+    unread[:, 1] = False  # round 2
+    if unread.any():
+        round_index = int(np.flatnonzero(unread.any(axis=0))[0]) + 1
         raise KeyError(f"no recorded bit for announced round {round_index}")
-    if round_index % 2 == 0 and attack.hypotheses[0] == UNRESOLVED:
-        attack.hypotheses[0] = raw ^ alice_bit  # the Psi branch complements the read
-    return attack.pattern_hypothesis
+    heard = announced[:, 1::2]  # even rounds
+    raw = raw_bits[:, 1::2].copy()
+    raw[:, 0] = 0  # round 2: Alice's bit is the pattern code
+    first = heard.argmax(axis=1)[:, np.newaxis]
+    codes = np.take_along_axis(raw ^ alice_bits[:, 1::2], first, axis=1)[:, 0]
+    return np.where(heard.any(axis=1), codes, UNRESOLVED)

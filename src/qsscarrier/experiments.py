@@ -18,7 +18,10 @@ the raw words of his PCG64 (adversary.AttackState.draw): it interleaves
 random() with integers(0, 2), which reads buffered 32-bit half-words, so
 its words are decoded draw by draw as the lazy calls would read them.
 Every round value lands in (trials, rounds) columns; the records of a
-transcript are built from them once, when the rounds are over.
+transcript are built from them once, when the rounds are over.  The
+announcement phase reads columns too: every claim, Bob's included, comes off
+the transcript, and Bob's pattern hypotheses come from one array rule over
+the opened rounds of the whole batch (adversary.pattern_hypotheses).
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import adversary, detection, protocol, qcore
-from .adversary import AttackState, MaintenancePolicy, SplitUnitary
+from .adversary import MaintenancePolicy, SplitUnitary
 from .detection import Announcement, DetectionReport
 from .gates import BellKind, ThetaTriple
 from .protocol import AnnounceOrder, ProtocolConfig, Transcript, Variant
@@ -138,36 +141,25 @@ def build_announcements(
     transcript: Transcript,
     fraction: float,
     rng: np.random.Generator,
-    attack: AttackState | None = None,
-    order: AnnounceOrder = AnnounceOrder.BOB_LAST,
+    round2_guess: int | None = None,
 ) -> list[Announcement]:
     """Open a random subset of rounds and collect the three parties' claims.
 
-    Honest claims come straight off the transcript.  A cheating Bob answers
-    from his attack ledger, one trial's, resolving his pattern hypothesis as
-    Alice's bits come out.  His round-2 claim is pure fabrication: announcing last he can
-    name alice XOR charlie and always pass; announcing before Charlie he can
-    only guess the blank read, which fails half the time.
+    Every claim comes off the transcript, a cheating Bob's too: the Bob
+    column holds the shares he claims.  Only round 2, the round he splits,
+    has no read of his (bob_bit None), and his claim there is pure
+    fabrication: announcing last he names alice XOR charlie and always
+    passes; announcing before Charlie he can only guess the blank read
+    (round2_guess, his guess of Charlie's bit), which fails half the time.
     """
     rounds = detection.select_rounds(transcript.num_rounds, fraction, rng)
     by_round = {rec.round_index: rec for rec in transcript.records}
     anns = []
     for r in rounds:
         rec = by_round[r]
-        alice, charlie = rec.q, rec.charlie_bit
-        if attack is None:
-            bob = rec.bob_bit
-        elif r == 2:
-            adversary.resolve_from_round2(attack, alice)
-            if order is AnnounceOrder.BOB_LAST:
-                bob = alice ^ charlie
-            else:
-                bob = alice ^ int(attack.claim_draws[0, -1])
-        else:
-            adversary.resolve_pattern(attack, (r, alice))
-            bob = int(attack.claims[0, r - 1])
+        alice, bob, charlie = rec.q, rec.bob_bit, rec.charlie_bit
         if bob is None:
-            raise ValueError(f"round {r} has no Bob read to announce; pass the attack ledger")
+            bob = alice ^ (charlie if round2_guess is None else round2_guess)
         anns.append(Announcement(r, alice, bob, charlie))
     return anns
 
@@ -258,7 +250,7 @@ def _attack_trials(
     protocol.encode_round(session, bits[:, 1])
     bob_streams = [_bit_generator(key, BOB_STREAM) for key in keys]
     attack = adversary.execute_split(session, su, policy, bob_streams)
-    adversary.record_reads(attack, 1, honest_round1, honest_round1)
+    adversary.record_reads(attack, 1, honest_round1)
     adversary.forward_round2_counterfeit(session, attack)
     adversary.maintain_carriers(session, attack)
     for r in range(2, config.num_rounds):
@@ -268,14 +260,19 @@ def _attack_trials(
     session.require_uniforms_spent()
 
     transcripts = session.transcripts()
-    # each trial's announcements resolve its row of the ledger, which the
-    # recovered bits are then read from
+    # announcing first, Bob guesses Charlie's round-2 read with his last claim bit
+    if config.announce_order is AnnounceOrder.ALICE_FIRST:
+        guesses = attack.claim_draws[:, -1].tolist()
+    else:
+        guesses = [None] * len(keys)
     announced = [
-        build_announcements(
-            transcript, config.announce_fraction, rng_ann, attack.row(t), config.announce_order
-        )
-        for t, (transcript, (_, rng_ann)) in enumerate(zip(transcripts, streams))
+        build_announcements(transcript, config.announce_fraction, rng_ann, guess)
+        for transcript, (_, rng_ann), guess in zip(transcripts, streams, guesses)
     ]
+    opened = np.zeros(bits.shape, dtype=bool)
+    for row, anns in zip(opened, announced):
+        row[[ann.round_index - 1 for ann in anns]] = True
+    attack.hypotheses = adversary.pattern_hypotheses(attack.raw_bits, opened, bits)
     recovered = ((attack.learned_bits() == bits).sum(axis=1) / config.num_rounds).tolist()
     hypotheses = [adversary.HYPOTHESES[code].value for code in attack.hypotheses.tolist()]
     min_fids = session.fidelities[:, 1:].min(axis=1).tolist()
@@ -334,16 +331,16 @@ def run_trials(
     tolerance: float = 0.0,
     workers: int = 1,
 ) -> list[TrialResult]:
-    """Independent trials, run in lockstep as one batch (one batch per worker
-    process); policy=None runs honestly.  Trial t runs from the key of
-    SeedSequence(base_seed).spawn(trials)[t]."""
+    """Independent trials, run in lockstep as one batch per process started,
+    at most workers and at most the CPU count; policy=None runs honestly.
+    Trial t runs from the key of SeedSequence(base_seed).spawn(trials)[t]."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if workers < 1:
         raise ValueError("workers must be >= 1")
     entropy, spawn_key, pool_size = trial_key(base_seed)
     keys = [(entropy, spawn_key + (t,), pool_size) for t in range(trials)]
-    size = -(-trials // workers)
+    size = -(-trials // min(workers, os.cpu_count() or 1))
     chunks = [keys[i : i + size] for i in range(0, trials, size)]
     if policy is None:
         jobs = [(config, chunk, instrument_disguise, tolerance) for chunk in chunks]
@@ -353,8 +350,7 @@ def run_trials(
         jobs = [(config, policy, chunk, su, tolerance) for chunk in chunks]
         batch_fn = _attack_trials
     if len(jobs) > 1:
-        # chunks never outnumber the cores in processes: the pool hands them out
-        with multiprocessing.Pool(min(len(jobs), os.cpu_count() or 1)) as pool:
+        with multiprocessing.Pool(len(jobs)) as pool:
             batches = pool.starmap(batch_fn, jobs)
     else:
         batches = [batch_fn(*job) for job in jobs]

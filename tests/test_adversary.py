@@ -19,17 +19,15 @@ from qsscarrier.adversary import (
     AttackState,
     MaintenancePolicy,
     PatternHypothesis,
-    RawRecord,
     attack_decode_and_forward,
     choice_operators,
     execute_split,
     forward_round2_counterfeit,
     maintain_carriers,
     no_signaling_distances,
+    pattern_hypotheses,
     pattern_pair_state,
     record_reads,
-    resolve_from_round2,
-    resolve_pattern,
     synthesize_split_unitary,
 )
 from qsscarrier.gates import BellKind, ThetaTriple
@@ -55,7 +53,7 @@ def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PL
     protocol.toggle_carrier(session)
     encode_round(session, int(session.rng.integers(0, 2)))
     attack = execute_split(session, su_ or synthesize_split_unitary(), policy, [rng])
-    record_reads(attack, record[0], record[2], record[2])
+    record_reads(attack, record[0], record[2])
     forward_round2_counterfeit(session, attack)
     return session, attack
 
@@ -301,7 +299,7 @@ def test_attack_rounds_stay_consistent_in_plain_runs(su):
         encode_round(session, q)
         attack_decode_and_forward(session, attack)
         rec = session.records[-1]
-        learned = attack.learned_bit(rec.round_index)
+        learned = attack.learned_bits()[0, rec.round_index - 1]
         assert rec.carrier_fidelity >= 1 - 1e-10
         if rec.parity == "odd":
             assert rec.bob_bit == q and rec.charlie_bit == q
@@ -320,58 +318,112 @@ def test_decode_guards(su):
 # pattern resolution ---------------------------------------------------------
 
 
+NO_READ = protocol.NO_READ
+PHI, PSI, UNKNOWN = (adversary.HYPOTHESES.index(h) for h in PatternHypothesis)
+
+
+def _resolve(attack, announced: dict[int, int]) -> None:
+    """Open the given {round: Alice's bit} in every trial and resolve the ledger."""
+    shape = attack.raw_bits.shape
+    opened, alice = np.zeros(shape, dtype=bool), np.zeros(shape, dtype=np.int64)
+    for r, bit in announced.items():
+        opened[:, r - 1], alice[:, r - 1] = True, bit
+    attack.hypotheses = pattern_hypotheses(attack.raw_bits, opened, alice)
+
+
+def _sequential_hypotheses(raw_bits, announced, alice_bits) -> list[int]:
+    """Reference for pattern_hypotheses: Bob hears the opened rounds one at a
+    time in ascending order, trial by trial.  While unresolved, round 2 names
+    the pattern as Alice's bit and another even round as raw XOR Alice's
+    bit; a resolved hypothesis never changes, and odd rounds never resolve."""
+    codes = []
+    for raws, opened, alice in zip(raw_bits.tolist(), announced.tolist(), alice_bits.tolist()):
+        code = UNKNOWN
+        for r in (i + 1 for i, is_open in enumerate(opened) if is_open):
+            if r == 2 and code == UNKNOWN:
+                code = alice[1]
+            elif r % 2 == 0 and code == UNKNOWN:
+                code = raws[r - 1] ^ alice[r - 1]
+        codes.append(code)
+    return codes
+
+
 def test_resolution_from_tagged_even_round():
     # A family-tagged even round whose raw read complements Alice's bit names
     # the Psi branch, and every tagged record is then reinterpreted: raw 0
     # becomes learned 1.
     attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
-    record_reads(attack, 4, 0, 1)
-    assert attack.records == {4: RawRecord(4, "even", raw=0, claim=1, psi_tagged=True)}
-    assert attack.learned_bit(4) == 0  # unresolved, raw passes through
-    got = resolve_pattern(attack, (4, 1))
-    assert got is PatternHypothesis.PSI
-    assert attack.learned_bit(4) == 1
-    assert attack.learned_bit(2) == 1  # round-2 bit follows from the branch
+    record_reads(attack, 4, 0)
+    assert attack.raw_bits.tolist() == [[NO_READ, NO_READ, NO_READ, 0, NO_READ, NO_READ]]
+    assert attack.learned_bits()[0, 3] == 0  # unresolved, raw passes through
+    _resolve(attack, {4: 1})
+    assert attack.hypotheses.tolist() == [PSI]
+    assert attack.learned_bits()[0, 3] == 1
+    assert attack.learned_bits()[0, 1] == 1  # round-2 bit follows from the branch
 
 
 def test_resolution_phi_branch():
     attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
-    record_reads(attack, 6, 1, 0)
-    assert resolve_pattern(attack, (6, 1)) is PatternHypothesis.PHI
-    assert attack.learned_bit(6) == 1
-    assert attack.learned_bit(2) == 0
+    record_reads(attack, 6, 1)
+    _resolve(attack, {6: 1})
+    assert attack.hypotheses.tolist() == [PHI]
+    assert attack.learned_bits()[0, 5] == 1
+    assert attack.learned_bits()[0, 1] == 0
 
 
 def test_resolution_never_reverts():
     attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
-    record_reads(attack, 4, 0, 0)
-    record_reads(attack, 6, 0, 0)
-    assert resolve_pattern(attack, (4, 1)) is PatternHypothesis.PSI
-    assert resolve_pattern(attack, (6, 0)) is PatternHypothesis.PSI
+    record_reads(attack, 4, 0)
+    record_reads(attack, 6, 0)
+    _resolve(attack, {4: 1})
+    assert attack.hypotheses.tolist() == [PSI]
+    # round 6 alone would name Phi; opened after round 4 it changes nothing
+    _resolve(attack, {4: 1, 6: 0})
+    assert attack.hypotheses.tolist() == [PSI]
 
 
 def test_untagged_rounds_do_not_resolve():
     attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
-    record_reads(attack, 1, 1, 1)
-    record_reads(attack, 3, 0, 0)
-    assert resolve_pattern(attack, (1, 1)) is PatternHypothesis.UNKNOWN
-    assert resolve_pattern(attack, (3, 0)) is PatternHypothesis.UNKNOWN
-    assert attack.learned_bit(1) == 1
-    assert attack.learned_bit(2) is None
+    record_reads(attack, 1, 1)
+    record_reads(attack, 3, 0)
+    _resolve(attack, {1: 1, 3: 0})
+    assert attack.hypotheses.tolist() == [UNKNOWN]
+    assert attack.learned_bits()[0, 0] == 1
+    assert attack.learned_bits()[0, 1] == NO_READ
     with pytest.raises(KeyError, match="round 5"):
-        resolve_pattern(attack, (5, 0))
+        _resolve(attack, {1: 1, 5: 0})
 
 
 def test_resolution_from_round2_announcement():
+    # Hearing q2 names the pattern outright.  Round 2 is the first even round
+    # opened, so no hypothesis can be resolved before it.
     attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
-    assert resolve_from_round2(attack, 1) is PatternHypothesis.PSI
-    assert attack.round2_bit == 1
-    assert attack.learned_bit(2) == 1
-    # an already-resolved hypothesis is not overwritten
-    attack2 = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
-    attack2.pattern_hypothesis = PatternHypothesis.PHI
-    assert resolve_from_round2(attack2, 1) is PatternHypothesis.PHI
-    assert attack2.round2_bit == 1
+    _resolve(attack, {2: 1})
+    assert attack.hypotheses.tolist() == [PSI]
+    assert attack.learned_bits()[0, 1] == 1
+
+
+def test_resolution_reads_each_trials_row():
+    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.PCG64(t) for t in range(3)])
+    record_reads(attack, 4, np.array([0, 1, 1]))
+    opened = np.zeros((3, 6), dtype=bool)
+    opened[1, 3] = True  # only trial 1 opens round 4, where Alice sent 0
+    attack.hypotheses = pattern_hypotheses(attack.raw_bits, opened, np.zeros((3, 6), dtype=np.int64))
+    assert attack.hypotheses.tolist() == [adversary.UNRESOLVED, 1, adversary.UNRESOLVED]
+    assert attack.learned_bits()[:, 3].tolist() == [0, 0, 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), trials=st.integers(1, 5), rounds=st.integers(2, 14))
+def test_pattern_rule_equals_the_sequential_rule(data, trials, rounds):
+    bits = st.lists(st.lists(st.integers(0, 1), min_size=rounds, max_size=rounds),
+                    min_size=trials, max_size=trials)
+    raw = np.array(data.draw(bits), dtype=np.int64)
+    raw[:, 1] = NO_READ  # Bob reads nothing in the round he splits
+    announced = np.array(data.draw(bits), dtype=bool)
+    alice = np.array(data.draw(bits), dtype=np.int64)
+    got = pattern_hypotheses(raw, announced, alice)
+    assert got.tolist() == _sequential_hypotheses(raw, announced, alice)
 
 
 # Bob's stream ---------------------------------------------------------------
@@ -512,18 +564,3 @@ def test_one_wrong_guess_poisons_the_next_odd_round():
                                     for _ in range(n)))
     assert bad / n == pytest.approx(0.3739, abs=1e-12)
     assert bad / n >= 0.25
-
-
-def test_ledger_rows_are_views_of_the_batch():
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.PCG64(t) for t in range(3)])
-    record_reads(attack, 4, np.array([0, 1, 1]), np.array([1, 1, 0]))
-    one = attack.row(1)
-    assert one.records == {4: RawRecord(4, "even", raw=1, claim=1, psi_tagged=True)}
-    # resolving one trial's row writes its column of the batch, and no other
-    assert resolve_pattern(one, (4, 0)) is PatternHypothesis.PSI
-    assert attack.hypotheses.tolist() == [adversary.UNRESOLVED, 1, adversary.UNRESOLVED]
-    assert attack.learned_bits()[:, 3].tolist() == [0, 0, 1]
-    with pytest.raises(ValueError, match="holds 3"):
-        attack.learned_bit(4)
-    with pytest.raises(ValueError, match="holds 3"):
-        resolve_pattern(attack, (4, 0))

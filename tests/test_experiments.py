@@ -12,7 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qsscarrier import experiments, gates, protocol
-from qsscarrier.adversary import MaintenancePolicy, PatternHypothesis
+from qsscarrier.adversary import AttackState, MaintenancePolicy, PatternHypothesis
 from qsscarrier.experiments import (
     aggregate,
     build_announcements,
@@ -133,9 +133,11 @@ def test_worker_pool_matches_serial():
 
 class _RecordingPool:
     """Stands in for multiprocessing.Pool: records the process count asked
-    for and runs the jobs in this process, starting nothing."""
+    for and the jobs handed over, and runs them in this process, starting
+    nothing."""
 
     processes: list[int] = []
+    jobs: list[int] = []
 
     def __init__(self, processes):
         _RecordingPool.processes.append(processes)
@@ -147,6 +149,7 @@ class _RecordingPool:
         return False
 
     def starmap(self, fn, jobs):
+        _RecordingPool.jobs.append(len(jobs))
         return [fn(*job) for job in jobs]
 
 
@@ -154,11 +157,12 @@ class _RecordingPool:
 def test_worker_pool_is_capped_at_the_cpu_count(monkeypatch, workers):
     monkeypatch.setattr(experiments.multiprocessing, "Pool", _RecordingPool)
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: 2)
-    _RecordingPool.processes = []
+    _RecordingPool.processes, _RecordingPool.jobs = [], []
     cfg = ProtocolConfig(num_rounds=3, rng_seed=0)
     pooled = run_trials(cfg, 64, base_seed=4, workers=workers)
     assert _RecordingPool.processes == [2]
-    # the chunking still follows workers, and results do not depend on it
+    # one chunk per process started, and results do not depend on the chunking
+    assert _RecordingPool.jobs == _RecordingPool.processes
     assert pooled == run_trials(cfg, 64, base_seed=4)
 
 
@@ -175,6 +179,30 @@ def test_alice_first_exposes_round2_guessing():
         assert any(ann.round_index == 2 for ann in r.announcements)
     announced_r2 = sum(any(a.round_index == 2 for a in r.announcements) for r in res)
     assert announced_r2 == 32
+
+
+@pytest.mark.parametrize("order", list(AnnounceOrder))
+def test_bob_claims_come_from_the_transcript(order):
+    # Bob claims what the transcript's Bob column holds, which for even
+    # rounds is his claim bit; round 2, where he read nothing, is fabricated.
+    policy = MaintenancePolicy.RANDOM_GUESS
+    cfg = theta_config(num_rounds=12, rng_seed=0, announce_fraction=0.9, announce_order=order)
+    opened_round2 = 0
+    for seed in range(8):
+        res = run_attack_trial(cfg, policy, seed=seed)
+        bob_stream = trial_rngs(seed, (experiments.BOB_STREAM,))
+        claim_draws = AttackState.draw(policy, cfg.num_rounds, bob_stream).claim_draws[0].tolist()
+        bob = {rec.round_index: rec.bob_bit for rec in res.transcript.records}
+        assert [bob[r] for r in range(4, 13, 2)] == claim_draws[:-1]
+        for ann in res.announcements:
+            if ann.round_index != 2:
+                assert ann.bob_claim == bob[ann.round_index]
+            elif order is AnnounceOrder.ALICE_FIRST:
+                assert ann.bob_claim == ann.alice_bit ^ claim_draws[-1]
+            else:
+                assert ann.bob_claim == ann.alice_bit ^ ann.charlie_claim
+            opened_round2 += ann.round_index == 2
+    assert opened_round2 > 0
 
 
 def test_bob_last_round2_always_passes():
