@@ -18,15 +18,19 @@ checkouts that have measure_reset.  Each cost is the median of --repeats
 timings and is given per call and per trial.
 
 The per-trial section times what a trial pays once: building its RNG
-streams from the run's base seed the way run_trials does (the streams an
-honest trial reads, and the three of an attacked one), its protocol-stream
-measurement draws (the two reads of one honest round drawn from the
-generators, against reading them from pre-drawn uniforms, plus the
-random(2R) that pre-draws a 10-round trial's share), the announcement phase
-(build_announcements and evaluate on a 10-round honest transcript at
-fraction 0.2) and one whole instrumented 10-round honest trial.  The draw
-costs are taken at batch sizes 16 and 50; the pre-drawn ones only in
-checkouts whose measure_reset reads uniforms.
+streams from the run's base seed (the streams an honest trial reads, and
+the three of an attacked one), its protocol-stream measurement draws (the
+two reads of one honest round drawn from the generators, against reading
+them from pre-drawn uniforms, plus the random(2R) that pre-draws a 10-round
+trial's share), the announcement phase (build_announcements and evaluate on
+a 10-round honest transcript at fraction 0.2) and one whole instrumented
+10-round honest trial.  Stream set-up is timed at batch sizes 16 and 50 as
+one trial_rngs call per trial and, in checkouts that seed by columns, as
+the one experiments.TrialStreams a batch builds, together with the
+protocol stream of a 10-round honest trial drawn from each (integers(0, 2,
+size=10) then random(20) per generator, against TrialStreams.protocol).
+The draw costs are taken at batch sizes 16 and 50; the pre-drawn ones only
+in checkouts whose measure_reset reads uniforms.
 
 The Bob-stream section times Bob's private draws for one 100-round
 random-guess trial at batch size 16, per trial and per trial-round: drawn
@@ -225,7 +229,8 @@ def kernel_costs(qss, repeats: int) -> dict:
 
 
 def stream_setup(ex, base_seed: int, trials: int, attacked: bool) -> list:
-    """The generators run_trials builds for its trials, as this checkout builds them."""
+    """One trial_rngs call per trial of a run_trials batch: each trial's
+    generators, built from its key where the checkout has trial keys."""
     if not hasattr(ex, "trial_key"):
         return [ex.trial_rngs(seed) for seed in np.random.SeedSequence(base_seed).spawn(trials)]
     entropy, spawn_key, pool_size = ex.trial_key(base_seed)
@@ -233,18 +238,48 @@ def stream_setup(ex, base_seed: int, trials: int, attacked: bool) -> list:
     return [ex.trial_rngs((entropy, spawn_key + (t,), pool_size), streams) for t in range(trials)]
 
 
+def columnar_setup(ex, base_seed: int, trials: int, attacked: bool):
+    """The one TrialStreams a run_trials batch builds for its trials."""
+    entropy, spawn_key, pool_size = ex.trial_key(base_seed)
+    streams = ex.ALL_STREAMS if attacked else ex.HONEST_STREAMS
+    return ex.TrialStreams([(entropy, spawn_key + (t,), pool_size) for t in range(trials)], streams)
+
+
+def lazy_protocol_stream(streams: list) -> None:
+    """A 10-round honest trial's protocol stream from each trial's generators."""
+    for rng_p, *_ in streams:
+        rng_p.integers(0, 2, size=SHORT_ROUNDS)
+        rng_p.random(2 * SHORT_ROUNDS)
+
+
 def trial_costs(qss, repeats: int) -> dict:
     """What one trial pays once, per trial (see the module docstring)."""
     from qsscarrier.protocol import ProtocolConfig
 
     qcore, proto, ex, detection = qss.qcore, qss.protocol, qss.experiments, qss.detection
-    pre_drawn = hasattr(ex, "draw_protocol_stream")
+    # checkouts that read pre-drawn uniforms check that every one was read
+    pre_drawn = hasattr(proto.ProtocolSession, "require_uniforms_spent")
     calls, trials = 20, 50
     out = {}
     for kind in ("honest", "attacked"):
         attacked = kind == "attacked"
-        seconds = timed(lambda: [stream_setup(ex, c, trials, attacked) for c in range(calls)], repeats)
-        out[f"stream_setup_{kind}"] = cost(seconds, calls, trials)
+        setup = {}
+        for batch in TRIAL_BATCH_SIZES:
+            gens = [stream_setup(ex, c, batch, attacked) for c in range(calls)]
+            ways = {
+                "trial_rngs": lambda: [stream_setup(ex, c, batch, attacked) for c in range(calls)],
+                "trial_rngs_protocol_stream": lambda: [lazy_protocol_stream(g) for g in gens],
+            }
+            if hasattr(ex, "TrialStreams"):
+                columnar = [columnar_setup(ex, c, batch, attacked) for c in range(calls)]
+                ways["columnar"] = lambda: [columnar_setup(ex, c, batch, attacked) for c in range(calls)]
+                ways["columnar_protocol_stream"] = lambda: [
+                    s.protocol(SHORT_ROUNDS, 2 * SHORT_ROUNDS) for s in columnar
+                ]
+            for name, way in ways.items():
+                # the lazy draws advance the generators; later repeats draw on
+                setup.setdefault(name, {})[batch] = cost(timed(way, repeats), calls, batch)
+        out[f"stream_setup_{kind}"] = setup
 
     draws = {}
     for batch in TRIAL_BATCH_SIZES:

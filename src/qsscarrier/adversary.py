@@ -113,26 +113,34 @@ class AttackState:
         cls,
         policy: MaintenancePolicy,
         num_rounds: int,
-        streams: Sequence[np.random.Generator | np.random.PCG64],
+        streams: Sequence[np.random.Generator | np.random.PCG64] | np.ndarray,
         q2_truth: np.ndarray | None = None,
     ) -> "AttackState":
         """A fresh ledger for num_rounds rounds whose trial t draws Bob's
-        whole stream from streams[t], a PCG64 or a Generator over one."""
+        whole stream from streams[t], a PCG64 or a Generator over one; an
+        array of streams holds each trial's raw words already drawn, one row
+        of bob_word_count(policy, num_rounds) per trial."""
         if num_rounds < 2:
             raise ValueError("the split happens in round 2; need at least 2 rounds")
         _check_decoding_once()
         steps = _bob_schedule(num_rounds, POLICY_CHOICE[policy] is None)
-        words = np.empty((len(streams), word_count(steps.kinds)), dtype=np.uint64)
-        for row, stream in zip(words, streams):
-            bitgen = stream.bit_generator if isinstance(stream, np.random.Generator) else stream
-            if not isinstance(bitgen, np.random.PCG64):
-                raise TypeError(f"Bob's streams must be PCG64, got {type(bitgen).__name__}")
-            if bitgen.state["has_uint32"]:
-                # a lazy integers(0, 2) would read that half first; decoding starts on a fresh word
-                raise ValueError("Bob's stream holds a half-word an earlier draw buffered; pass a fresh one")
-            row[:] = bitgen.random_raw(words.shape[1])
+        count = word_count(steps.kinds)
+        if isinstance(streams, np.ndarray):
+            if streams.dtype != np.uint64 or streams.ndim != 2 or streams.shape[1] != count:
+                raise ValueError(f"Bob's raw words need {count} uint64 per trial; got {streams.dtype} {streams.shape}")
+            words = streams
+        else:
+            words = np.empty((len(streams), count), dtype=np.uint64)
+            for row, stream in zip(words, streams):
+                bitgen = stream.bit_generator if isinstance(stream, np.random.Generator) else stream
+                if not isinstance(bitgen, np.random.PCG64):
+                    raise TypeError(f"Bob's streams must be PCG64, got {type(bitgen).__name__}")
+                if bitgen.state["has_uint32"]:
+                    # a lazy integers(0, 2) would read that half first; decoding starts on a fresh word
+                    raise ValueError("Bob's stream holds a half-word an earlier draw buffered; pass a fresh one")
+                row[:] = bitgen.random_raw(count)
         values = decode_stream(words, steps.kinds)
-        trials = len(streams)
+        trials = len(words)
         unset = np.full(trials, protocol.NO_READ, dtype=np.int64)
         return cls(
             maintenance_policy=policy,
@@ -176,6 +184,11 @@ class AttackState:
 def word_count(kinds: str) -> int:
     """Words of a schedule of random() ("d") and integers(0, 2) ("i") draws."""
     return kinds.count("d") + (kinds.count("i") + 1) // 2
+
+
+def bob_word_count(policy: MaintenancePolicy, num_rounds: int) -> int:
+    """Raw words Bob's stream gives up in an attacked run of num_rounds rounds."""
+    return word_count(_bob_schedule(num_rounds, POLICY_CHOICE[policy] is None).kinds)
 
 
 @functools.lru_cache(maxsize=64)
@@ -386,7 +399,7 @@ def execute_split(
     session: ProtocolSession,
     su: SplitUnitary,
     policy: MaintenancePolicy,
-    streams: Sequence[np.random.Generator | np.random.PCG64],
+    streams: Sequence[np.random.Generator | np.random.PCG64] | np.ndarray,
 ) -> AttackState:
     """Apply the splitting operator during round 2 in every trial and keep m1 as bt.
 
@@ -394,8 +407,9 @@ def execute_split(
     idle bt slot in every trial.  The label swap m1 <-> bt is bookkeeping
     only; afterwards bt holds the Bell half paired with a, m1 is a fresh |0>,
     and m2 holds the blank counterfeit.  streams are Bob's, one per trial (a
-    PCG64 or a Generator over one); his whole stream for the session's rounds
-    is drawn from them here.  Returns the attack ledger of every trial.
+    PCG64 or a Generator over one, or the rows of raw words already drawn
+    from them); his whole stream for the session's rounds is drawn from them
+    here (AttackState.draw).  Returns the attack ledger of every trial.
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("split must run on the encoded, undelivered round-2 state")

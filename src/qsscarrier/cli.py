@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import adversary, experiments, gates, identities
+from . import adversary, experiments, identities
 from .adversary import MaintenancePolicy
 from .gates import ThetaTriple
 from .protocol import AnnounceOrder, ProtocolConfig, Variant
@@ -297,10 +297,11 @@ def cmd_verify(ns: argparse.Namespace) -> int:
     if thetas is not None and len(thetas) not in (2, 3):
         raise CliError("--theta takes two angles (third derived) or three raw angles")
     _check_seed(ns.seed)
-    try:
-        gates.require_finite(thetas or ())
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    if thetas is not None:
+        try:
+            identities.require_suite_angles(thetas)
+        except ValueError as exc:
+            raise CliError(str(exc)) from None
     items = identities.suite(thetas, seed=ns.seed)
     failed = False
     for name, ok, detail in items:
@@ -325,7 +326,6 @@ def cmd_sweep(ns: argparse.Namespace) -> int:
     _check_seed(seed)
     for g in grid:
         try:
-            gates.require_finite((g,))  # before np.mod, which warns on inf
             experiments.symmetric_triple(g).require_hardened()
         except ValueError as exc:
             raise CliError(f"grid angle {g}: {exc}") from None

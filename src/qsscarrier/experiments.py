@@ -7,16 +7,25 @@ changing results.  Stream i is the child ss.spawn(3)[i] of a fresh
 SeedSequence ss of the trial seed, built directly from its key
 (entropy, spawn_key + (i,), pool_size): the seed object is never spawned
 from, so a trial replays the same from the same seed however often it runs.
-Honest runs build only the protocol and announcement streams; Bob's is
+Honest runs seed only the protocol and announcement streams; Bob's is
 never read there.
 
-The runners draw each trial's protocol stream ahead of the rounds: the bits,
-then one random(K) for the K measurement uniforms the rounds read in order
-(2 per round honest, R + 1 in an R-round attacked run), which gives the
-values K lazy random() calls would.  Bob's stream is drawn ahead too, as
-the raw words of his PCG64 (adversary.AttackState.draw): it interleaves
-random() with integers(0, 2), which reads buffered 32-bit half-words, so
-its words are decoded draw by draw as the lazy calls would read them.
+The runners build no SeedSequence, PCG64 or Generator per trial.  One pass
+over columns (pcg64_states) computes the state each (trial, stream) key's
+PCG64 would start in, and the batch's streams (TrialStreams) hand out each
+trial's draws from one PCG64 of the batch's own, re-seated to that trial's
+state.  The protocol stream is drawn ahead of the rounds as raw words and
+decoded (adversary.decode_stream) into the bits, then the K measurement
+uniforms the rounds read in order (2 per round honest, R + 1 in an R-round
+attacked run): the values integers(0, 2, size=R) and random(K) would take.
+Bob's stream is drawn ahead too, as raw words decoded draw by draw
+(adversary.AttackState.draw): it interleaves random() with integers(0, 2),
+which reads buffered 32-bit half-words.  The announcement stream runs
+numpy's own Generator.choice on a Generator over the re-seated bit
+generator.  The seeding follows numpy's C code, not a documented API, so
+check_stream_seeding compares it with numpy's own objects once per process
+and raises on any difference.
+
 Every round value lands in (trials, rounds) columns; the records of a
 transcript are built from them once, when the rounds are over.  The
 announcement phase reads columns too: every claim, Bob's included, comes off
@@ -26,13 +35,15 @@ the opened rounds of the whole batch (adversary.pattern_hypotheses).
 
 from __future__ import annotations
 
+import functools
 import multiprocessing
 import os
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import adversary, detection, protocol, qcore
+from . import adversary, detection, gates, protocol, qcore
 from .adversary import MaintenancePolicy, SplitUnitary
 from .detection import Announcement, DetectionReport
 from .gates import BellKind, ThetaTriple
@@ -48,7 +59,7 @@ TrialKey = tuple
 # and an attacking one draws raw words from his stream's bit generator alone
 ALL_STREAMS = (0, 1, 2)
 HONEST_STREAMS = (0, 2)
-BOB_STREAM = 1
+PROTOCOL_STREAM, BOB_STREAM, ANNOUNCE_STREAM = ALL_STREAMS
 
 # basis index i of the (m1, m2) marginal for the flipped bit reads index f[i] of the sent one
 FLIPPED_MESSAGE_INDEX = {"odd": (3, 2, 1, 0), "even": (2, 3, 0, 1)}
@@ -113,28 +124,247 @@ def trial_rngs(
 ) -> tuple[np.random.Generator, ...]:
     """The generators of the given streams of one trial, by default
     (protocol, Bob, announcement): what the children of a fresh
-    SeedSequence(seed).spawn(3) would seed, order-independent across trials."""
-    key = seed if isinstance(seed, tuple) else trial_key(seed)
-    return tuple(np.random.Generator(_bit_generator(key, i)) for i in streams)
+    SeedSequence(seed).spawn(3) would seed, order-independent across trials.
+
+    The runners seed the same streams by columns (TrialStreams); this builds
+    them one SeedSequence, PCG64 and Generator at a time, for step-by-step
+    runs and as the reference the tests hold the runners to."""
+    entropy, spawn_key, pool_size = seed if isinstance(seed, tuple) else trial_key(seed)
+    return tuple(
+        np.random.Generator(
+            np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key + (i,), pool_size=pool_size))
+        )
+        for i in streams
+    )
 
 
-def _bit_generator(key: TrialKey, stream: int) -> np.random.PCG64:
-    entropy, spawn_key, pool_size = key
-    seq = np.random.SeedSequence(entropy, spawn_key=spawn_key + (stream,), pool_size=pool_size)
-    return np.random.PCG64(seq)
+# ---------------------------------------------------------------------------
+# Streams seeded by columns
+#
+# numpy seeds PCG64(SeedSequence(entropy, spawn_key, pool_size)) in three
+# steps.  The entropy and spawn key are assembled into uint32 words, the
+# entropy zero-padded to the pool size when there is a spawn key; mix_entropy
+# hashes them into pool_size words; generate_state(4, uint64) expands the
+# pool into four seed words.  pcg64_set_seed then takes seed = w0:w1 and
+# inc = (w2:w3 << 1) | 1 and steps the LCG twice: state = ((inc + seed) *
+# MULT + inc) mod 2**128.  The hash constants advance once per hash call
+# whatever the words are.  Because of the padding, the spawn-key words are
+# always mixed in after the pool is filled from the entropy alone (a pool
+# word the entropy lacks hashes 0, as its padding would).  The keys of a
+# batch differ only in those spawn-key words, so the pool words before them
+# are mixed once as scalars and the spawn-key words by columns.
+
+_M32 = 0xFFFF_FFFF
+_M128 = (1 << 128) - 1
+# numpy.random.SeedSequence's hashing constants and shift
+INIT_A, MULT_A = 0x43B0D7E5, 0x931E8875
+INIT_B, MULT_B = 0x8B51F9DD, 0x58F38DED
+MIX_MULT_L, MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+XSHIFT = 16
+# pcg64_set_seed's LCG multiplier, PCG_DEFAULT_MULTIPLIER_128
+PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 
 
-def draw_protocol_stream(
-    rngs: list[np.random.Generator], num_rounds: int, measurements: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Each trial's bits, then its measurement uniforms, from its protocol
-    generator: the values the lazy draws of a run would take, in their order."""
-    bits = np.empty((len(rngs), num_rounds), dtype=np.int64)
-    uniforms = np.empty((len(rngs), measurements))
-    for rng, row_bits, row_uniforms in zip(rngs, bits, uniforms):
-        row_bits[:] = rng.integers(0, 2, size=num_rounds)
-        rng.random(out=row_uniforms)
-    return bits, uniforms
+def _uint32_words(x) -> list[int]:
+    """An int, or a nested sequence of ints, as the uint32 words SeedSequence
+    assembles: each int's words least significant first, 0 as one word."""
+    if isinstance(x, (int, np.integer)):
+        n = int(x)
+        if n < 0:
+            raise ValueError(f"seed entropy must be non-negative, got {n}")
+        words = [n & _M32]
+        while n > _M32:
+            n >>= 32
+            words.append(n & _M32)
+        return words
+    words = []
+    for v in x:
+        if type(v) is int and 0 <= v <= _M32:
+            words.append(v)
+        else:
+            words += _uint32_words(v)
+    return words
+
+
+def _hash_consts(start: int, mult: int, calls: int) -> list[int]:
+    """The hash constant before each of `calls` hash calls, then after the last."""
+    consts = [start]
+    for _ in range(calls):
+        consts.append(consts[-1] * mult & _M32)
+    return consts
+
+
+def _mix(x, y):
+    """SeedSequence's mix of two pool words, on ints or uint32 arrays."""
+    r = (MIX_MULT_L * x - MIX_MULT_R * y) & _M32
+    return r ^ r >> XSHIFT
+
+
+def _mixed_pool(words: list[int], pool_size: int) -> tuple[list[int], int]:
+    """mix_entropy over a key's entropy words, as scalars: the pool and the
+    hash constant the spawn-key words' mixing starts from."""
+    hash_const = INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal hash_const
+        value ^= hash_const
+        hash_const = hash_const * MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> XSHIFT
+
+    pool = [hashmix(words[i] if i < len(words) else 0) for i in range(pool_size)]
+    for src in range(pool_size):
+        for dst in range(pool_size):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in words[pool_size:]:
+        for dst in range(pool_size):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    return pool, hash_const
+
+
+def _generate_state(keys: Sequence[TrialKey]) -> np.ndarray:
+    """SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+    .generate_state(8) of every key, one uint32 row each.
+
+    Keys are grouped by their entropy, pool size and spawn-key length; each
+    group mixes its spawn-key words by columns, as a (pool_size, keys) array."""
+    groups: dict[tuple, tuple[list[int], list[list[int]]]] = {}
+    for row, (entropy, spawn_key, pool_size) in enumerate(keys):
+        tail = _uint32_words(spawn_key)
+        entropy_key = entropy if type(entropy) is int else tuple(_uint32_words(entropy))
+        rows, tails = groups.setdefault((entropy_key, pool_size, len(tail)), ([], []))
+        rows.append(row)
+        tails.append(tail)
+    out = np.empty((len(keys), 8), dtype=np.uint32)
+    expand = np.array(_hash_consts(INIT_B, MULT_B, 8), dtype=np.uint32)[:, np.newaxis]
+    for (entropy, pool_size, tail_len), (rows, tails) in groups.items():
+        first, hash_const = _mixed_pool(_uint32_words(entropy), pool_size)
+        pool = np.repeat(np.array(first, dtype=np.uint32)[:, np.newaxis], len(rows), axis=1)
+        consts = np.array(_hash_consts(hash_const, MULT_A, tail_len * pool_size), dtype=np.uint32)
+        tail_words = np.array(tails, dtype=np.uint32).reshape(len(rows), tail_len)
+        for j in range(tail_len):
+            c = consts[j * pool_size : (j + 1) * pool_size + 1, np.newaxis]
+            value = (tail_words[:, j] ^ c[:-1]) * c[1:]
+            pool = _mix(pool, value ^ value >> XSHIFT)
+        data = (pool[np.arange(8) % pool_size] ^ expand[:-1]) * expand[1:]
+        out[rows] = (data ^ data >> XSHIFT).T
+    return out
+
+
+def _pcg64_state(seed_hi: int, seed_lo: int, seq_hi: int, seq_lo: int) -> dict:
+    """pcg64_set_seed from four seed words: the state dict of a fresh PCG64."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) & _M128
+    state = ((inc + (seed_hi << 64 | seed_lo)) * PCG64_MULT + inc) & _M128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def pcg64_states(keys: Sequence[TrialKey]) -> list[dict]:
+    """The state PCG64(SeedSequence(entropy, spawn_key=spawn_key,
+    pool_size=pool_size)) starts in, for each key, computed in one pass."""
+    halves = _generate_state(keys).astype(np.uint64)
+    # generate_state(4, uint64) reads each pair of uint32 words little-endian
+    seeds = halves[:, 0::2] | halves[:, 1::2] << np.uint64(32)
+    return [_pcg64_state(*row) for row in seeds.tolist()]
+
+
+def _raw_words(bitgen: np.random.PCG64, states: list[dict], count: int) -> np.ndarray:
+    """The first count raw words from each state, one row per state, drawn
+    by re-seating bitgen."""
+    words = np.empty((len(states), count), dtype=np.uint64)
+    for row, state in zip(words, states):
+        bitgen.state = state
+        row[:] = bitgen.random_raw(count)
+    return words
+
+
+def _protocol_kinds(num_rounds: int, measurements: int) -> str:
+    """The protocol stream's draws: the bits, then the measurement uniforms."""
+    return "i" * num_rounds + "d" * measurements
+
+
+def _protocol_draws(words: np.ndarray, num_rounds: int, measurements: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row of protocol-stream words decoded into its bits and its uniforms."""
+    values = adversary.decode_stream(words, _protocol_kinds(num_rounds, measurements))
+    return values[:, :num_rounds].astype(np.int64), values[:, num_rounds:]
+
+
+class TrialStreams:
+    """The streams a lockstep batch of trials reads, seeded by columns.
+
+    Holds every (trial, stream)'s starting state and one PCG64, re-seated to
+    a trial's state before that trial's draws; each batch builds its own, so
+    runs in separate threads never share one.
+    """
+
+    def __init__(self, keys: Sequence[TrialKey], streams: tuple[int, ...]) -> None:
+        _check_seeding_once()
+        states = pcg64_states(
+            [(entropy, spawn_key + (s,), pool_size) for entropy, spawn_key, pool_size in keys for s in streams]
+        )
+        self._states = {s: states[i :: len(streams)] for i, s in enumerate(streams)}
+        self._bitgen = np.random.PCG64(0)
+
+    def words(self, stream: int, count: int) -> np.ndarray:
+        """Each trial's first count raw words of the stream, one row per trial."""
+        return _raw_words(self._bitgen, self._states[stream], count)
+
+    def protocol(self, num_rounds: int, measurements: int) -> tuple[np.ndarray, np.ndarray]:
+        """Each trial's bits, then its measurement uniforms: the values the lazy
+        draws of a run take, in their order."""
+        count = adversary.word_count(_protocol_kinds(num_rounds, measurements))
+        return _protocol_draws(self.words(PROTOCOL_STREAM, count), num_rounds, measurements)
+
+    def generators(self, stream: int) -> Iterator[np.random.Generator]:
+        """Each trial's Generator of the stream in turn.  It is one Generator,
+        re-seated to the next trial's state when the iteration reaches it, so
+        each trial's draws must be taken before the next is asked for."""
+        rng = np.random.Generator(self._bitgen)
+        for state in self._states[stream]:
+            self._bitgen.state = state
+            yield rng
+
+
+# keys the seeding guard runs: entropy shorter than the pool, past it, and as
+# a list; spawn words of 2**32 and more; pools of 4, 5 and 8; spawn keys of
+# 0 to 3 words in one pass, two of them over the same entropy
+_GUARD_KEYS = (
+    (2014, (0,), 4),
+    (2014, (6, 2), 4),
+    (2**200 + 2014, (2**40 + 1, 1), 4),
+    ([5, 2**33, 0], (3,), 8),
+    (2014, (), 5),
+)
+# (bits, uniforms) of protocol streams with odd and even bit counts
+_GUARD_SCHEDULES = ((3, 5), (4, 5))
+
+
+def check_stream_seeding() -> None:
+    """Raise unless the seeding pass starts each guard key's PCG64 where
+    numpy's own does, and its raw words decode to the values
+    integers(0, 2, size=R) and then random(K) take, for odd and even R."""
+    states = pcg64_states(_GUARD_KEYS)
+    bitgen = np.random.PCG64(0)
+    for (entropy, spawn_key, pool_size), state in zip(_GUARD_KEYS, states):
+        seq = functools.partial(np.random.SeedSequence, entropy, spawn_key=spawn_key, pool_size=pool_size)
+        same = np.random.PCG64(seq()).state == state
+        for num_rounds, measurements in _GUARD_SCHEDULES:
+            lazy = np.random.Generator(np.random.PCG64(seq()))
+            expected = lazy.integers(0, 2, size=num_rounds).tolist(), lazy.random(measurements).tolist()
+            count = adversary.word_count(_protocol_kinds(num_rounds, measurements))
+            bits, uniforms = _protocol_draws(_raw_words(bitgen, [state], count), num_rounds, measurements)
+            same = same and (bits[0].tolist(), uniforms[0].tolist()) == expected
+        if not same:
+            raise RuntimeError(
+                f"numpy {np.__version__} seeds PCG64 from a SeedSequence differently from the columnar"
+                f" seeding pass (key {(entropy, spawn_key, pool_size)}); the runners would not reproduce"
+                " the trials' streams"
+            )
+
+
+@functools.cache
+def _check_seeding_once() -> None:
+    check_stream_seeding()
 
 
 def build_announcements(
@@ -187,10 +417,9 @@ def _honest_trials(
     marginal, and a symmetric permutation moves its entries exactly, computes
     none, and so keeps it Hermitian, of unit trace and with the same spectrum.
     """
-    streams = [trial_rngs(key, HONEST_STREAMS) for key in keys]
-    rngs_p = [rng_p for rng_p, _ in streams]
-    bits, uniforms = draw_protocol_stream(rngs_p, config.num_rounds, 2 * config.num_rounds)
-    session = protocol.init_session(config, rng=rngs_p, uniforms=uniforms)
+    streams = TrialStreams(keys, HONEST_STREAMS)
+    bits, uniforms = streams.protocol(config.num_rounds, 2 * config.num_rounds)
+    session = protocol.init_session(config, uniforms=uniforms)
     max_dist = np.zeros(len(keys))
     for r in range(config.num_rounds):
         protocol.encode_round(session, bits[:, r])
@@ -205,7 +434,8 @@ def _honest_trials(
     results = []
     min_fids = session.fidelities.min(axis=1).tolist()
     dists = max_dist.tolist() if instrument_disguise else [None] * len(keys)
-    for transcript, (_, rng_ann), min_fid, dist in zip(session.transcripts(), streams, min_fids, dists):
+    rngs_ann = streams.generators(ANNOUNCE_STREAM)
+    for transcript, rng_ann, min_fid, dist in zip(session.transcripts(), rngs_ann, min_fids, dists):
         anns = build_announcements(transcript, config.announce_fraction, rng_ann)
         odd_n, even_n = _parity_split(anns)
         results.append(
@@ -236,20 +466,17 @@ def _attack_trials(
     recovery."""
     if config.num_rounds < 2:
         raise ValueError("the split happens in round 2; need at least 2 rounds")
-    streams = [trial_rngs(key, HONEST_STREAMS) for key in keys]
-    rngs_p = [rng_p for rng_p, _ in streams]
+    streams = TrialStreams(keys, ALL_STREAMS)
     # two reads in round 1, then Charlie's one read per round
-    bits, uniforms = draw_protocol_stream(rngs_p, config.num_rounds, config.num_rounds + 1)
-    session = protocol.init_session(
-        config, rng=rngs_p, extra_labels=adversary.ATTACK_EXTRA_LABELS, uniforms=uniforms
-    )
+    bits, uniforms = streams.protocol(config.num_rounds, config.num_rounds + 1)
+    session = protocol.init_session(config, extra_labels=adversary.ATTACK_EXTRA_LABELS, uniforms=uniforms)
 
     protocol.encode_round(session, bits[:, 0])
     honest_round1, _ = protocol.deliver_and_decode(session)
     protocol.toggle_carrier(session)
     protocol.encode_round(session, bits[:, 1])
-    bob_streams = [_bit_generator(key, BOB_STREAM) for key in keys]
-    attack = adversary.execute_split(session, su, policy, bob_streams)
+    bob_words = streams.words(BOB_STREAM, adversary.bob_word_count(policy, config.num_rounds))
+    attack = adversary.execute_split(session, su, policy, bob_words)
     adversary.record_reads(attack, 1, honest_round1)
     adversary.forward_round2_counterfeit(session, attack)
     adversary.maintain_carriers(session, attack)
@@ -267,7 +494,7 @@ def _attack_trials(
         guesses = [None] * len(keys)
     announced = [
         build_announcements(transcript, config.announce_fraction, rng_ann, guess)
-        for transcript, (_, rng_ann), guess in zip(transcripts, streams, guesses)
+        for transcript, rng_ann, guess in zip(transcripts, streams.generators(ANNOUNCE_STREAM), guesses)
     ]
     opened = np.zeros(bits.shape, dtype=bool)
     for row, anns in zip(opened, announced):
@@ -393,7 +620,9 @@ def aggregate(results: list[TrialResult]) -> AggregateStats:
 
 def symmetric_triple(theta: float) -> ThetaTriple:
     """Angles with the receiver-side pair equal: (g, -2g mod 2pi, g)."""
-    return ThetaTriple.from_ab(theta, float(np.mod(-2.0 * theta, 2.0 * np.pi)))
+    b = -2.0 * theta
+    gates.require_finite((theta, b))  # before np.mod, which warns on inf
+    return ThetaTriple.from_ab(theta, float(np.mod(b, 2.0 * np.pi)))
 
 
 def sweep(

@@ -70,6 +70,28 @@ def plain_orbit_fidelity(starts: Iterable[BellKind], toggles: int = 10) -> float
     return worst
 
 
+def tracked_triple(ta: float, tc: float) -> ThetaTriple:
+    """The triple the maintenance checks run at for an (a, c) angle pair:
+    b closes the sum."""
+    return ThetaTriple(ta, -(ta + tc), tc)
+
+
+def require_suite_angles(thetas: list[float]) -> None:
+    """Raise ValueError unless suite() can build every triple it derives from
+    these angles: the two-angle triple, then the tracked triple of its (a, c)
+    pair.  A raw three-angle triple may break the sum, which the suite
+    reports as failures, but its (a, c) pair must still give a triple."""
+    gates.require_finite(thetas)
+    if len(thetas) == 2:
+        triple = ThetaTriple.from_ab(thetas[0], thetas[1])
+        tracked_triple(triple.a, triple.c)
+    else:
+        try:
+            tracked_triple(thetas[0], thetas[2])
+        except ValueError as exc:
+            raise ValueError(f"no b closes the sum at a = {thetas[0]}, c = {thetas[2]}: {exc}") from None
+
+
 def pattern_tracking(pairs: Iterable[tuple[float, float]]) -> tuple[float, float]:
     """(keep, cross-use) over (ta, tc) pairs, in both toggle directions: the
     lowest fidelity with which the conjugate pair u keeps the PhiPlus
@@ -79,7 +101,7 @@ def pattern_tracking(pairs: Iterable[tuple[float, float]]) -> tuple[float, float
     phi_minus = pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
     keep, cross = 1.0, 0.0
     for ta, tc in pairs:
-        angles = ThetaTriple(ta, -(ta + tc), tc)
+        angles = tracked_triple(ta, tc)
         for r in (1, 2):
             keep = min(keep, qcore.fidelity(adversary.maintenance_step(phi_plus, angles, "u", r), phi_plus))
             cross = max(
@@ -93,7 +115,7 @@ def pattern_tracking(pairs: Iterable[tuple[float, float]]) -> tuple[float, float
 def transpose_image(ta: float, tc: float) -> qcore.StateVector:
     """The PhiMinus pattern after one forward toggle under the transpose pair v."""
     phi_minus = pattern_pair_state(BellKind.PHI_MINUS, BellKind.PHI_MINUS)
-    return adversary.maintenance_step(phi_minus, ThetaTriple(ta, -(ta + tc), tc), "v", 1)
+    return adversary.maintenance_step(phi_minus, tracked_triple(ta, tc), "v", 1)
 
 
 def psi_overlaps(state: qcore.StateVector) -> tuple[float, float]:

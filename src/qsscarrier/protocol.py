@@ -153,14 +153,15 @@ class ProtocolSession:
     """Trials of one configuration played in lockstep, one state row each.
 
     Every trial sits at the same round and carrier form; each has its own
-    protocol-stream generator and its own in-flight bit.  The round values
+    protocol stream and its own in-flight bit.  The round values
     are columns of (trials, num_rounds) arrays, column r - 1 for round r:
     Alice's bits, Bob's and Charlie's reads (NO_READ where a party read
     nothing) and the carrier or pattern fidelities; transcripts() turns the
     closed rounds into records.  The protocol's measurements draw from the
     generators lazily, or, when the session holds uniforms, read them from
-    those pre-drawn columns in order.  A session of one trial also offers
-    state, rng and records for step-by-step use.
+    those pre-drawn columns in order (and rngs may then be empty).  A
+    session of one trial also offers state, rng and records for
+    step-by-step use.
     """
 
     config: ProtocolConfig
@@ -197,6 +198,8 @@ class ProtocolSession:
     @property
     def rng(self) -> np.random.Generator:
         self.require_single()
+        if not self.rngs:
+            raise ValueError("this session reads pre-drawn uniforms and holds no generator")
         return self.rngs[0]
 
     @property
@@ -257,22 +260,28 @@ def init_session(
     of trials played in lockstep; by default one trial seeded from the config.
     uniforms, one row per trial, are the protocol measurements' draws taken
     beforehand (see ProtocolSession); without them the generators are drawn
-    as the measurements happen.
+    as the measurements happen.  Given uniforms and no generators, the
+    session holds one trial per row and no generator.
     """
     labels = CARRIER_LABELS + tuple(extra_labels) + MESSAGE_LABELS
-    if rng is None:
+    if rng is None and uniforms is not None:
+        rngs = []
+    elif rng is None:
         rngs = [np.random.default_rng(config.rng_seed)]
     elif isinstance(rng, np.random.Generator):
         rngs = [rng]
     else:
         rngs = list(rng)
-    if uniforms is not None and (uniforms.ndim != 2 or uniforms.shape[0] != len(rngs)):
-        raise ValueError(f"uniforms need one row per trial ({len(rngs)}), got shape {uniforms.shape}")
+    if uniforms is not None and uniforms.ndim != 2:
+        raise ValueError(f"uniforms need one row per trial, got shape {uniforms.shape}")
+    trials = len(rngs) if rngs or uniforms is None else uniforms.shape[0]
+    if uniforms is not None and uniforms.shape[0] != trials:
+        raise ValueError(f"uniforms need one row per trial ({trials}), got shape {uniforms.shape}")
     start = _carrier_state(labels, CarrierKind.GHZ)
-    shape = (len(rngs), config.num_rounds)
+    shape = (trials, config.num_rounds)
     return ProtocolSession(
         config=config,
-        states=qcore.StateBatch.repeat(start, len(rngs)),
+        states=qcore.StateBatch.repeat(start, trials),
         carrier_kind=CarrierKind.GHZ,
         rngs=rngs,
         q_bits=np.zeros(shape, dtype=np.int64),

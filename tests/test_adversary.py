@@ -485,6 +485,20 @@ def test_pre_drawn_ledger_holds_the_lazy_draws_in_run_order(policy, rounds):
     assert attack.claim_draws.tolist() == claims
 
 
+def test_ledger_draws_the_same_from_words_as_from_streams():
+    policy, rounds = MaintenancePolicy.RANDOM_GUESS, 7
+    count = adversary.bob_word_count(policy, rounds)
+    words = np.array([np.random.PCG64(seed).random_raw(count) for seed in (11, 12)])
+    from_streams = AttackState.draw(policy, rounds, [np.random.PCG64(seed) for seed in (11, 12)])
+    from_words = AttackState.draw(policy, rounds, words)
+    for name in ("read_draws", "coin_draws", "claim_draws", "raw_bits", "hypotheses"):
+        assert getattr(from_words, name).tolist() == getattr(from_streams, name).tolist()
+    with pytest.raises(ValueError, match=f"need {count} uint64 per trial"):
+        AttackState.draw(policy, rounds, words[:, 1:])
+    with pytest.raises(ValueError, match="uint64"):
+        AttackState.draw(policy, rounds, words.astype(np.int64))
+
+
 def _ints_off_by_one_bit(words, kinds):
     """Doubles right, integers(0, 2) read from bit 30 of each half-word."""
     values = adversary.decode_stream(words, kinds)

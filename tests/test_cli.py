@@ -487,3 +487,36 @@ def test_run_accepts_or_rejects_every_input_cleanly(file_values, flag_values):
         assert err.getvalue().startswith("error: "), (argv, file_values, err.getvalue())
     else:
         assert out.getvalue().startswith("trials:"), (argv, file_values, out.getvalue())
+
+
+_VERIFY_ANGLE = st.floats(min_value=-1e308, max_value=1e308, allow_nan=False, allow_infinity=False)
+
+
+@example(thetas=[1e17, 1.0])
+@example(thetas=[1e308, 1e308])
+@example(thetas=[1e308, 1e308, 1.0])
+@example(thetas=[1.0, 2.0, 3.0])
+@settings(max_examples=25, deadline=None)
+@given(thetas=st.lists(_VERIFY_ANGLE, min_size=2, max_size=3))
+def test_verify_resolves_every_finite_angle_cleanly(thetas):
+    # angles the suite can build its triples from run (0, or 2 when an
+    # identity fails); any other exits 1 with an error line, never a traceback
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["verify", "--theta", *map(repr, thetas)])
+    assert code in (cli.EXIT_OK, cli.EXIT_IDENTITY, cli.EXIT_CONFIG), (thetas, code)
+    if code == cli.EXIT_CONFIG:
+        assert err.getvalue().startswith("error: "), (thetas, err.getvalue())
+        assert out.getvalue() == ""
+    else:
+        assert out.getvalue().startswith("PASS  plain-toggle"), (thetas, out.getvalue())
+
+
+@pytest.mark.parametrize("grid", ["1e308", "-1e308", "9e307"])
+def test_sweep_rejects_an_angle_whose_double_overflows_without_a_warning(capsys, grid):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # np.mod of -2g = -inf would warn
+        code, out, err = run_main(capsys, "sweep", "--grid", grid, "--trials", "2", "--rounds", "2")
+    assert code == cli.EXIT_CONFIG
+    assert err.startswith(f"error: grid angle {float(grid)}: toggle angles must be finite")
+    assert out == ""

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsscarrier import experiments, gates, protocol
+from qsscarrier import adversary, experiments, gates, protocol
 from qsscarrier.adversary import AttackState, MaintenancePolicy, PatternHypothesis
 from qsscarrier.experiments import (
     aggregate,
@@ -364,14 +365,169 @@ def test_step_api_draws_lazily_the_values_a_run_pre_draws():
 @pytest.mark.parametrize("policy", [None, MaintenancePolicy.PLAIN_HADAMARD])
 @pytest.mark.parametrize("extra,message", [(1, "1 pre-drawn measurement uniform"), (-1, "ran out")])
 def test_runners_check_every_pre_drawn_uniform_is_read(monkeypatch, policy, extra, message):
-    draw = experiments.draw_protocol_stream
+    draw = experiments.TrialStreams.protocol
 
-    def misdraw(rngs, num_rounds, measurements):
-        return draw(rngs, num_rounds, measurements + extra)
+    def misdraw(streams, num_rounds, measurements):
+        return draw(streams, num_rounds, measurements + extra)
 
-    monkeypatch.setattr(experiments, "draw_protocol_stream", misdraw)
+    monkeypatch.setattr(experiments.TrialStreams, "protocol", misdraw)
     with pytest.raises(ValueError, match=message):
         run_trials(ProtocolConfig(num_rounds=4), 3, policy=policy)
+
+
+# streams seeded by columns --------------------------------------------------
+
+ENTROPY = st.one_of(
+    st.integers(min_value=0, max_value=2**256 - 1),
+    st.lists(st.integers(min_value=0, max_value=2**64), max_size=5),
+)
+SPAWN_WORD = st.one_of(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=2**32, max_value=2**96))
+SPAWN_KEY = st.lists(SPAWN_WORD, max_size=4).map(tuple)
+
+
+@st.composite
+def seed_keys(draw):
+    """Keys of a few shared entropies, so one pass mixes equal and unequal
+    entropy, pool sizes and assembled-entropy lengths."""
+    entropies = draw(st.lists(ENTROPY, min_size=1, max_size=3))
+    key = st.tuples(st.sampled_from(entropies), SPAWN_KEY, st.integers(min_value=4, max_value=8))
+    return draw(st.lists(key, min_size=1, max_size=8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(keys=seed_keys())
+def test_columnar_states_equal_numpys(keys):
+    expected = [
+        np.random.PCG64(np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)).state
+        for entropy, spawn_key, pool_size in keys
+    ]
+    assert experiments.pcg64_states(keys) == expected
+
+
+class LazyStreams:
+    """The oracle: each trial's streams as separate Generators (trial_rngs),
+    the protocol stream drawn by integers(0, 2, size=R) then random(K) and
+    Bob's straight from his bit generator."""
+
+    def __init__(self, keys, streams):
+        self.gens = dict(zip(streams, zip(*(trial_rngs(key, streams) for key in keys))))
+
+    def protocol(self, num_rounds, measurements):
+        gens = self.gens[experiments.PROTOCOL_STREAM]
+        bits = np.array([g.integers(0, 2, size=num_rounds) for g in gens])
+        return bits, np.array([g.random(measurements) for g in gens])
+
+    def words(self, stream, count):
+        return np.array([g.bit_generator.random_raw(count) for g in self.gens[stream]])
+
+    def generators(self, stream):
+        return iter(self.gens[stream])
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    entropy=ENTROPY,
+    spawn_key=SPAWN_KEY,
+    pool_size=st.integers(min_value=4, max_value=8),
+    rounds=st.integers(min_value=2, max_value=9),
+    policy=st.sampled_from([None, *MaintenancePolicy]),
+    theta=st.booleans(),
+    order=st.sampled_from(AnnounceOrder),
+    frac=st.sampled_from([0.2, 0.5, 1.0]),
+)
+def test_runners_draw_what_lazy_streams_give(entropy, spawn_key, pool_size, rounds, policy, theta, order, frac):
+    theta = theta or policy not in (None, MaintenancePolicy.PLAIN_HADAMARD)
+    config = theta_config(num_rounds=rounds, announce_order=order, announce_fraction=frac) if theta else \
+        ProtocolConfig(num_rounds=rounds, announce_order=order, announce_fraction=frac)
+
+    def run():
+        seed = np.random.SeedSequence(entropy, spawn_key=spawn_key, pool_size=pool_size)
+        if policy is None:
+            return run_honest_trial(config, seed, instrument_disguise=True)
+        return run_attack_trial(config, policy, seed)
+
+    columnar = run()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "TrialStreams", LazyStreams)
+        lazy = run()
+    assert columnar == lazy
+
+
+def test_runners_build_no_generator_per_trial(monkeypatch):
+    experiments.check_stream_seeding()
+    built = {}
+
+    def counted(cls):
+        class Counted(cls):
+            def __init__(self, *args, **kwargs):
+                built[cls.__name__] = built.get(cls.__name__, 0) + 1
+                super().__init__(*args, **kwargs)
+
+        Counted.__name__ = cls.__name__  # a PCG64's state names its class
+        return Counted
+
+    for name in ("SeedSequence", "PCG64", "Generator"):
+        monkeypatch.setattr(np.random, name, counted(getattr(np.random, name)))
+    counts = []
+    for trials in (2, 9):
+        for policy in (None, MaintenancePolicy.PLAIN_HADAMARD):
+            built.clear()
+            run_trials(ProtocolConfig(num_rounds=4), trials, base_seed=3, policy=policy)
+            counts.append((policy, dict(built)))
+    # one SeedSequence reads the base seed's key; one PCG64 and one announcement Generator per batch
+    assert counts[:2] == counts[2:]
+    assert all(c == {"SeedSequence": 1, "PCG64": 1, "Generator": 1} for _, c in counts)
+
+
+def _one_lcg_step(seed_hi, seed_lo, seq_hi, seq_lo):
+    """pcg64_set_seed without its second LCG step."""
+    inc = ((seq_hi << 64 | seq_lo) << 1 | 1) % 2**128
+    state = (inc + (seed_hi << 64 | seed_lo)) % 2**128
+    return {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+
+
+def _halves_swapped(generate):
+    """Each uint64 seed word assembled from its two uint32 halves high first."""
+    return lambda keys: generate(keys)[:, [1, 0, 3, 2, 5, 4, 7, 6]]
+
+
+def _high_half_first(decode):
+    """integers(0, 2) read from each word's high half before its low one."""
+
+    def swapped(words, kinds):
+        values = decode(words, kinds)
+        ints = np.array([kind == "i" for kind in kinds])
+        values[:, ints] = decode((words << np.uint64(32)) | (words >> np.uint64(32)), kinds)[:, ints]
+        return values
+
+    return swapped
+
+
+@pytest.mark.parametrize("mutation", [
+    "INIT_A", "MULT_A", "INIT_B", "MULT_B", "MIX_MULT_L", "MIX_MULT_R", "XSHIFT",
+    "lcg", "seed halves", "protocol halves",
+])
+def test_seeding_guard_raises_on_a_wrong_pass(monkeypatch, mutation):
+    experiments.check_stream_seeding()  # the true pass passes
+    if mutation == "lcg":
+        monkeypatch.setattr(experiments, "_pcg64_state", _one_lcg_step)
+    elif mutation == "seed halves":
+        monkeypatch.setattr(experiments, "_generate_state", _halves_swapped(experiments._generate_state))
+    elif mutation == "protocol halves":
+        monkeypatch.setattr(adversary, "decode_stream", _high_half_first(adversary.decode_stream))
+    else:
+        monkeypatch.setattr(experiments, mutation, getattr(experiments, mutation) ^ 1)
+    with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
+        experiments.check_stream_seeding()
+
+
+def test_session_takes_its_trials_from_the_uniforms_rows():
+    session = protocol.init_session(ProtocolConfig(num_rounds=2), uniforms=np.zeros((3, 4)))
+    assert session.trials == 3
+    assert session.rngs == []
+    one = protocol.init_session(ProtocolConfig(num_rounds=2), uniforms=np.zeros((1, 4)))
+    with pytest.raises(ValueError, match="no generator"):
+        one.rng
 
 
 def test_session_rejects_uniforms_without_one_row_per_trial():
