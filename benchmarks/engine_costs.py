@@ -13,30 +13,28 @@ honest decode, and Bob's decode-and-forward and the maintained toggle of an
 odd round after the split, each from a saved session state.  The summing
 kernels (measure_reset on one and on two targets, reduced_density with its
 validation, fidelity, check_norm and excited_mass) are timed on an honest
-session just after Alice's round-1 encoding, at batch sizes 1, 16 and 50, in
-checkouts that have measure_reset.  Each cost is the median of --repeats
-timings and is given per call and per trial.
+session just after Alice's round-1 encoding, at batch sizes 1, 16 and 50.
+Each cost is the median of --repeats timings and is given per call and per
+trial.
 
 The per-trial section times what a trial pays once: building its RNG
 streams from the run's base seed (the streams an honest trial reads, and
 the three of an attacked one), its protocol-stream measurement draws (the
-two reads of one honest round drawn from the generators, against reading
-them from pre-drawn uniforms, plus the random(2R) that pre-draws a 10-round
-trial's share), the announcement phase (build_announcements and evaluate on
-a 10-round honest transcript at fraction 0.2) and one whole instrumented
-10-round honest trial.  Stream set-up is timed at batch sizes 16 and 50 as
-one trial_rngs call per trial and, in checkouts that seed by columns, as
-the one experiments.TrialStreams a batch builds, together with the
-protocol stream of a 10-round honest trial drawn from each (integers(0, 2,
-size=10) then random(20) per generator, against TrialStreams.protocol).
-The draw costs are taken at batch sizes 16 and 50; the pre-drawn ones only
-in checkouts whose measure_reset reads uniforms.
+two reads of one honest round from pre-drawn uniforms, plus the random(2R)
+that pre-draws a 10-round trial's share), the announcement phase
+(build_announcements and evaluate on a 10-round honest transcript at
+fraction 0.2) and one whole instrumented 10-round honest trial.  Stream set-up is timed at batch sizes 16 and 50 as
+one trial_rngs call per trial (numpy's own objects, the reference the
+tests hold the runners to) and as the one experiments.TrialStreams a batch
+builds, together with the protocol stream of a 10-round honest trial drawn
+from each (integers(0, 2, size=10) then random(20) per generator, against
+TrialStreams.protocol).  The draw costs are taken at batch sizes 16 and 50.
 
 The Bob-stream section times Bob's private draws for one 100-round
 random-guess trial at batch size 16, per trial and per trial-round: drawn
 lazily, one scalar call per trial and draw as the rounds ask for them, and
 drawn ahead as the raw PCG64 words of the whole schedule, decoded into the
-ledger's columns (adversary.AttackState.draw, in checkouts that have it).
+ledger's columns (adversary.AttackState.draw).
 
 Kernel calls are counted on one plain-split lockstep round of 16 trials (the
 mean over 20 rounds after the split): every call the round phases make into
@@ -45,17 +43,11 @@ only the outermost call when one kernel calls another.  StateBatch builds
 are counted alongside: those that check their labels, and the kernel results
 wrapped over the labels of their input (StateBatch.with_rows).
 
-The round phases are driven through their batch functions, which take a
-session and Bob's attack ledger (one ledger of every trial, or in older
-checkouts one ledger per trial, which this script passes along unopened).
-They go by their step names (deliver_and_decode, execute_split, ...);
-checkouts that kept one-trial wrappers under those names call the batch
-functions *_all.
-
---src may point at the src/ directory of any checkout: a checkout whose
-engine runs one trial at a time is timed on lone states, batch size 1 only
-for the kernels, trial by trial inside run_trials, and without the phase
-costs and kernel counts.
+Every session measures with uniforms drawn ahead (default_rng(t).random
+per trial t) and Bob decodes raw PCG64 words (PCG64(10_000 + t)), as the
+runners' sessions do.  --src may point at the src/ directory of any
+checkout whose sessions and Bob's ledger take those pre-drawn columns
+(adversary.bob_word_count exists).
 """
 
 from __future__ import annotations
@@ -70,7 +62,6 @@ import statistics
 import sys
 import time
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -100,55 +91,39 @@ def cost(seconds: float, calls: int, trials: int) -> dict:
     }
 
 
-PHASES = ("execute_split", "forward_round2_counterfeit", "maintain_carriers", "attack_decode_and_forward")
-
-
-def batch_phases(qss) -> SimpleNamespace:
-    """The batch round phases of a batched checkout, by their step names."""
-    proto, adv = qss.protocol, qss.adversary
-    suffix = "_all" if hasattr(adv, "execute_split_all") else ""
-    return SimpleNamespace(
-        deliver_and_decode=getattr(proto, "deliver_and_decode" + suffix),
-        **{name: getattr(adv, name + suffix) for name in PHASES},
-    )
+def uniforms(batch: int, count: int) -> np.ndarray:
+    """count measurement uniforms for each of `batch` trials, drawn ahead."""
+    return np.array([np.random.default_rng(t).random(count) for t in range(batch)])
 
 
 def attacked_session(qss, batch: int):
     """A plain-split session of `batch` trials, right after round 2's toggle,
-    with its attack ledgers (the lone ledger in a one-trial engine)."""
+    with its attack ledger."""
     from qsscarrier.adversary import MaintenancePolicy
     from qsscarrier.protocol import ProtocolConfig
 
     proto, adv = qss.protocol, qss.adversary
+    policy = MaintenancePolicy.PLAIN_HADAMARD
     config = ProtocolConfig(num_rounds=ROUNDS)
     su = adv.synthesize_split_unitary()
-    gens = [np.random.default_rng(t) for t in range(batch)]
-    bob = [np.random.default_rng(10_000 + t) for t in range(batch)]
-    if not hasattr(qss.qcore, "StateBatch"):  # an engine of one trial at a time
-        session = proto.init_session(config, rng=gens[0], extra_labels=adv.ATTACK_EXTRA_LABELS)
-        proto.encode_round(session, 1)
-        proto.deliver_and_decode(session)
-        proto.toggle_carrier(session)
-        proto.encode_round(session, 0)
-        attack = adv.execute_split(session, su, MaintenancePolicy.PLAIN_HADAMARD, bob[0])
-        adv.forward_round2_counterfeit(session, attack)
-        adv.maintain_carriers(session, attack)
-        return session, attack
-    phases = batch_phases(qss)
-    session = proto.init_session(config, rng=gens, extra_labels=adv.ATTACK_EXTRA_LABELS)
+    count = adv.bob_word_count(policy, ROUNDS)
+    bob = np.array([np.random.PCG64(10_000 + t).random_raw(count) for t in range(batch)])
+    # two reads in round 1, then Charlie's one read per round
+    drawn = uniforms(batch, ROUNDS + 1)
+    session = proto.init_session(config, uniforms=drawn, extra_labels=adv.ATTACK_EXTRA_LABELS)
     proto.encode_round(session, np.ones(batch, dtype=int))
-    phases.deliver_and_decode(session)
+    proto.deliver_and_decode(session)
     proto.toggle_carrier(session)
     proto.encode_round(session, np.zeros(batch, dtype=int))
-    attacks = phases.execute_split(session, su, MaintenancePolicy.PLAIN_HADAMARD, bob)
-    phases.forward_round2_counterfeit(session, attacks)
-    phases.maintain_carriers(session, attacks)
-    return session, attacks
+    attack = adv.execute_split(session, su, policy, bob)
+    adv.forward_round2_counterfeit(session, attack)
+    adv.maintain_carriers(session, attack)
+    return session, attack
 
 
 # qcore functions that take a state: the kernels a round phase calls
 KERNELS = (
-    "apply_unitary", "apply_one_qubit_gates", "permute", "flip", "measure", "measure_reset",
+    "apply_unitary", "apply_one_qubit_gates", "permute", "measure", "measure_reset",
     "probability_of_one", "excited_mass", "fidelity", "reduced_density", "trace_distance",
 )
 PHASE_CALLS = 100
@@ -158,19 +133,18 @@ def honest_session(qss, batch: int, round_index: int):
     """An honest plain session of `batch` trials at the start of the given round."""
     from qsscarrier.protocol import ProtocolConfig
 
-    proto, phases = qss.protocol, batch_phases(qss)
-    gens = [np.random.default_rng(t) for t in range(batch)]
-    session = proto.init_session(ProtocolConfig(num_rounds=ROUNDS), rng=gens)
+    proto = qss.protocol
+    session = proto.init_session(ProtocolConfig(num_rounds=ROUNDS), uniforms=uniforms(batch, 2 * ROUNDS))
     for r in range(1, round_index):
         proto.encode_round(session, np.full(batch, r % 2))
-        phases.deliver_and_decode(session)
+        proto.deliver_and_decode(session)
         proto.toggle_carrier(session)
     return session
 
 
 def phase_costs(qss, batch: int, repeats: int) -> dict:
     """Per call of each round phase, from a saved session state each time."""
-    proto, phases = qss.protocol, batch_phases(qss)
+    proto, adv = qss.protocol, qss.adversary
     q = np.arange(batch) % 2  # a mix of 0s and 1s
 
     def replay(session, phase, *args):
@@ -191,14 +165,14 @@ def phase_costs(qss, batch: int, repeats: int) -> dict:
     attacked, attacks = attacked_session(qss, batch)
     decoded = copy.copy(attacked)
     proto.encode_round(attacked, q)
-    # the copies share generators, transcripts and attack ledgers: the phases
-    # only advance the one and append to or overwrite the others
+    # the copies share their round columns and the attack ledger, which the
+    # phases only overwrite; each copy reads the uniforms from the saved position
     seconds = {
         "encode_odd": median_of(odd, proto.encode_round, q),
         "encode_even": median_of(even, proto.encode_round, q),
-        "honest_decode": median_of(encoded, phases.deliver_and_decode),
-        "bob_decode_forward": median_of(attacked, phases.attack_decode_and_forward, attacks),
-        "maintained_toggle": median_of(decoded, phases.maintain_carriers, attacks),
+        "honest_decode": median_of(encoded, proto.deliver_and_decode),
+        "bob_decode_forward": median_of(attacked, adv.attack_decode_and_forward, attacks),
+        "maintained_toggle": median_of(decoded, adv.maintain_carriers, attacks),
     }
     return {name: cost(sec, PHASE_CALLS, batch) for name, sec in seconds.items()}
 
@@ -212,11 +186,11 @@ def kernel_costs(qss, repeats: int) -> dict:
     for batch in KERNEL_BATCH_SIZES:
         session = honest_session(qss, batch, 1)
         proto.encode_round(session, np.arange(batch) % 2)
-        states, gens = session.states, session.rngs
+        states, drawn = session.states, uniforms(batch, 2)
         expected = proto.expected_full_state(session)
         kernels = {
-            "measure_reset_1": lambda: qcore.measure_reset(states, ("m1",), gens),
-            "measure_reset_2": lambda: qcore.measure_reset(states, ("m1", "m2"), gens),
+            "measure_reset_1": lambda: qcore.measure_reset(states, ("m1",), drawn[:, :1]),
+            "measure_reset_2": lambda: qcore.measure_reset(states, ("m1", "m2"), drawn),
             "reduced_density": lambda: qcore.reduced_density(states, proto.MESSAGE_LABELS),
             "fidelity": lambda: qcore.fidelity(states, expected),
             "check_norm": states.check_norm,
@@ -230,9 +204,7 @@ def kernel_costs(qss, repeats: int) -> dict:
 
 def stream_setup(ex, base_seed: int, trials: int, attacked: bool) -> list:
     """One trial_rngs call per trial of a run_trials batch: each trial's
-    generators, built from its key where the checkout has trial keys."""
-    if not hasattr(ex, "trial_key"):
-        return [ex.trial_rngs(seed) for seed in np.random.SeedSequence(base_seed).spawn(trials)]
+    generators, built from its key."""
     entropy, spawn_key, pool_size = ex.trial_key(base_seed)
     streams = ex.ALL_STREAMS if attacked else ex.HONEST_STREAMS
     return [ex.trial_rngs((entropy, spawn_key + (t,), pool_size), streams) for t in range(trials)]
@@ -257,8 +229,6 @@ def trial_costs(qss, repeats: int) -> dict:
     from qsscarrier.protocol import ProtocolConfig
 
     qcore, proto, ex, detection = qss.qcore, qss.protocol, qss.experiments, qss.detection
-    # checkouts that read pre-drawn uniforms check that every one was read
-    pre_drawn = hasattr(proto.ProtocolSession, "require_uniforms_spent")
     calls, trials = 20, 50
     out = {}
     for kind in ("honest", "attacked"):
@@ -266,16 +236,15 @@ def trial_costs(qss, repeats: int) -> dict:
         setup = {}
         for batch in TRIAL_BATCH_SIZES:
             gens = [stream_setup(ex, c, batch, attacked) for c in range(calls)]
+            columnar = [columnar_setup(ex, c, batch, attacked) for c in range(calls)]
             ways = {
                 "trial_rngs": lambda: [stream_setup(ex, c, batch, attacked) for c in range(calls)],
                 "trial_rngs_protocol_stream": lambda: [lazy_protocol_stream(g) for g in gens],
-            }
-            if hasattr(ex, "TrialStreams"):
-                columnar = [columnar_setup(ex, c, batch, attacked) for c in range(calls)]
-                ways["columnar"] = lambda: [columnar_setup(ex, c, batch, attacked) for c in range(calls)]
-                ways["columnar_protocol_stream"] = lambda: [
+                "columnar": lambda: [columnar_setup(ex, c, batch, attacked) for c in range(calls)],
+                "columnar_protocol_stream": lambda: [
                     s.protocol(SHORT_ROUNDS, 2 * SHORT_ROUNDS) for s in columnar
-                ]
+                ],
+            }
             for name, way in ways.items():
                 # the lazy draws advance the generators; later repeats draw on
                 setup.setdefault(name, {})[batch] = cost(timed(way, repeats), calls, batch)
@@ -285,13 +254,12 @@ def trial_costs(qss, repeats: int) -> dict:
     for batch in TRIAL_BATCH_SIZES:
         session = honest_session(qss, batch, 1)
         proto.encode_round(session, np.arange(batch) % 2)
-        states, gens = session.states, session.rngs
-        targets = proto.MESSAGE_LABELS
-        kernels = {"measure_scalar_draws": lambda: qcore.measure_reset(states, targets, gens)}
-        if pre_drawn:
-            uniforms = np.array([g.random(2) for g in gens])
-            kernels["measure_pre_drawn"] = lambda: qcore.measure_reset(states, targets, uniforms)
-            kernels["pre_draw_short_trial"] = lambda: [g.random(2 * SHORT_ROUNDS) for g in gens]
+        states, drawn = session.states, uniforms(batch, 2)
+        gens = [np.random.default_rng(t) for t in range(batch)]
+        kernels = {
+            "measure_pre_drawn": lambda: qcore.measure_reset(states, proto.MESSAGE_LABELS, drawn),
+            "pre_draw_short_trial": lambda: [g.random(2 * SHORT_ROUNDS) for g in gens],
+        }
         for name, kernel in kernels.items():
             seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
             draws.setdefault(name, {})[batch] = cost(seconds, calls, batch)
@@ -315,7 +283,7 @@ def trial_costs(qss, repeats: int) -> dict:
 
 def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
     """Outermost qcore kernel calls and StateBatch builds per lockstep round."""
-    qcore, proto, phases = qss.qcore, qss.protocol, batch_phases(qss)
+    qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
     session, attacks = attacked_session(qss, batch)
     counts = {"builds": 0}
     depth = [0]
@@ -333,7 +301,7 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
 
         return wrapper
 
-    originals = {name: getattr(qcore, name) for name in KERNELS if hasattr(qcore, name)}
+    originals = {name: getattr(qcore, name) for name in KERNELS}
     batch_cls = qcore.StateBatch
     check_norm, post_init = batch_cls.check_norm, batch_cls.__post_init__
     with_rows = getattr(batch_cls, "with_rows", None)
@@ -356,8 +324,8 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
     try:
         for r in range(rounds):
             proto.encode_round(session, np.full(batch, r % 2))
-            phases.attack_decode_and_forward(session, attacks)
-            phases.maintain_carriers(session, attacks)
+            adv.attack_decode_and_forward(session, attacks)
+            adv.maintain_carriers(session, attacks)
     finally:
         for name, fn in originals.items():
             setattr(qcore, name, fn)
@@ -379,9 +347,11 @@ def bob_stream_costs(qss, repeats: int, batch: int = 16) -> dict:
     drawn ahead (see the module docstring), per trial and per trial-round."""
     from qsscarrier.adversary import MaintenancePolicy
 
+    adv, policy = qss.adversary, MaintenancePolicy.RANDOM_GUESS
     # the streams are built once, outside the timings; each timed call draws on
     gens = [np.random.default_rng(10_000 + t) for t in range(batch)]
     streams = [np.random.PCG64(10_000 + t) for t in range(batch)]
+    count = adv.bob_word_count(policy, ROUNDS)
 
     def lazy():
         [g.random() for g in gens]  # the coin of the toggle ending round 2
@@ -393,14 +363,10 @@ def bob_stream_costs(qss, repeats: int, batch: int = 16) -> dict:
             else:
                 [g.random() for g in gens]  # the coin of a forward toggle
 
-    kinds = {"lazy": lazy}
-    attack_state = qss.adversary.AttackState
-    if hasattr(attack_state, "draw"):
+    def pre_drawn():
+        adv.AttackState.draw(policy, ROUNDS, np.array([s.random_raw(count) for s in streams]))
 
-        def pre_drawn():
-            attack_state.draw(MaintenancePolicy.RANDOM_GUESS, ROUNDS, streams)
-
-        kinds["pre_drawn"] = pre_drawn
+    kinds = {"lazy": lazy, "pre_drawn": pre_drawn}
     out = {}
     for name, fn in kinds.items():
         seconds = timed(fn, repeats)
@@ -415,41 +381,37 @@ def measure_costs(qss, repeats: int) -> dict:
     from qsscarrier.protocol import ProtocolConfig
 
     qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
-    batched = hasattr(qcore, "StateBatch")
-    phases = batch_phases(qss) if batched else adv
     out = {"gate_1q": {}, "gate_cnot": {}, "measure": {}, "phase": {}, "round": {}, "trial": {}}
     for batch in BATCH_SIZES:
-        if batch == 1 or batched:
-            session, attack = attacked_session(qss, batch)
-            state = session.state if batch == 1 else session.states
-            gens = session.rng if batch == 1 else session.rngs
-            calls = 200
-            plus = qcore.apply_unitary(state, gates.H, ["m1"])
-            kernels = {
-                "gate_1q": lambda: qcore.apply_unitary(state, gates.H, ["m1"]),
-                "gate_cnot": lambda: qcore.apply_unitary(state, gates.CNOT, ["a", "m1"]),
-                "measure": lambda: qcore.measure(plus, "m1", gens),
-            }
-            for name, kernel in kernels.items():
-                seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
-                out[name][batch] = cost(seconds, calls, batch)
+        session, _ = attacked_session(qss, batch)
+        state = session.state if batch == 1 else session.states
+        calls = 200
+        plus = qcore.apply_unitary(state, gates.H, ["m1"])
+        drawn = uniforms(batch, 1)
+        kernels = {
+            "gate_1q": lambda: qcore.apply_unitary(state, gates.H, ["m1"]),
+            "gate_cnot": lambda: qcore.apply_unitary(state, gates.CNOT, ["a", "m1"]),
+            "measure": lambda: qcore.measure(plus, "m1", drawn),
+        }
+        for name, kernel in kernels.items():
+            seconds = timed(lambda: [kernel() for _ in range(calls)], repeats)
+            out[name][batch] = cost(seconds, calls, batch)
 
-            if batched:
-                out["phase"][batch] = phase_costs(qss, batch, repeats)
-            rounds = 20
+        out["phase"][batch] = phase_costs(qss, batch, repeats)
+        rounds = 20
 
-            def play_rounds():
-                s, a = attacked_session(qss, batch)
-                t0 = time.perf_counter()
-                for r in range(rounds):
-                    proto.encode_round(s, np.full(batch, r % 2) if batched else r % 2)
-                    phases.attack_decode_and_forward(s, a)
-                    phases.maintain_carriers(s, a)
-                return time.perf_counter() - t0
+        def play_rounds():
+            s, a = attacked_session(qss, batch)
+            t0 = time.perf_counter()
+            for r in range(rounds):
+                proto.encode_round(s, np.full(batch, r % 2))
+                adv.attack_decode_and_forward(s, a)
+                adv.maintain_carriers(s, a)
+            return time.perf_counter() - t0
 
-            play_rounds()
-            seconds = statistics.median(play_rounds() for _ in range(repeats))
-            out["round"][batch] = cost(seconds, rounds, batch)
+        play_rounds()
+        seconds = statistics.median(play_rounds() for _ in range(repeats))
+        out["round"][batch] = cost(seconds, rounds, batch)
         config = ProtocolConfig(num_rounds=ROUNDS)
         # the largest batch runs once: the smaller ones have warmed everything up
         seconds = timed(
@@ -485,13 +447,11 @@ def main(argv=None) -> int:
             "machine": platform.machine(),
         },
         "costs": measure_costs(qsscarrier, args.repeats),
+        "kernel_calls": count_kernel_calls(qsscarrier),
     }
-    if hasattr(qsscarrier.qcore, "StateBatch"):
-        doc["kernel_calls"] = count_kernel_calls(qsscarrier)
-    if hasattr(qsscarrier.qcore, "measure_reset"):
-        doc["costs"]["kernel"] = kernel_costs(qsscarrier, args.repeats)
-        doc["costs"]["trial_setup"] = trial_costs(qsscarrier, args.repeats)
-        doc["costs"]["bob_stream"] = bob_stream_costs(qsscarrier, args.repeats)
+    doc["costs"]["kernel"] = kernel_costs(qsscarrier, args.repeats)
+    doc["costs"]["trial_setup"] = trial_costs(qsscarrier, args.repeats)
+    doc["costs"]["bob_stream"] = bob_stream_costs(qsscarrier, args.repeats)
     Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
     return 0
 

@@ -22,9 +22,13 @@ config = ProtocolConfig(
     announce_fraction=0.5,
 )
 
-rng_p, _rng_bob, rng_ann = experiments.trial_rngs(config.rng_seed)
-session = protocol.init_session(config, rng=rng_p)
-secrets = [int(b) for b in rng_p.integers(0, 2, size=config.num_rounds)]
+# the trial's streams, drawn up front as a run draws them: the secret bits,
+# then the two measurement uniforms of every round
+key = experiments.trial_key(config.rng_seed)
+streams = experiments.TrialStreams([key], experiments.HONEST_STREAMS)
+bits, uniforms = streams.protocol(config.num_rounds, 2 * config.num_rounds)
+session = protocol.init_session(config, uniforms)
+secrets = bits[0].tolist()
 
 print("round  parity  sent  bob  charlie  reconstructed")
 for q in secrets:
@@ -41,6 +45,7 @@ transcript = protocol.Transcript(num_rounds=config.num_rounds, records=session.r
 fids = [rec.carrier_fidelity for rec in transcript.records]
 print("\ncarrier restored after every round, worst fidelity:", min(fids))
 
+rng_ann = next(streams.generators(experiments.ANNOUNCE_STREAM))
 announcements = experiments.build_announcements(transcript, config.announce_fraction, rng_ann)
 report = detection.evaluate(transcript, announcements, tolerance=0.0)
 print("announced rounds:", [a.round_index for a in announcements])

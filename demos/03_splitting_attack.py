@@ -26,13 +26,19 @@ for name, d in sorted(dists.items()):
 
 # play rounds 1 and 2 of a real session and split in round 2
 config = ProtocolConfig(variant=Variant.PLAIN, num_rounds=12, rng_seed=3)
-session = protocol.init_session(config, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-rng_bob = np.random.default_rng(99)
-protocol.encode_round(session, int(session.rng.integers(0, 2)))
+# the session's draws in the order the two rounds take them: Alice's bit,
+# the two reads of round 1, Alice's next bit; decoded from raw PCG64 words
+kinds = "iddi"
+words = np.random.PCG64(3).random_raw(adversary.word_count(kinds))[None]
+q1, u1, u2, q2 = adversary.decode_stream(words, kinds)[0]
+session = protocol.init_session(config, np.array([[u1, u2]]), extra_labels=adversary.ATTACK_EXTRA_LABELS)
+policy = MaintenancePolicy.PLAIN_HADAMARD
+bob_words = np.random.PCG64(99).random_raw(adversary.bob_word_count(policy, config.num_rounds))[None]
+protocol.encode_round(session, int(q1))
 protocol.deliver_and_decode(session)
 protocol.toggle_carrier(session)
-protocol.encode_round(session, int(session.rng.integers(0, 2)))
-adversary.execute_split(session, su, MaintenancePolicy.PLAIN_HADAMARD, [rng_bob])
+protocol.encode_round(session, int(q2))
+adversary.execute_split(session, su, policy, bob_words)
 
 print("\npost-split pairs, in the Bell basis:")
 for pair in (("a", "bt"), ("b", "c")):

@@ -113,32 +113,19 @@ class AttackState:
         cls,
         policy: MaintenancePolicy,
         num_rounds: int,
-        streams: Sequence[np.random.Generator | np.random.PCG64] | np.ndarray,
+        words: np.ndarray,
         q2_truth: np.ndarray | None = None,
     ) -> "AttackState":
-        """A fresh ledger for num_rounds rounds whose trial t draws Bob's
-        whole stream from streams[t], a PCG64 or a Generator over one; an
-        array of streams holds each trial's raw words already drawn, one row
-        of bob_word_count(policy, num_rounds) per trial."""
+        """A fresh ledger for num_rounds rounds whose trial t decodes Bob's
+        whole stream from words[t]: the first bob_word_count(policy,
+        num_rounds) raw uint64 words of his PCG64."""
         if num_rounds < 2:
             raise ValueError("the split happens in round 2; need at least 2 rounds")
         _check_decoding_once()
         steps = _bob_schedule(num_rounds, POLICY_CHOICE[policy] is None)
         count = word_count(steps.kinds)
-        if isinstance(streams, np.ndarray):
-            if streams.dtype != np.uint64 or streams.ndim != 2 or streams.shape[1] != count:
-                raise ValueError(f"Bob's raw words need {count} uint64 per trial; got {streams.dtype} {streams.shape}")
-            words = streams
-        else:
-            words = np.empty((len(streams), count), dtype=np.uint64)
-            for row, stream in zip(words, streams):
-                bitgen = stream.bit_generator if isinstance(stream, np.random.Generator) else stream
-                if not isinstance(bitgen, np.random.PCG64):
-                    raise TypeError(f"Bob's streams must be PCG64, got {type(bitgen).__name__}")
-                if bitgen.state["has_uint32"]:
-                    # a lazy integers(0, 2) would read that half first; decoding starts on a fresh word
-                    raise ValueError("Bob's stream holds a half-word an earlier draw buffered; pass a fresh one")
-                row[:] = bitgen.random_raw(count)
+        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != count:
+            raise ValueError(f"Bob's raw words need {count} uint64 per trial; got {words.dtype} {words.shape}")
         values = decode_stream(words, steps.kinds)
         trials = len(words)
         unset = np.full(trials, protocol.NO_READ, dtype=np.int64)
@@ -399,29 +386,28 @@ def execute_split(
     session: ProtocolSession,
     su: SplitUnitary,
     policy: MaintenancePolicy,
-    streams: Sequence[np.random.Generator | np.random.PCG64] | np.ndarray,
+    words: np.ndarray,
 ) -> AttackState:
     """Apply the splitting operator during round 2 in every trial and keep m1 as bt.
 
     Requires the round-2 message to be encoded but not yet delivered, and an
     idle bt slot in every trial.  The label swap m1 <-> bt is bookkeeping
     only; afterwards bt holds the Bell half paired with a, m1 is a fresh |0>,
-    and m2 holds the blank counterfeit.  streams are Bob's, one per trial (a
-    PCG64 or a Generator over one, or the rows of raw words already drawn
-    from them); his whole stream for the session's rounds is drawn from them
-    here (AttackState.draw).  Returns the attack ledger of every trial.
+    and m2 holds the blank counterfeit.  words holds Bob's raw PCG64 words
+    for the session's rounds, one row per trial, decoded here into his whole
+    stream (AttackState.draw).  Returns the attack ledger of every trial.
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("split must run on the encoded, undelivered round-2 state")
     if KEPT_LABEL not in session.states.labels:
         raise ValueError(f"register has no {KEPT_LABEL!r} slot for the kept qubit")
-    if len(streams) != session.trials:
-        raise ValueError(f"{len(streams)} attacker generators for {session.trials} trials")
+    if len(words) != session.trials:
+        raise ValueError(f"{len(words)} rows of Bob's words for {session.trials} trials")
     occupied = qcore.probability_of_one(session.states, KEPT_LABEL) > 1e-12
     qcore.check_trials(occupied, f"{KEPT_LABEL!r} slot is occupied")
     st = qcore.apply_unitary(session.states, su.matrix, ["b", "m1", "m2"])
     session.states = st.relabeled({"m1": KEPT_LABEL, KEPT_LABEL: "m1"})
-    return AttackState.draw(policy, session.config.num_rounds, streams, q2_truth=session.pending_q)
+    return AttackState.draw(policy, session.config.num_rounds, words, q2_truth=session.pending_q)
 
 
 def pattern_pair_state(

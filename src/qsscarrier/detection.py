@@ -12,7 +12,6 @@ protocol is exact) flags cheating.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -41,28 +40,6 @@ class DetectionReport:
     @property
     def cheating_detected(self) -> bool:
         return self.verdict == "cheating_detected"
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "announced": self.announced,
-                "odd_mismatches": self.odd_mismatches,
-                "even_mismatches": self.even_mismatches,
-                "rate": self.rate,
-                "verdict": self.verdict,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "DetectionReport":
-        obj = json.loads(text)
-        return cls(
-            announced=int(obj["announced"]),
-            odd_mismatches=int(obj["odd_mismatches"]),
-            even_mismatches=int(obj["even_mismatches"]),
-            rate=float(obj["rate"]),
-            verdict=str(obj["verdict"]),
-        )
 
 
 def select_rounds(num_rounds: int, fraction: float, rng: np.random.Generator) -> list[int]:

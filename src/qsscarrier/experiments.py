@@ -127,8 +127,8 @@ def trial_rngs(
     SeedSequence(seed).spawn(3) would seed, order-independent across trials.
 
     The runners seed the same streams by columns (TrialStreams); this builds
-    them one SeedSequence, PCG64 and Generator at a time, for step-by-step
-    runs and as the reference the tests hold the runners to."""
+    them one SeedSequence, PCG64 and Generator at a time, with numpy's own
+    objects: the reference the tests hold the runners' draws to."""
     entropy, spawn_key, pool_size = seed if isinstance(seed, tuple) else trial_key(seed)
     return tuple(
         np.random.Generator(

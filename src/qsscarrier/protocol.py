@@ -24,7 +24,6 @@ from __future__ import annotations
 import enum
 import functools
 import json
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -157,25 +156,23 @@ class ProtocolSession:
     are columns of (trials, num_rounds) arrays, column r - 1 for round r:
     Alice's bits, Bob's and Charlie's reads (NO_READ where a party read
     nothing) and the carrier or pattern fidelities; transcripts() turns the
-    closed rounds into records.  The protocol's measurements draw from the
-    generators lazily, or, when the session holds uniforms, read them from
-    those pre-drawn columns in order (and rngs may then be empty).  A
-    session of one trial also offers state, rng and records for
-    step-by-step use.
+    closed rounds into records.  The protocol's measurements read their
+    uniforms from the pre-drawn (trials, measurements) columns, in order.
+    A session of one trial also offers state and records for step-by-step
+    use.
     """
 
     config: ProtocolConfig
     states: qcore.StateBatch
     carrier_kind: CarrierKind
-    rngs: list[np.random.Generator]
     q_bits: np.ndarray
     bob_bits: np.ndarray
     charlie_bits: np.ndarray
     fidelities: np.ndarray
+    uniforms: np.ndarray
     round_index: int = 1
     rounds_closed: int = 0
     pending_q: np.ndarray | None = None
-    uniforms: np.ndarray | None = None
     uniforms_read: int = 0
 
     @property
@@ -194,13 +191,6 @@ class ProtocolSession:
     def state(self) -> qcore.StateVector:
         self.require_single()
         return self.states.row(0)
-
-    @property
-    def rng(self) -> np.random.Generator:
-        self.require_single()
-        if not self.rngs:
-            raise ValueError("this session reads pre-drawn uniforms and holds no generator")
-        return self.rngs[0]
 
     @property
     def records(self) -> list[RoundRecord]:
@@ -225,11 +215,9 @@ class ProtocolSession:
             for q, bob, charlie, fid in rows
         ]
 
-    def measurement_draws(self, count: int):
-        """What the next `count` protocol measurements of every trial draw
-        from: the generators, or the next `count` pre-drawn columns."""
-        if self.uniforms is None:
-            return self.rngs
+    def measurement_draws(self, count: int) -> np.ndarray:
+        """The next `count` pre-drawn columns, which the next `count` protocol
+        measurements of every trial read."""
         stop = self.uniforms_read + count
         if stop > self.uniforms.shape[1]:
             raise ValueError(f"the {self.uniforms.shape[1]} pre-drawn measurement uniforms ran out")
@@ -239,7 +227,7 @@ class ProtocolSession:
 
     def require_uniforms_spent(self) -> None:
         """Raise if a pre-drawn measurement uniform was never read."""
-        if self.uniforms is not None and self.uniforms_read != self.uniforms.shape[1]:
+        if self.uniforms_read != self.uniforms.shape[1]:
             left = self.uniforms.shape[1] - self.uniforms_read
             raise ValueError(f"{left} pre-drawn measurement uniform(s) per trial left unread")
 
@@ -250,40 +238,25 @@ def parity_of(round_index: int) -> str:
 
 def init_session(
     config: ProtocolConfig,
-    rng: np.random.Generator | Sequence[np.random.Generator] | None = None,
+    uniforms: np.ndarray,
     extra_labels: tuple[str, ...] = (),
-    uniforms: np.ndarray | None = None,
 ) -> ProtocolSession:
     """Fresh session: GHZ carrier on (a, b, c), message (and extras) in |0>.
 
-    rng is one trial's protocol generator, or a sequence of them for a batch
-    of trials played in lockstep; by default one trial seeded from the config.
-    uniforms, one row per trial, are the protocol measurements' draws taken
-    beforehand (see ProtocolSession); without them the generators are drawn
-    as the measurements happen.  Given uniforms and no generators, the
-    session holds one trial per row and no generator.
+    uniforms holds the protocol measurements' draws taken beforehand, one
+    row per trial (see ProtocolSession); the session plays one trial per
+    row, in lockstep.
     """
-    labels = CARRIER_LABELS + tuple(extra_labels) + MESSAGE_LABELS
-    if rng is None and uniforms is not None:
-        rngs = []
-    elif rng is None:
-        rngs = [np.random.default_rng(config.rng_seed)]
-    elif isinstance(rng, np.random.Generator):
-        rngs = [rng]
-    else:
-        rngs = list(rng)
-    if uniforms is not None and uniforms.ndim != 2:
+    if uniforms.ndim != 2:
         raise ValueError(f"uniforms need one row per trial, got shape {uniforms.shape}")
-    trials = len(rngs) if rngs or uniforms is None else uniforms.shape[0]
-    if uniforms is not None and uniforms.shape[0] != trials:
-        raise ValueError(f"uniforms need one row per trial ({trials}), got shape {uniforms.shape}")
+    labels = CARRIER_LABELS + tuple(extra_labels) + MESSAGE_LABELS
+    trials = uniforms.shape[0]
     start = _carrier_state(labels, CarrierKind.GHZ)
     shape = (trials, config.num_rounds)
     return ProtocolSession(
         config=config,
         states=qcore.StateBatch.repeat(start, trials),
         carrier_kind=CarrierKind.GHZ,
-        rngs=rngs,
         q_bits=np.zeros(shape, dtype=np.int64),
         bob_bits=np.zeros(shape, dtype=np.int64),
         charlie_bits=np.zeros(shape, dtype=np.int64),
@@ -372,12 +345,6 @@ def deliver_and_decode(session: ProtocolSession) -> tuple[np.ndarray, np.ndarray
     return bob, charlie
 
 
-def toggle_triple(config: ProtocolConfig, round_index: int) -> np.ndarray:
-    """The 8x8 end-of-round toggle for the given round, as one product."""
-    on_a, on_b, on_c = toggle_ops(config.angles, round_index)
-    return np.kron(np.kron(on_a, on_b), on_c)
-
-
 def toggle_carrier(session: ProtocolSession) -> None:
     """End the round in every trial: flip the carrier form, check every
     state's norm, and advance the round counter."""
@@ -396,23 +363,3 @@ def end_round(session: ProtocolSession, toggled: qcore.StateBatch) -> None:
         CarrierKind.EVEN_PARITY if session.carrier_kind is CarrierKind.GHZ else CarrierKind.GHZ
     )
     session.round_index += 1
-
-
-def run_protocol(
-    config: ProtocolConfig,
-    bits: list[int] | None = None,
-    rng: np.random.Generator | None = None,
-) -> Transcript:
-    """Honest end-to-end run; bits default to fair coin flips from the rng."""
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
-    session = init_session(config, rng=rng)
-    if bits is None:
-        bits = [int(b) for b in rng.integers(0, 2, size=config.num_rounds)]
-    if len(bits) != config.num_rounds:
-        raise ValueError(f"need {config.num_rounds} bits, got {len(bits)}")
-    for q in bits:
-        encode_round(session, q)
-        deliver_and_decode(session)
-        toggle_carrier(session)
-    return session.transcripts()[0]

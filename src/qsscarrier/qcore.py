@@ -22,9 +22,11 @@ single column, which numpy would sum pairwise, runs cumsum (_sum_terms).
 
 Round phases run as a few fused kernels with the per-element arithmetic of
 the gates they replace: permute plays a run of CNOTs, X gates and per-trial
-bit flips as one gather; measure_reset is measure then flip back to |0>;
-apply_one_qubit_gates is one pass of two-row updates; excited_mass is one
-ordered sum over the amplitudes with any of the named qubits set.
+bit flips as one gather; measure_reset is measure then an X back to |0>
+where the read was 1; apply_one_qubit_gates is one pass of two-row updates;
+excited_mass is one ordered sum over the amplitudes with any of the named
+qubits set.  The engine holds no random source: a measurement reads
+uniforms drawn beforehand, one per trial and measured qubit.
 
 State values are immutable: every operation returns a new state and the
 amplitude buffers are marked read-only.  A StateVector checks its norm when
@@ -36,7 +38,6 @@ once per protocol round.
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -91,28 +92,10 @@ class StateVector:
     def position(self, label: str) -> int:
         return _position(self.labels, label)
 
-    def tensor_view(self) -> np.ndarray:
-        """Amplitudes reshaped to one axis per qubit, axis i = position i."""
-        return self.amps.reshape((2,) * self.num_qubits)
-
     def relabeled(self, mapping: dict[str, str]) -> "StateVector":
         """Rename qubits in place (pure bookkeeping, amplitudes untouched)."""
         new = tuple(mapping.get(lab, lab) for lab in self.labels)
         return StateVector(new, self.amps)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "labels": list(self.labels),
-                "amps": [[float(z.real), float(z.imag)] for z in self.amps],
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "StateVector":
-        doc = json.loads(text)
-        amps = np.array([complex(re, im) for re, im in doc["amps"]])
-        return cls(tuple(doc["labels"]), amps)
 
 
 @dataclass(frozen=True)
@@ -399,13 +382,6 @@ def _gather(rows: np.ndarray, table: np.ndarray, code: np.ndarray) -> np.ndarray
     return rows[np.arange(rows.shape[0])[:, np.newaxis], table[code]]
 
 
-def flip(state: State, label: str, where) -> State:
-    """X on one qubit in every trial where `where` is set (a bool for a lone
-    state, one bool per trial for a batch): the classical correction a party
-    applies after reading a bit."""
-    return permute(state, ((None, label, 0),), (where,))
-
-
 def _branch_weights(rows: np.ndarray, axis: int) -> np.ndarray:
     """Per trial, the squared norms of the target-bit-0 and target-bit-1
     halves, shape (trials, 2)."""
@@ -435,35 +411,31 @@ def excited_mass(state: State, labels) -> np.ndarray:
     return _squared_sum(_rows(state)[:, _any_set_index(state.labels, tuple(labels))])
 
 
-def measure(state: State, target: str, rng) -> tuple:
+def measure(state: State, target: str, uniforms: np.ndarray) -> tuple:
     """Projective computational-basis measurement of one qubit.
 
     Returns (outcome, collapsed renormalized state).  Randomness comes only
-    from the injected source, one uniform draw per trial: a Generator for a
-    lone state, a sequence of one Generator per trial for a batch (outcomes
-    then come back as an int array), or uniforms drawn beforehand, a
-    (trials, 1) array in [0, 1) (see measure_reset).  Runs are reproducible
-    per seed.
+    from uniforms, a (trials, 1) float64 array in [0, 1) drawn beforehand,
+    one row per trial (a lone state is the batch of one); trial t reads 1
+    where its uniform lies below the probability of 1.  Outcomes come back
+    as an int array for a batch, an int for a lone state.
     """
-    (bit,), out = _collapse(state, (target,), rng, reset=False)
+    (bit,), out = _collapse(state, (target,), uniforms, reset=False)
     return bit, out
 
 
-def measure_reset(state: State, targets, rng) -> tuple:
-    """measure() then flip() back to |0>, for each target qubit in turn.
+def measure_reset(state: State, targets, uniforms: np.ndarray) -> tuple:
+    """measure() then an X back to |0> where the read was 1, for each target
+    qubit in turn.
 
-    Each target takes measure's branch weights, uniform draw and 1/sqrt(p)
+    Each target takes measure's branch weights, uniform and 1/sqrt(p)
     factor; the kept branch then sits in the target's |0> slot and the other
     slot holds the discarded branch times 0, exactly what measure followed
-    by flip leaves.  Returns (one outcome per target, reset state).
-
-    rng is measure's: generators, one random() each per target in turn, or a
-    (trials, targets) array of uniforms in [0, 1) whose column i a target i
-    reads in place of that draw.  A generator's random(k) gives the same
-    values as k random() calls, so pre-drawn uniforms reproduce the lazy
-    draws bit for bit.
+    by the X leaves.  uniforms is a (trials, targets) float64 array in
+    [0, 1) whose column i target i reads.  Returns (one outcome per target,
+    reset state).
     """
-    return _collapse(state, tuple(targets), rng, reset=True)
+    return _collapse(state, tuple(targets), uniforms, reset=True)
 
 
 @functools.lru_cache(maxsize=64)
@@ -475,26 +447,20 @@ def _slot_masks(n: int, axis: int) -> np.ndarray:
     return masks
 
 
-def _collapse(state: State, targets: tuple[str, ...], rng, reset: bool) -> tuple:
+def _collapse(state: State, targets: tuple[str, ...], uniforms: np.ndarray, reset: bool) -> tuple:
     rows = _rows(state)
     b = rows.shape[0]
-    if isinstance(rng, np.ndarray):
-        if rng.shape != (b, len(targets)) or rng.dtype != np.float64:
-            raise ValueError(
-                f"uniforms must be a ({b}, {len(targets)}) float64 array, got {rng.dtype} {rng.shape}"
-            )
-        if not ((rng >= 0.0) & (rng < 1.0)).all():
-            raise ValueError("uniforms must lie in [0, 1)")
-    else:
-        gens = rng if isinstance(state, StateBatch) else (rng,)
-        if len(gens) != b:
-            raise ValueError(f"{len(gens)} generators for {b} trials")
+    if uniforms.shape != (b, len(targets)) or uniforms.dtype != np.float64:
+        raise ValueError(
+            f"uniforms must be a ({b}, {len(targets)}) float64 array, got {uniforms.dtype} {uniforms.shape}"
+        )
+    if not ((uniforms >= 0.0) & (uniforms < 1.0)).all():
+        raise ValueError("uniforms must lie in [0, 1)")
     trials, outcomes = np.arange(b), []
     for i, target in enumerate(targets):
         axis = state.position(target)
         weights = _branch_weights(rows, axis)
-        draws = rng[:, i] if isinstance(rng, np.ndarray) else np.array([g.random() for g in gens])
-        bits = (draws < weights[:, 1]).astype(np.int64)
+        bits = (uniforms[:, i] < weights[:, 1]).astype(np.int64)
         kept = weights[trials, bits]
         if not kept.all():
             t = int(np.flatnonzero(kept == 0.0)[0])

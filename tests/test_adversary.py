@@ -41,21 +41,44 @@ def su():
     return synthesize_split_unitary()
 
 
+def _bob_words(policy, rounds, *seeds):
+    """Bob's raw words for an attacked run of the given rounds, one row per PCG64 seed."""
+    count = adversary.bob_word_count(policy, rounds)
+    return np.array([np.random.PCG64(seed).random_raw(count) for seed in seeds])
+
+
+def _ledger(*seeds):
+    """A fresh 6-round plain-Hadamard ledger, one trial per seed."""
+    policy = MaintenancePolicy.PLAIN_HADAMARD
+    return AttackState.draw(policy, 6, _bob_words(policy, 6, *seeds))
+
+
 def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PLAIN_HADAMARD,
                       su_=None, angles=None):
-    """Play rounds 1 and 2 of an attacked run; return (session, attack)."""
+    """Play rounds 1 and 2 of an attacked run; return (session, attack, bits)
+    with bits[r - 1] Alice's bit of round r.
+
+    The session reads the draws default_rng(seed) takes in a step-by-step
+    run: Alice's bit and the two reads of round 1, then her bit and
+    Charlie's read in every later round.  Bob's stream is PCG64(seed + 1).
+    """
     cfg = ProtocolConfig(variant=variant, angles=angles, num_rounds=12, rng_seed=seed)
-    session = init_session(cfg, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    rng = np.random.default_rng(seed + 1)
-    encode_round(session, int(session.rng.integers(0, 2)))
+    kinds = "idd" + "id" * (cfg.num_rounds - 1)
+    words = np.random.PCG64(seed).random_raw(adversary.word_count(kinds))
+    values = adversary.decode_stream(words[np.newaxis], kinds)[0]
+    is_bit = np.array([kind == "i" for kind in kinds])
+    bits = values[is_bit].astype(int).tolist()
+    session = init_session(cfg, values[~is_bit][np.newaxis], extra_labels=adversary.ATTACK_EXTRA_LABELS)
+    encode_round(session, bits[0])
     (bob,), _ = protocol.deliver_and_decode(session)
     record = (session.records[-1].round_index, session.records[-1].parity, bob)
     protocol.toggle_carrier(session)
-    encode_round(session, int(session.rng.integers(0, 2)))
-    attack = execute_split(session, su_ or synthesize_split_unitary(), policy, [rng])
+    encode_round(session, bits[1])
+    bob_words = _bob_words(policy, cfg.num_rounds, seed + 1)
+    attack = execute_split(session, su_ or synthesize_split_unitary(), policy, bob_words)
     record_reads(attack, record[0], record[2])
     forward_round2_counterfeit(session, attack)
-    return session, attack
+    return session, attack, bits
 
 
 # synthesis ------------------------------------------------------------------
@@ -131,21 +154,29 @@ def test_split_unitary_json_shape(su):
 
 def test_execute_split_guards(su):
     cfg = ProtocolConfig(num_rounds=4, rng_seed=0)
-    rng = np.random.default_rng(0)
-    s = init_session(cfg, extra_labels=("bt",))
+    words = _bob_words(MaintenancePolicy.PLAIN_HADAMARD, cfg.num_rounds, 0)
+    uniforms = np.random.default_rng(0).random((1, 2 * cfg.num_rounds))
+    s = init_session(cfg, uniforms, extra_labels=("bt",))
     with pytest.raises(ValueError, match="round-2"):
-        execute_split(s, su, MaintenancePolicy.PLAIN_HADAMARD, [rng])
-    s2 = init_session(cfg)
+        execute_split(s, su, MaintenancePolicy.PLAIN_HADAMARD, words)
+    s2 = init_session(cfg, uniforms)
     encode_round(s2, 0)
     protocol.deliver_and_decode(s2)
     protocol.toggle_carrier(s2)
     encode_round(s2, 0)
     with pytest.raises(ValueError, match="slot"):
-        execute_split(s2, su, MaintenancePolicy.PLAIN_HADAMARD, [rng])
+        execute_split(s2, su, MaintenancePolicy.PLAIN_HADAMARD, words)
+    s3 = init_session(cfg, uniforms, extra_labels=("bt",))
+    encode_round(s3, 0)
+    protocol.deliver_and_decode(s3)
+    protocol.toggle_carrier(s3)
+    encode_round(s3, 0)
+    with pytest.raises(ValueError, match="2 rows of Bob's words for 1 trials"):
+        execute_split(s3, su, MaintenancePolicy.PLAIN_HADAMARD, np.vstack([words, words]))
 
 
 def test_split_inside_session_leaves_intact_pattern(su):
-    session, attack = _attacked_session(su_=su)
+    session, attack, _ = _attacked_session(su_=su)
     assert adversary.fraud_pattern_fidelity(session, attack)[0] >= 1 - 1e-10
     # fresh |0> sits where the stolen message qubit was
     assert qcore.probability_of_one(session.state, "m1") < 1e-20
@@ -266,19 +297,19 @@ def test_choice_operator_errors():
 
 
 def test_plain_variant_rejects_theta_policies(su):
-    session, attack = _attacked_session(su_=su, policy=MaintenancePolicy.KNOWN_THETA_U)
+    session, attack, _ = _attacked_session(su_=su, policy=MaintenancePolicy.KNOWN_THETA_U)
     with pytest.raises(ValueError, match="plain protocol has none"):
         maintain_carriers(session, attack)
 
 
 def test_random_guess_coin_reused_across_toggle_pairs(su):
-    session, attack = _attacked_session(
+    session, attack, bits = _attacked_session(
         variant=Variant.THETA, angles=HARDENED, su_=su,
         policy=MaintenancePolicy.RANDOM_GUESS, seed=6,
     )
     choices = maintain_carriers(session, attack)  # end of round 2, orphan draw
-    for _ in range(8):
-        encode_round(session, int(session.rng.integers(0, 2)))
+    for r in range(3, 11):
+        encode_round(session, bits[r - 1])
         attack_decode_and_forward(session, attack)
         choices += maintain_carriers(session, attack)
     # pairs: (end of round 3, end of round 4), (5, 6), (7, 8)
@@ -292,10 +323,10 @@ def test_random_guess_coin_reused_across_toggle_pairs(su):
 
 
 def test_attack_rounds_stay_consistent_in_plain_runs(su):
-    session, attack = _attacked_session(su_=su, seed=9)
+    session, attack, bits = _attacked_session(su_=su, seed=9)
     maintain_carriers(session, attack)
-    for _ in range(6):
-        q = int(session.rng.integers(0, 2))
+    for r in range(3, 9):
+        q = bits[r - 1]
         encode_round(session, q)
         attack_decode_and_forward(session, attack)
         rec = session.records[-1]
@@ -310,7 +341,7 @@ def test_attack_rounds_stay_consistent_in_plain_runs(su):
 
 
 def test_decode_guards(su):
-    session, attack = _attacked_session(su_=su)
+    session, attack, _ = _attacked_session(su_=su)
     with pytest.raises(ValueError, match="no message in flight"):
         attack_decode_and_forward(session, attack)
 
@@ -352,7 +383,7 @@ def test_resolution_from_tagged_even_round():
     # A family-tagged even round whose raw read complements Alice's bit names
     # the Psi branch, and every tagged record is then reinterpreted: raw 0
     # becomes learned 1.
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    attack = _ledger(0)
     record_reads(attack, 4, 0)
     assert attack.raw_bits.tolist() == [[NO_READ, NO_READ, NO_READ, 0, NO_READ, NO_READ]]
     assert attack.learned_bits()[0, 3] == 0  # unresolved, raw passes through
@@ -363,7 +394,7 @@ def test_resolution_from_tagged_even_round():
 
 
 def test_resolution_phi_branch():
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    attack = _ledger(0)
     record_reads(attack, 6, 1)
     _resolve(attack, {6: 1})
     assert attack.hypotheses.tolist() == [PHI]
@@ -372,7 +403,7 @@ def test_resolution_phi_branch():
 
 
 def test_resolution_never_reverts():
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    attack = _ledger(0)
     record_reads(attack, 4, 0)
     record_reads(attack, 6, 0)
     _resolve(attack, {4: 1})
@@ -383,7 +414,7 @@ def test_resolution_never_reverts():
 
 
 def test_untagged_rounds_do_not_resolve():
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    attack = _ledger(0)
     record_reads(attack, 1, 1)
     record_reads(attack, 3, 0)
     _resolve(attack, {1: 1, 3: 0})
@@ -397,14 +428,14 @@ def test_untagged_rounds_do_not_resolve():
 def test_resolution_from_round2_announcement():
     # Hearing q2 names the pattern outright.  Round 2 is the first even round
     # opened, so no hypothesis can be resolved before it.
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.default_rng(0)])
+    attack = _ledger(0)
     _resolve(attack, {2: 1})
     assert attack.hypotheses.tolist() == [PSI]
     assert attack.learned_bits()[0, 1] == 1
 
 
 def test_resolution_reads_each_trials_row():
-    attack = AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, [np.random.PCG64(t) for t in range(3)])
+    attack = _ledger(0, 1, 2)
     record_reads(attack, 4, np.array([0, 1, 1]))
     opened = np.zeros((3, 6), dtype=bool)
     opened[1, 3] = True  # only trial 1 opens round 4, where Alice sent 0
@@ -478,25 +509,24 @@ def test_pre_drawn_ledger_holds_the_lazy_draws_in_run_order(policy, rounds):
         coins.append(row_coins)
         reads.append(row_reads)
         claims.append(row_claims)
-    streams = [np.random.PCG64(seed) for seed in seeds]
-    attack = AttackState.draw(policy, rounds, streams)
+    attack = AttackState.draw(policy, rounds, _bob_words(policy, rounds, *seeds))
     assert attack.coin_draws.tolist() == coins
     assert attack.read_draws.tolist() == reads
     assert attack.claim_draws.tolist() == claims
 
 
-def test_ledger_draws_the_same_from_words_as_from_streams():
+def test_ledger_takes_full_rows_of_uint64_words():
     policy, rounds = MaintenancePolicy.RANDOM_GUESS, 7
     count = adversary.bob_word_count(policy, rounds)
-    words = np.array([np.random.PCG64(seed).random_raw(count) for seed in (11, 12)])
-    from_streams = AttackState.draw(policy, rounds, [np.random.PCG64(seed) for seed in (11, 12)])
-    from_words = AttackState.draw(policy, rounds, words)
-    for name in ("read_draws", "coin_draws", "claim_draws", "raw_bits", "hypotheses"):
-        assert getattr(from_words, name).tolist() == getattr(from_streams, name).tolist()
+    words = _bob_words(policy, rounds, 11, 12)
+    assert words.shape == (2, count)
+    AttackState.draw(policy, rounds, words)
     with pytest.raises(ValueError, match=f"need {count} uint64 per trial"):
         AttackState.draw(policy, rounds, words[:, 1:])
     with pytest.raises(ValueError, match="uint64"):
         AttackState.draw(policy, rounds, words.astype(np.int64))
+    with pytest.raises(ValueError, match="uint64"):
+        AttackState.draw(policy, rounds, words[0])
 
 
 def _ints_off_by_one_bit(words, kinds):
@@ -523,17 +553,6 @@ def test_stream_guard_raises_on_a_wrong_decoding(decode):
         adversary.check_stream_decoding(decode)
 
 
-def test_bob_streams_must_be_fresh_pcg64():
-    with pytest.raises(TypeError, match="PCG64"):
-        AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 4, [np.random.Generator(np.random.MT19937(0))])
-    used = np.random.default_rng(0)
-    used.integers(0, 2)  # leaves the word's high half buffered
-    with pytest.raises(ValueError, match="buffered"):
-        AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 4, [used])
-    used.integers(0, 2)  # reads it
-    AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 4, [used])
-
-
 # one wrong guess ------------------------------------------------------------
 
 
@@ -555,8 +574,8 @@ def _one_round_after_wrong_guess(tri: ThetaTriple, rng: np.random.Generator) -> 
     st = protocol.encoded_state(st, "odd", q)
     st = qcore.apply_unitary(st, gates.CNOT, ["bt", "m1"])
     st = qcore.apply_unitary(st, gates.CNOT, ["bt", "m2"])
-    r1, st = qcore.measure(st, "m1", rng)
-    r2, st = qcore.measure(st, "m2", rng)
+    r1, st = qcore.measure(st, "m1", rng.random((1, 1)))
+    r2, st = qcore.measure(st, "m2", rng.random((1, 1)))
     if r1:
         st = qcore.apply_unitary(st, gates.X, ["m1"])
     if r2:
@@ -565,7 +584,7 @@ def _one_round_after_wrong_guess(tri: ThetaTriple, rng: np.random.Generator) -> 
         st = qcore.apply_unitary(st, gates.X, ["m2"])
     st = qcore.apply_unitary(st, gates.CNOT, ["b", "m2"])
     st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
-    charlie, _ = qcore.measure(st, "m2", rng)
+    charlie, _ = qcore.measure(st, "m2", rng.random((1, 1)))
     return q, charlie
 
 

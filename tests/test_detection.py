@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from qsscarrier import experiments
 from qsscarrier.detection import (
     Announcement,
-    DetectionReport,
     _announce_count,
     evaluate,
     select_rounds,
@@ -145,37 +144,6 @@ def test_evaluate_guards():
         evaluate(t, [])
     with pytest.raises(KeyError, match="round 9"):
         evaluate(t, [Announcement(9, 0, 0, 0)])
-
-
-def test_report_json_round_trip():
-    r = DetectionReport(announced=5, odd_mismatches=1, even_mismatches=2,
-                        rate=0.6, verdict="cheating_detected")
-    back = DetectionReport.from_json(r.to_json())
-    assert back == r
-    assert back.cheating_detected
-
-
-@st.composite
-def reports(draw):
-    """Reports evaluate could return: mismatch counts within the announced
-    rounds, their rate, and the verdict at some tolerance."""
-    announced = draw(st.integers(min_value=1, max_value=10_000))
-    odd = draw(st.integers(min_value=0, max_value=announced))
-    even = draw(st.integers(min_value=0, max_value=announced - odd))
-    rate = (odd + even) / announced
-    tolerance = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
-    return DetectionReport(announced, odd, even, rate,
-                           "cheating_detected" if rate > tolerance else "clean")
-
-
-@settings(max_examples=100, deadline=None)
-@given(report=reports())
-def test_report_json_round_trip_property(report):
-    text = report.to_json()
-    back = DetectionReport.from_json(text)
-    assert back == report
-    assert back.to_json() == text
-    assert back.cheating_detected == (report.verdict == "cheating_detected")
 
 
 def test_mismatches_localize_after_the_split():

@@ -91,7 +91,8 @@ def _tensordot_reference(state, matrix, targets):
     """Per-trial reference gate: contract the matrix into the target axes."""
     k = len(targets)
     axes = [state.position(t) for t in targets]
-    t = np.tensordot(matrix.reshape((2,) * (2 * k)), state.tensor_view(), axes=(range(k, 2 * k), axes))
+    tensor = state.amps.reshape((2,) * state.num_qubits)
+    t = np.tensordot(matrix.reshape((2,) * (2 * k)), tensor, axes=(range(k, 2 * k), axes))
     return np.moveaxis(t, range(k), axes).reshape(-1)
 
 
@@ -117,11 +118,10 @@ def test_batch_kernels_equal_lone_kernels_and_reference(seed):
             assert np.abs(_tensordot_reference(batch.row(t), m, targets) - lone.amps).max() < 1e-12
         batch = out
 
-    gens = [np.random.default_rng(100 + t) for t in range(batch.trials)]
-    twins = [np.random.default_rng(100 + t) for t in range(batch.trials)]
-    bits, collapsed = qcore.measure(batch, "c", gens)
+    uniforms = np.array([np.random.default_rng(100 + t).random(1) for t in range(batch.trials)])
+    bits, collapsed = qcore.measure(batch, "c", uniforms)
     for t in range(batch.trials):
-        bit, lone = qcore.measure(batch.row(t), "c", twins[t])
+        bit, lone = qcore.measure(batch.row(t), "c", uniforms[t : t + 1])
         assert bit == bits[t]
         assert np.array_equal(lone.amps, collapsed.amps[t])
     rho = qcore.reduced_density(batch, ("e", "a"))
@@ -133,27 +133,39 @@ def test_batch_kernels_equal_lone_kernels_and_reference(seed):
 
 
 def test_measurement_draws_one_uniform_per_trial_in_order():
-    # the engine reads the same scalar draws, in the same order, that a
-    # trial played alone reads from its own generator
-    plus = qcore.apply_unitary(qcore.new_register(["a"]), gates.H, ["a"])
-    gens = [np.random.default_rng(s) for s in (1, 2, 3)]
-    twins = [np.random.default_rng(s) for s in (1, 2, 3)]
-    bits, _ = qcore.measure(qcore.StateBatch.repeat(plus, 3), "a", gens)
-    assert bits.tolist() == [int(g.random() < 0.5) for g in twins]
-    assert [g.random() for g in gens] == [g.random() for g in twins]
+    # trial t reads row t of the uniforms, and the i-th measured qubit column i
+    plus = qcore.apply_one_qubit_gates(qcore.new_register(["a", "b"]), (("a", gates.H), ("b", gates.H)))
+    batch = qcore.StateBatch.repeat(plus, 3)
+    uniforms = np.array([np.random.default_rng(s).random(2) for s in (1, 2, 3)])
+    bits, _ = qcore.measure(batch, "a", uniforms[:, :1])
+    assert bits.tolist() == [int(u < 0.5) for u in uniforms[:, 0]]
+    outcomes, _ = qcore.measure_reset(batch, ("b", "a"), uniforms)
+    assert [o.tolist() for o in outcomes] == [[int(u < 0.5) for u in col] for col in uniforms.T]
 
 
 # vectorized checks -----------------------------------------------------------
 
 
 def _batch_session(trials=3, extra_labels=()):
-    rngs = [np.random.default_rng(s) for s in range(trials)]
-    return protocol.init_session(ProtocolConfig(num_rounds=6), rng=rngs, extra_labels=extra_labels)
+    """Six-round sessions, trial t measuring with default_rng(t)'s uniforms."""
+    uniforms = np.array([np.random.default_rng(s).random(12) for s in range(trials)])
+    return protocol.init_session(ProtocolConfig(num_rounds=6), uniforms, extra_labels=extra_labels)
+
+
+def _flip(state, label, where):
+    """X on one qubit in the trials where `where` is set."""
+    return qcore.permute(state, ((None, label, 0),), (where,))
+
+
+def _bob_words(policy, *seeds):
+    """Bob's raw words for a six-round run, one row per PCG64 seed."""
+    count = adversary.bob_word_count(policy, 6)
+    return np.array([np.random.PCG64(seed).random_raw(count) for seed in seeds])
 
 
 def test_encode_rejects_unreset_message_in_one_trial():
     session = _batch_session()
-    session.states = qcore.flip(session.states, "m1", [False, True, False])
+    session.states = _flip(session.states, "m1", [False, True, False])
     with pytest.raises(ValueError, match=r"not reset.*trial 1;"):
         protocol.encode_round(session, [0, 1, 0])
 
@@ -164,11 +176,11 @@ def test_split_rejects_occupied_slot_in_one_trial():
     protocol.deliver_and_decode(session)
     protocol.toggle_carrier(session)
     protocol.encode_round(session, [1, 0, 1])
-    session.states = qcore.flip(session.states, "bt", [False, False, True])
-    rngs = [np.random.default_rng(9 + t) for t in range(3)]
+    session.states = _flip(session.states, "bt", [False, False, True])
+    words = _bob_words(MaintenancePolicy.PLAIN_HADAMARD, 9, 10, 11)
     with pytest.raises(ValueError, match=r"slot is occupied.*trial 2;"):
         adversary.execute_split(session, adversary.synthesize_split_unitary(),
-                                MaintenancePolicy.PLAIN_HADAMARD, rngs)
+                                MaintenancePolicy.PLAIN_HADAMARD, words)
 
 
 def test_toggles_reject_a_message_in_flight():
@@ -184,9 +196,9 @@ def test_measure_rejects_zero_probability_branch_in_one_trial():
     amps = np.zeros((3, 2), dtype=np.complex128)
     amps[0, 0] = amps[2, 1] = 1.0
     batch = qcore.StateBatch(("a",), amps)  # trial 1 holds no state at all
-    gens = [np.random.default_rng(t) for t in range(3)]
+    uniforms = np.array([np.random.default_rng(t).random(1) for t in range(3)])
     with pytest.raises(ValueError, match="zero probability in trial 1"):
-        qcore.measure(batch, "a", gens)
+        qcore.measure(batch, "a", uniforms)
 
 
 def test_reduced_density_validates_every_trial():
@@ -241,7 +253,7 @@ def test_maintenance_step_batch_rows_equal_lone_steps(round_index):
 @pytest.mark.parametrize("policy", [MaintenancePolicy.KNOWN_THETA_U, MaintenancePolicy.KNOWN_THETA_V])
 def test_plain_variant_rejects_policies_that_need_angles(policy):
     session = _batch_session(trials=1, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    attack = adversary.AttackState.draw(policy, 6, [np.random.default_rng(1)])
+    attack = adversary.AttackState.draw(policy, 6, _bob_words(policy, 1))
     with pytest.raises(ValueError, match="plain protocol has none"):
         adversary.maintain_carriers(session, attack)
     with pytest.raises(ValueError, match="plain protocol has none"):
@@ -309,23 +321,20 @@ def test_fused_gather_equals_gate_by_gate_sequence(steps, nbits, trials):
 def test_measure_reset_equals_measure_then_flip(targets, trials):
     rng = np.random.default_rng(trials)
     batch = _random_batch(rng, ATTACK_LABELS, trials)
-    gens = [np.random.default_rng(50 + t) for t in range(trials)]
-    twins = [np.random.default_rng(50 + t) for t in range(trials)]
-    outcomes, fused = qcore.measure_reset(batch, targets, gens)
+    uniforms = np.array([np.random.default_rng(50 + t).random(len(targets)) for t in range(trials)])
+    outcomes, fused = qcore.measure_reset(batch, targets, uniforms)
     ref, reads = batch, []
-    for target in targets:
-        bits, ref = qcore.measure(ref, target, twins)
+    for i, target in enumerate(targets):
+        bits, ref = qcore.measure(ref, target, uniforms[:, i : i + 1])
         reads.append(bits)
     for target, bits in zip(targets, reads):
         ref = _gate_by_gate(ref, ((None, target, 0),), (bits,))
     assert [o.tolist() for o in outcomes] == [r.tolist() for r in reads]
     # byte equality: the discarded slot holds the same signed zeros too
     assert _same_bits(fused.amps, ref.amps)
-    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in twins]
     assert np.all(qcore.excited_mass(fused, targets) == 0.0)
 
-    lone_gen = np.random.default_rng(50)
-    lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, lone_gen)
+    lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, uniforms[:1])
     assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
     assert np.array_equal(lone.amps, fused.amps[0])
 
@@ -336,17 +345,20 @@ def test_pre_drawn_uniforms_measure_as_the_generators_draw(targets, trials):
     rng = np.random.default_rng(200 + trials)
     batch = _random_batch(rng, ATTACK_LABELS, trials)
     gens = [np.random.default_rng(80 + t) for t in range(trials)]
-    twins = copy.deepcopy(gens)
-    # one random(k) per trial, from copies of the generators
+    # one random(k) per trial, drawn ahead from copies of the generators
     uniforms = np.array([g.random(len(targets)) for g in copy.deepcopy(gens)])
-    lazy_outcomes, lazy = qcore.measure_reset(batch, targets, gens)
     outcomes, pre = qcore.measure_reset(batch, targets, uniforms)
+    # the reference draws each trial's uniform from its generator as each qubit is read
+    lazy, lazy_outcomes = batch, []
+    for target in targets:
+        bits, lazy = qcore.measure(lazy, target, np.array([[g.random()] for g in gens]))
+        lazy = _flip(lazy, target, bits)
+        lazy_outcomes.append(bits)
     assert [o.tolist() for o in outcomes] == [o.tolist() for o in lazy_outcomes]
     assert _same_bits(pre.amps, lazy.amps)
 
-    bit, one = qcore.measure(batch, targets[0], uniforms[:, :1])
-    lazy_bit, lazy_one = qcore.measure(batch, targets[0], twins)
-    assert bit.tolist() == lazy_bit.tolist() and _same_bits(one.amps, lazy_one.amps)
+    bit, _ = qcore.measure(batch, targets[0], uniforms[:, :1])
+    assert bit.tolist() == lazy_outcomes[0].tolist()
     # a lone state reads a (1, targets) array
     lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, uniforms[:1])
     assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
@@ -372,25 +384,24 @@ def test_measure_reset_names_the_trial_with_a_zero_probability_branch():
     amps = np.zeros((4, 4), dtype=np.complex128)
     amps[0, 0] = amps[3, 1] = 1.0  # trials 1 and 2 hold no state at all
     batch = qcore.StateBatch(("a", "b"), amps)
-    gens = [np.random.default_rng(t) for t in range(4)]
+    uniforms = np.array([np.random.default_rng(t).random(2) for t in range(4)])
     with pytest.raises(ValueError, match="branch 0 of 'a' has zero probability in trial 1$"):
-        qcore.measure_reset(batch, ("a", "b"), gens)
+        qcore.measure_reset(batch, ("a", "b"), uniforms)
 
 
 def test_reset_check_names_the_first_trial_with_m2_set():
     session = _batch_session(trials=4)
-    session.states = qcore.flip(session.states, "m2", [False, False, True, True])
+    session.states = _flip(session.states, "m2", [False, False, True, True])
     with pytest.raises(ValueError, match=r"not reset.*trial 2; 2 trial\(s\) affected"):
         protocol.encode_round(session, [0, 1, 0, 1])
 
 
 def test_fixed_policy_plays_one_choice_without_tossing():
     session = _batch_session(trials=3, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    gens = [np.random.default_rng(t) for t in range(3)]
-    attack = adversary.AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, gens)
-    before = [g.bit_generator.state for g in gens]
+    words = _bob_words(MaintenancePolicy.PLAIN_HADAMARD, 0, 1, 2)
+    attack = adversary.AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, words)
+    assert attack.coin_draws.shape == (3, 0)
     assert adversary.maintain_carriers(session, attack) == ["h", "h", "h"]
-    assert [g.bit_generator.state for g in gens] == before
 
 
 # exact sums, measurement and the flipped marginal -----------------------------
@@ -458,14 +469,15 @@ def _cumsum_branch_weights(rows, axis):
     return _cumsum_total(np.swapaxes(sq, 1, 2).reshape(b, 2, -1))
 
 
-def _reference_collapse(batch, targets, gens, reset):
+def _reference_collapse(batch, targets, uniforms, reset):
     """Measurement as a 4-D broadcast of per-branch factors over cumsum branch
-    weights, then an X on each target read 1 if reset."""
+    weights, target i reading uniforms column i, then an X on each target
+    read 1 if reset."""
     rows, b, outcomes = batch.amps, batch.trials, []
-    for target in targets:
+    for i, target in enumerate(targets):
         axis = batch.position(target)
         weights = _cumsum_branch_weights(rows, axis)
-        bits = (np.array([g.random() for g in gens]) < weights[:, 1]).astype(np.int64)
+        bits = (uniforms[:, i] < weights[:, 1]).astype(np.int64)
         factor = np.zeros((b, 1, 2, 1))
         factor[np.arange(b), 0, bits, 0] = 1.0 / np.sqrt(weights[np.arange(b), bits])
         parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
@@ -493,19 +505,17 @@ def _signed_zero_batch(rng, trials):
 def test_measurement_equals_cumsum_reference(targets, trials, reset):
     rng = np.random.default_rng(7 * trials + len(targets))
     batch = _signed_zero_batch(rng, trials)
-    gens = [np.random.default_rng(90 + t) for t in range(trials)]
-    twins = [np.random.default_rng(90 + t) for t in range(trials)]
+    uniforms = np.array([np.random.default_rng(90 + t).random(len(targets)) for t in range(trials)])
     if reset:
-        outcomes, got = qcore.measure_reset(batch, targets, gens)
+        outcomes, got = qcore.measure_reset(batch, targets, uniforms)
     else:
         got, outcomes = batch, []
-        for target in targets:
-            bits, got = qcore.measure(got, target, gens)
+        for i, target in enumerate(targets):
+            bits, got = qcore.measure(got, target, uniforms[:, i : i + 1])
             outcomes.append(bits)
-    reads, want = _reference_collapse(batch, targets, twins, reset)
+    reads, want = _reference_collapse(batch, targets, uniforms, reset)
     assert [o.tolist() for o in outcomes] == [r.tolist() for r in reads]
     assert _same_bits(got.amps, want.amps)
-    assert [g.bit_generator.state for g in gens] == [g.bit_generator.state for g in twins]
 
 
 @pytest.mark.parametrize("trials", [1, 16, 50])
@@ -543,8 +553,8 @@ def _pre_encode_states(variant, trials):
     """Honest session states at the start of rounds 1 to 4, then a random
     state over the same register for each parity."""
     angles = symmetric_triple(2 * math.pi / 3) if variant is Variant.THETA else None
-    rngs = [np.random.default_rng(s) for s in range(trials)]
-    session = protocol.init_session(ProtocolConfig(variant=variant, angles=angles, num_rounds=6), rng=rngs)
+    uniforms = np.array([np.random.default_rng(s).random(12) for s in range(trials)])
+    session = protocol.init_session(ProtocolConfig(variant=variant, angles=angles, num_rounds=6), uniforms)
     for r in range(1, 5):
         yield session.parity, session.states
         protocol.encode_round(session, np.arange(trials) % 2)

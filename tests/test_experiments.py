@@ -191,8 +191,9 @@ def test_bob_claims_come_from_the_transcript(order):
     opened_round2 = 0
     for seed in range(8):
         res = run_attack_trial(cfg, policy, seed=seed)
-        bob_stream = trial_rngs(seed, (experiments.BOB_STREAM,))
-        claim_draws = AttackState.draw(policy, cfg.num_rounds, bob_stream).claim_draws[0].tolist()
+        (bob_stream,) = trial_rngs(seed, (experiments.BOB_STREAM,))
+        words = bob_stream.bit_generator.random_raw(adversary.bob_word_count(policy, cfg.num_rounds))
+        claim_draws = AttackState.draw(policy, cfg.num_rounds, words[np.newaxis]).claim_draws[0].tolist()
         bob = {rec.round_index: rec.bob_bit for rec in res.transcript.records}
         assert [bob[r] for r in range(4, 13, 2)] == claim_draws[:-1]
         for ann in res.announcements:
@@ -353,13 +354,19 @@ def test_replaying_a_seed_sequence_gives_the_same_trial(policy):
     assert batch[2] == first
 
 
-def test_step_api_draws_lazily_the_values_a_run_pre_draws():
-    # run_protocol reads bits and then every measurement uniform from the
-    # generator as it goes; the runner draws them all up front
+def test_step_api_from_trial_streams_reproduces_the_run():
+    # a session played round by round from a trial's streams, as a demo
+    # plays one, gives the transcript the runner records for that seed
     config = ProtocolConfig(num_rounds=9)
-    rng_p, _, _ = trial_rngs(17)
-    transcript = protocol.run_protocol(config, rng=rng_p)
-    assert transcript.records == run_honest_trial(config, seed=17).transcript.records
+    streams = experiments.TrialStreams([experiments.trial_key(17)], experiments.HONEST_STREAMS)
+    bits, uniforms = streams.protocol(config.num_rounds, 2 * config.num_rounds)
+    session = protocol.init_session(config, uniforms)
+    for q in bits[0]:
+        protocol.encode_round(session, q)
+        protocol.deliver_and_decode(session)
+        protocol.toggle_carrier(session)
+    session.require_uniforms_spent()
+    assert session.records == run_honest_trial(config, seed=17).transcript.records
 
 
 @pytest.mark.parametrize("policy", [None, MaintenancePolicy.PLAIN_HADAMARD])
@@ -522,18 +529,15 @@ def test_seeding_guard_raises_on_a_wrong_pass(monkeypatch, mutation):
 
 
 def test_session_takes_its_trials_from_the_uniforms_rows():
-    session = protocol.init_session(ProtocolConfig(num_rounds=2), uniforms=np.zeros((3, 4)))
-    assert session.trials == 3
-    assert session.rngs == []
-    one = protocol.init_session(ProtocolConfig(num_rounds=2), uniforms=np.zeros((1, 4)))
-    with pytest.raises(ValueError, match="no generator"):
-        one.rng
+    session = protocol.init_session(ProtocolConfig(num_rounds=2), np.zeros((3, 4)))
+    assert session.trials == 3 and session.states.trials == 3
+    one = protocol.init_session(ProtocolConfig(num_rounds=2), np.zeros((1, 4)))
+    assert one.state.labels == protocol.CARRIER_LABELS + protocol.MESSAGE_LABELS
 
 
 def test_session_rejects_uniforms_without_one_row_per_trial():
-    rngs = [np.random.default_rng(t) for t in range(3)]
     with pytest.raises(ValueError, match="one row per trial"):
-        protocol.init_session(ProtocolConfig(num_rounds=2), rng=rngs, uniforms=np.zeros((2, 4)))
+        protocol.init_session(ProtocolConfig(num_rounds=2), np.zeros(4))
 
 
 def test_experiments_import_leaves_the_cli_modules_unloaded():

@@ -26,9 +26,8 @@ from qsscarrier.protocol import (
     encoded_state,
     init_session,
     parity_of,
-    run_protocol,
     toggle_carrier,
-    toggle_triple,
+    toggle_ops,
 )
 
 HARDENED = ThetaTriple.from_ab(2 * math.pi / 3, 2 * math.pi / 3)
@@ -36,6 +35,26 @@ HARDENED = ThetaTriple.from_ab(2 * math.pi / 3, 2 * math.pi / 3)
 
 def theta_config(**kw) -> ProtocolConfig:
     return ProtocolConfig(variant=Variant.THETA, angles=HARDENED, **kw)
+
+
+def seeded_session(config: ProtocolConfig) -> protocol.ProtocolSession:
+    """One trial whose measurements read what default_rng(config.rng_seed)
+    draws: two uniforms per round."""
+    uniforms = np.random.default_rng(config.rng_seed).random((1, 2 * config.num_rounds))
+    return init_session(config, uniforms)
+
+
+def run_protocol(config: ProtocolConfig) -> Transcript:
+    """An honest session played round by round from default_rng(config.rng_seed):
+    the bits first, then two measurement uniforms per round."""
+    rng = np.random.default_rng(config.rng_seed)
+    bits = rng.integers(0, 2, size=config.num_rounds)
+    session = init_session(config, rng.random((1, 2 * config.num_rounds)))
+    for q in bits:
+        encode_round(session, int(q))
+        deliver_and_decode(session)
+        toggle_carrier(session)
+    return session.transcripts()[0]
 
 
 def test_config_validation_messages():
@@ -60,18 +79,18 @@ def test_parity_of():
 
 
 def test_init_session_layout():
-    s = init_session(ProtocolConfig())
+    s = seeded_session(ProtocolConfig())
     assert s.state.labels == ("a", "b", "c", "m1", "m2")
     assert s.round_index == 1 and s.parity == "odd"
     ghz = protocol.expected_full_state(s)
     assert qcore.fidelity(s.state, ghz) == pytest.approx(1.0)
-    s2 = init_session(ProtocolConfig(), extra_labels=("bt",))
+    s2 = init_session(ProtocolConfig(), np.zeros((1, 40)), extra_labels=("bt",))
     assert s2.state.labels == ("a", "b", "c", "bt", "m1", "m2")
 
 
 def test_odd_round_delivers_bit_to_both():
     for q in (0, 1):
-        s = init_session(ProtocolConfig(rng_seed=q))
+        s = seeded_session(ProtocolConfig(rng_seed=q))
         encode_round(s, q)
         (bob,), (charlie,) = deliver_and_decode(s)
         assert bob == q and charlie == q
@@ -81,7 +100,7 @@ def test_odd_round_delivers_bit_to_both():
 def test_even_round_xor_rule():
     # Individually uniform reads whose XOR is the secret.
     for seed in range(8):
-        s = init_session(ProtocolConfig(rng_seed=seed))
+        s = seeded_session(ProtocolConfig(rng_seed=seed))
         encode_round(s, 0)
         deliver_and_decode(s)
         toggle_carrier(s)
@@ -93,7 +112,7 @@ def test_even_round_xor_rule():
 
 
 def test_even_round_single_reads_are_uniform():
-    s = init_session(ProtocolConfig(rng_seed=0))
+    s = seeded_session(ProtocolConfig(rng_seed=0))
     encode_round(s, 0)
     deliver_and_decode(s)
     toggle_carrier(s)
@@ -108,7 +127,7 @@ def test_even_round_single_reads_are_uniform():
 
 def test_in_flight_messages_are_disguised():
     # The reduced message state must not depend on the secret bit.
-    s = init_session(ProtocolConfig(rng_seed=3))
+    s = seeded_session(ProtocolConfig(rng_seed=3))
     for parity in ("odd", "even"):
         rho0 = qcore.reduced_density(encoded_state(s.state, parity, 0), ["m1", "m2"])
         rho1 = qcore.reduced_density(encoded_state(s.state, parity, 1), ["m1", "m2"])
@@ -116,7 +135,7 @@ def test_in_flight_messages_are_disguised():
 
 
 def test_toggle_alternates_carrier_kind():
-    s = init_session(ProtocolConfig(rng_seed=0))
+    s = seeded_session(ProtocolConfig(rng_seed=0))
     assert s.carrier_kind is CarrierKind.GHZ
     encode_round(s, 1)
     deliver_and_decode(s)
@@ -126,18 +145,23 @@ def test_toggle_alternates_carrier_kind():
     assert qcore.fidelity(s.state, protocol.expected_full_state(s)) >= 1 - 1e-10
 
 
+def _toggle_triple(angles, round_index):
+    """The 8x8 end-of-round toggle, as one product of the three factors."""
+    on_a, on_b, on_c = toggle_ops(angles, round_index)
+    return np.kron(np.kron(on_a, on_b), on_c)
+
+
 def test_theta_toggle_uses_inverse_on_even_rounds():
-    cfg = theta_config()
-    fwd = toggle_triple(cfg, 1)
-    inv = toggle_triple(cfg, 2)
+    fwd = _toggle_triple(HARDENED, 1)
+    inv = _toggle_triple(HARDENED, 2)
     assert np.abs(inv - fwd.conj().T).max() < 1e-15
-    plain = toggle_triple(ProtocolConfig(), 2)
+    plain = _toggle_triple(None, 2)
     h3 = np.kron(np.kron(gates.H, gates.H), gates.H)
     assert np.abs(plain - h3).max() < 1e-15
 
 
 def test_sequencing_errors():
-    s = init_session(ProtocolConfig(rng_seed=0))
+    s = seeded_session(ProtocolConfig(rng_seed=0))
     with pytest.raises(ValueError, match="no message in flight"):
         deliver_and_decode(s)
     encode_round(s, 0)
@@ -146,7 +170,7 @@ def test_sequencing_errors():
     with pytest.raises(ValueError, match="in flight"):
         toggle_carrier(s)
     with pytest.raises(ValueError, match="q must be 0 or 1"):
-        encode_round(init_session(ProtocolConfig(rng_seed=0)), 2)
+        encode_round(seeded_session(ProtocolConfig(rng_seed=0)), 2)
 
 
 @pytest.mark.parametrize("cfg", [ProtocolConfig(num_rounds=10, rng_seed=4),
@@ -169,11 +193,6 @@ def test_run_protocol_is_deterministic():
     a = run_protocol(cfg).to_jsonl()
     b = run_protocol(cfg).to_jsonl()
     assert a == b
-
-
-def test_run_protocol_validates_bit_count():
-    with pytest.raises(ValueError, match="need 3 bits"):
-        run_protocol(ProtocolConfig(num_rounds=3), bits=[0, 1])
 
 
 def test_transcript_jsonl_round_trip():

@@ -80,7 +80,7 @@ def test_apply_unitary_matches_dense_kron_oracle():
     u = _random_unitary(rng, 4)
     got = qcore.apply_unitary(st, u, ["c", "a"])
 
-    t = st.tensor_view()
+    t = st.amps.reshape(2, 2, 2)
     moved = np.moveaxis(t, [2, 0], [0, 1])  # (c, a, b)
     dense = np.kron(u, np.eye(2)) @ moved.reshape(-1)
     back = np.moveaxis(dense.reshape(2, 2, 2), [0, 1], [2, 0])
@@ -100,10 +100,10 @@ def test_apply_unitary_rejects_bad_shapes_and_targets():
 def test_measure_deterministic_branches():
     rng = np.random.default_rng(0)
     one = qcore.apply_unitary(qcore.new_register(["a", "b"]), gates.X, ["b"])
-    bit, post = qcore.measure(one, "b", rng)
+    bit, post = qcore.measure(one, "b", rng.random((1, 1)))
     assert bit == 1
     assert qcore.fidelity(post, one) == pytest.approx(1.0)
-    bit0, _ = qcore.measure(one, "a", rng)
+    bit0, _ = qcore.measure(one, "a", rng.random((1, 1)))
     assert bit0 == 0
 
 
@@ -111,10 +111,10 @@ def test_measure_collapse_renormalizes():
     rng = np.random.default_rng(3)
     st = qcore.apply_unitary(qcore.new_register(["a", "b"]), gates.H, ["a"])
     st = qcore.apply_unitary(st, gates.CNOT, ["a", "b"])
-    bit, post = qcore.measure(st, "a", rng)
+    bit, post = qcore.measure(st, "a", rng.random((1, 1)))
     assert np.linalg.norm(post.amps) == pytest.approx(1.0)
     # Bell correlation: the partner is now deterministic.
-    bit2, _ = qcore.measure(post, "b", rng)
+    bit2, _ = qcore.measure(post, "b", rng.random((1, 1)))
     assert bit2 == bit
 
 
@@ -123,7 +123,7 @@ def test_measure_statistics_frozen():
     # within 4 sigma of the fair mean as a sanity band.
     rng = np.random.default_rng(11)
     plus = qcore.apply_unitary(qcore.new_register(["a"]), gates.H, ["a"])
-    ones = sum(qcore.measure(plus, "a", rng)[0] for _ in range(400))
+    ones = sum(qcore.measure(plus, "a", rng.random((1, 1)))[0] for _ in range(400))
     assert ones == 218
     assert abs(ones - 200) < 40
 
@@ -189,14 +189,6 @@ def test_relabeled_is_positional():
     assert swapped.labels == ("b", "a")
     assert np.array_equal(swapped.amps, st.amps)
     assert qcore.probability_of_one(swapped, "b") == pytest.approx(1.0)
-
-
-def test_state_json_round_trip():
-    rng = np.random.default_rng(5)
-    st = _random_state(rng, ("a", "b"))
-    back = qcore.StateVector.from_json(st.to_json())
-    assert back.labels == st.labels
-    assert np.abs(back.amps - st.amps).max() < 1e-15
 
 
 @settings(max_examples=40, deadline=None)
