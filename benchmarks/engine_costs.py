@@ -22,8 +22,8 @@ streams from the run's base seed (the streams an honest trial reads, and
 the three of an attacked one), its protocol-stream measurement draws (the
 two reads of one honest round from pre-drawn uniforms, plus the random(2R)
 that pre-draws a 10-round trial's share), the announcement phase
-(build_announcements and evaluate on a 10-round honest transcript at
-fraction 0.2) and one whole instrumented 10-round honest trial.  Stream set-up is timed at batch sizes 16 and 50 as
+(select_rounds, build_announcements and evaluate on a 10-round honest
+transcript at fraction 0.2) and one whole instrumented 10-round honest trial.  Stream set-up is timed at batch sizes 16 and 50 as
 one trial_rngs call per trial (numpy's own objects, the reference the
 tests hold the runners to) and as the one experiments.TrialStreams a batch
 builds, together with the protocol stream of a 10-round honest trial drawn
@@ -33,8 +33,9 @@ TrialStreams.protocol).  The draw costs are taken at batch sizes 16 and 50.
 The Bob-stream section times Bob's private draws for one 100-round
 random-guess trial at batch size 16, per trial and per trial-round: drawn
 lazily, one scalar call per trial and draw as the rounds ask for them, and
-drawn ahead as the raw PCG64 words of the whole schedule, decoded into the
-ledger's columns (adversary.AttackState.draw).
+drawn ahead as the raw PCG64 words of the whole schedule, decoded
+(experiments.decode_stream) and split into the ledger's columns
+(adversary.AttackState.draw).
 
 Kernel calls are counted on one plain-split lockstep round of 16 trials (the
 mean over 20 rounds after the split): every call the round phases make into
@@ -44,10 +45,10 @@ are counted alongside: those that check their labels, and the kernel results
 wrapped over the labels of their input (StateBatch.with_rows).
 
 Every session measures with uniforms drawn ahead (default_rng(t).random
-per trial t) and Bob decodes raw PCG64 words (PCG64(10_000 + t)), as the
-runners' sessions do.  --src may point at the src/ directory of any
-checkout whose sessions and Bob's ledger take those pre-drawn columns
-(adversary.bob_word_count exists).
+per trial t) and Bob's ledger takes the draws decoded from raw PCG64 words
+(PCG64(10_000 + t), experiments.decode_stream), as the runners' sessions
+do.  --src may point at the src/ directory of any checkout whose sessions
+and Bob's ledger take those pre-drawn columns (adversary.bob_kinds exists).
 """
 
 from __future__ import annotations
@@ -106,8 +107,10 @@ def attacked_session(qss, batch: int):
     policy = MaintenancePolicy.PLAIN_HADAMARD
     config = ProtocolConfig(num_rounds=ROUNDS)
     su = adv.synthesize_split_unitary()
-    count = adv.bob_word_count(policy, ROUNDS)
-    bob = np.array([np.random.PCG64(10_000 + t).random_raw(count) for t in range(batch)])
+    kinds = adv.bob_kinds(policy, ROUNDS)
+    count = qss.experiments.word_count(kinds)
+    words = np.array([np.random.PCG64(10_000 + t).random_raw(count) for t in range(batch)])
+    bob = qss.experiments.decode_stream(words, kinds)
     # two reads in round 1, then Charlie's one read per round
     drawn = uniforms(batch, ROUNDS + 1)
     session = proto.init_session(config, uniforms=drawn, extra_labels=adv.ATTACK_EXTRA_LABELS)
@@ -270,7 +273,8 @@ def trial_costs(qss, repeats: int) -> dict:
 
     def announce():
         for t, res in enumerate(results):
-            anns = ex.build_announcements(res.transcript, 0.2, np.random.default_rng(t))
+            rounds = detection.select_rounds(SHORT_ROUNDS, 0.2, np.random.default_rng(t))
+            anns = ex.build_announcements(res.transcript, rounds)
             detection.evaluate(res.transcript, anns)
 
     out["announcement_phase"] = cost(timed(announce, repeats), 1, trials)
@@ -347,11 +351,12 @@ def bob_stream_costs(qss, repeats: int, batch: int = 16) -> dict:
     drawn ahead (see the module docstring), per trial and per trial-round."""
     from qsscarrier.adversary import MaintenancePolicy
 
-    adv, policy = qss.adversary, MaintenancePolicy.RANDOM_GUESS
+    adv, ex, policy = qss.adversary, qss.experiments, MaintenancePolicy.RANDOM_GUESS
     # the streams are built once, outside the timings; each timed call draws on
     gens = [np.random.default_rng(10_000 + t) for t in range(batch)]
     streams = [np.random.PCG64(10_000 + t) for t in range(batch)]
-    count = adv.bob_word_count(policy, ROUNDS)
+    schedule = adv.bob_kinds(policy, ROUNDS)
+    count = ex.word_count(schedule)
 
     def lazy():
         [g.random() for g in gens]  # the coin of the toggle ending round 2
@@ -364,7 +369,8 @@ def bob_stream_costs(qss, repeats: int, batch: int = 16) -> dict:
                 [g.random() for g in gens]  # the coin of a forward toggle
 
     def pre_drawn():
-        adv.AttackState.draw(policy, ROUNDS, np.array([s.random_raw(count) for s in streams]))
+        words = np.array([s.random_raw(count) for s in streams])
+        adv.AttackState.draw(policy, ROUNDS, ex.decode_stream(words, schedule))
 
     kinds = {"lazy": lazy, "pre_drawn": pre_drawn}
     out = {}

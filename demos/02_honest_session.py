@@ -45,8 +45,8 @@ transcript = protocol.Transcript(num_rounds=config.num_rounds, records=session.r
 fids = [rec.carrier_fidelity for rec in transcript.records]
 print("\ncarrier restored after every round, worst fidelity:", min(fids))
 
-rng_ann = next(streams.generators(experiments.ANNOUNCE_STREAM))
-announcements = experiments.build_announcements(transcript, config.announce_fraction, rng_ann)
+(opened,) = streams.announced(config.num_rounds, config.announce_fraction)
+announcements = experiments.build_announcements(transcript, opened)
 report = detection.evaluate(transcript, announcements, tolerance=0.0)
 print("announced rounds:", [a.round_index for a in announcements])
 print("verdict:", report.verdict, f"({report.odd_mismatches} odd,"

@@ -29,16 +29,17 @@ config = ProtocolConfig(variant=Variant.PLAIN, num_rounds=12, rng_seed=3)
 # the session's draws in the order the two rounds take them: Alice's bit,
 # the two reads of round 1, Alice's next bit; decoded from raw PCG64 words
 kinds = "iddi"
-words = np.random.PCG64(3).random_raw(adversary.word_count(kinds))[None]
-q1, u1, u2, q2 = adversary.decode_stream(words, kinds)[0]
+words = np.random.PCG64(3).random_raw(experiments.word_count(kinds))[None]
+q1, u1, u2, q2 = experiments.decode_stream(words, kinds)[0]
 session = protocol.init_session(config, np.array([[u1, u2]]), extra_labels=adversary.ATTACK_EXTRA_LABELS)
 policy = MaintenancePolicy.PLAIN_HADAMARD
-bob_words = np.random.PCG64(99).random_raw(adversary.bob_word_count(policy, config.num_rounds))[None]
+bob_kinds = adversary.bob_kinds(policy, config.num_rounds)
+bob_words = np.random.PCG64(99).random_raw(experiments.word_count(bob_kinds))[None]
 protocol.encode_round(session, int(q1))
 protocol.deliver_and_decode(session)
 protocol.toggle_carrier(session)
 protocol.encode_round(session, int(q2))
-adversary.execute_split(session, su, policy, bob_words)
+adversary.execute_split(session, su, policy, experiments.decode_stream(bob_words, bob_kinds))
 
 print("\npost-split pairs, in the Bell basis:")
 for pair in (("a", "bt"), ("b", "c")):

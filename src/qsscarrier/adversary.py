@@ -40,6 +40,8 @@ SYNTHESIS_FAIL_TOL = 1e-6
 
 KEPT_LABEL = "bt"
 ATTACK_EXTRA_LABELS = (KEPT_LABEL,)
+# the state the split leaves in m2, the counterfeit Bob forwards in round 2
+_BLANK = gates.read_only(np.array([1.0, 0.0]))
 
 
 class PatternHypothesis(enum.Enum):
@@ -62,7 +64,6 @@ class SplitUnitary:
     matrix: np.ndarray
     residuals: tuple[float, float]
     unitarity_defect: float
-    blank: np.ndarray
 
     def to_json(self) -> str:
         return json.dumps(
@@ -92,11 +93,11 @@ class AttackState:
     HYPOTHESES, UNRESOLVED until the announcements set it
     (pattern_hypotheses).
 
-    Bob's private stream comes drawn ahead and decoded (see draw): two
-    measurement uniforms per decode-and-forward round (read_draws), the u/v
-    coin uniforms of a guessing policy (coin_draws) and his even-round claim
-    bits, the last of them kept for an alice-first round-2 claim
-    (claim_draws).
+    Bob's private stream comes drawn ahead, as the values of the draws
+    bob_kinds names (see draw): two measurement uniforms per
+    decode-and-forward round (read_draws), the u/v coin uniforms of a
+    guessing policy (coin_draws) and his even-round claim bits, the last of
+    them kept for an alice-first round-2 claim (claim_draws).
     """
 
     maintenance_policy: MaintenancePolicy
@@ -113,21 +114,19 @@ class AttackState:
         cls,
         policy: MaintenancePolicy,
         num_rounds: int,
-        words: np.ndarray,
+        values: np.ndarray,
         q2_truth: np.ndarray | None = None,
     ) -> "AttackState":
-        """A fresh ledger for num_rounds rounds whose trial t decodes Bob's
-        whole stream from words[t]: the first bob_word_count(policy,
-        num_rounds) raw uint64 words of his PCG64."""
+        """A fresh ledger for num_rounds rounds whose trial t takes Bob's
+        whole stream from values[t]: the values of the draws
+        bob_kinds(policy, num_rounds) names, integers(0, 2) as 0.0 or 1.0."""
         if num_rounds < 2:
             raise ValueError("the split happens in round 2; need at least 2 rounds")
-        _check_decoding_once()
         steps = _bob_schedule(num_rounds, POLICY_CHOICE[policy] is None)
-        count = word_count(steps.kinds)
-        if words.dtype != np.uint64 or words.ndim != 2 or words.shape[1] != count:
-            raise ValueError(f"Bob's raw words need {count} uint64 per trial; got {words.dtype} {words.shape}")
-        values = decode_stream(words, steps.kinds)
-        trials = len(words)
+        count = len(steps.kinds)
+        if values.dtype != np.float64 or values.ndim != 2 or values.shape[1] != count:
+            raise ValueError(f"Bob's draws need {count} float64 per trial; got {values.dtype} {values.shape}")
+        trials = len(values)
         unset = np.full(trials, protocol.NO_READ, dtype=np.int64)
         return cls(
             maintenance_policy=policy,
@@ -158,89 +157,12 @@ class AttackState:
 
 # ---------------------------------------------------------------------------
 # Bob's stream, drawn ahead
-#
-# A Generator's random() is one 64-bit word w of its PCG64, as (w >> 11) *
-# 2**-53.  Its integers(0, 2) is bit 31 of a 32-bit half-word: the low half
-# of a fresh word, whose high half stays buffered and serves the next
-# integers call; random() does not touch that buffer.  So a schedule of
-# draws fixes which word and bit each draw reads, and a trial's whole stream
-# is one random_raw call.  This follows numpy's C code, not a documented
-# API, so the decoding is checked against lazy draws once per process.
 
 
-def word_count(kinds: str) -> int:
-    """Words of a schedule of random() ("d") and integers(0, 2) ("i") draws."""
-    return kinds.count("d") + (kinds.count("i") + 1) // 2
-
-
-def bob_word_count(policy: MaintenancePolicy, num_rounds: int) -> int:
-    """Raw words Bob's stream gives up in an attacked run of num_rounds rounds."""
-    return word_count(_bob_schedule(num_rounds, POLICY_CHOICE[policy] is None).kinds)
-
-
-@functools.lru_cache(maxsize=64)
-def _word_layout(kinds: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per draw of a schedule: the word it reads, the shift that brings its
-    bits down, and the mask that keeps them."""
-    word, shift, fresh, buffered = [], [], 0, None
-    for kind in kinds:
-        if kind == "d":
-            word.append(fresh)
-            shift.append(11)
-            fresh += 1
-        elif kind != "i":
-            raise ValueError(f"unknown draw kind {kind!r}")
-        elif buffered is None:
-            word.append(fresh)
-            shift.append(31)
-            buffered, fresh = fresh, fresh + 1
-        else:
-            word.append(buffered)
-            shift.append(63)
-            buffered = None
-    layout = (
-        np.array(word, dtype=np.intp),
-        np.array(shift, dtype=np.uint64),
-        np.array([2**53 - 1 if kind == "d" else 1 for kind in kinds], dtype=np.uint64),
-    )
-    for part in layout:
-        part.setflags(write=False)
-    return layout
-
-
-def decode_stream(words: np.ndarray, kinds: str) -> np.ndarray:
-    """The values a schedule of lazy draws takes, one row of raw PCG64 words
-    per trial: random() as its double, integers(0, 2) as 0.0 or 1.0."""
-    word, shift, mask = _word_layout(kinds)
-    picked = (words[:, word] >> shift) & mask
-    return picked * np.where(mask == 1, 1.0, 2.0**-53)
-
-
-# a schedule whose decoding covers every case: a low half, doubles between
-# it and its high half, two halves in a row, and a high half left buffered;
-# under this seed the two halves of each word differ in bit 31, so reading
-# them in the wrong order or at the wrong bit changes a value
-_GUARD_KINDS = "iddiiidddid"
-_GUARD_SEED = 2014
-
-
-def check_stream_decoding(decode=decode_stream) -> None:
-    """Raise unless decode gives the values lazy draws from a fresh
-    Generator take, on a schedule covering every way a draw reads a word."""
-    lazy = np.random.Generator(np.random.PCG64(_GUARD_SEED))
-    expected = [lazy.random() if kind == "d" else float(lazy.integers(0, 2)) for kind in _GUARD_KINDS]
-    words = np.random.PCG64(_GUARD_SEED).random_raw(word_count(_GUARD_KINDS))
-    got = decode(words[np.newaxis], _GUARD_KINDS)[0].tolist()
-    if got != expected:
-        raise RuntimeError(
-            f"numpy {np.__version__} draws Bob's stream differently from its raw PCG64 words;"
-            " the pre-drawn stream would not reproduce the lazy draws"
-        )
-
-
-@functools.cache
-def _check_decoding_once() -> None:
-    check_stream_decoding()
+def bob_kinds(policy: MaintenancePolicy, num_rounds: int) -> str:
+    """Bob's draws in an attacked run of num_rounds rounds, in the order the
+    run takes them: random() as "d", integers(0, 2) as "i"."""
+    return _bob_schedule(num_rounds, POLICY_CHOICE[policy] is None).kinds
 
 
 @dataclass(frozen=True)
@@ -290,10 +212,10 @@ def _encoded_round2_state(q: int) -> qcore.StateVector:
     return protocol.encoded_state(state, "even", q)
 
 
-def _target_split_state(q: int, blank: np.ndarray) -> qcore.StateVector:
+def _target_split_state(q: int) -> qcore.StateVector:
     """Bell(a, m1) x Bell(b, c) x blank(m2); PhiPlus pairs for q=0, PsiPlus for q=1."""
     bell = gates.bell_amplitudes(BellKind.PHI_PLUS if q == 0 else BellKind.PSI_PLUS).reshape(2, 2)
-    amps = np.einsum("am,bc,x->abcmx", bell, bell, blank).reshape(-1)
+    amps = np.einsum("am,bc,x->abcmx", bell, bell, _BLANK).reshape(-1)
     return qcore.from_amplitudes(("a", "b", "c", "m1", "m2"), amps)
 
 
@@ -303,33 +225,19 @@ def _group_bm1m2_by_ac(state: qcore.StateVector) -> np.ndarray:
     return np.transpose(t, (1, 3, 4, 0, 2)).reshape(8, 4)
 
 
-def synthesize_split_unitary(blank: np.ndarray | None = None) -> SplitUnitary:
+@functools.cache
+def synthesize_split_unitary() -> SplitUnitary:
     """Solve for the splitting operator from its two input/output constraints.
 
     Each constraint pins the action of U (x) I on one 32-dim state, giving a
     rank-4 linear system over U's 64 entries; the orthogonal complement is
     completed orthonormally and the result is polished by polar projection.
     Raises if either constraint cannot be met, naming the offending one.
-    The operator for the default blank |0> is solved once per process and
-    shared; its arrays, like every SplitUnitary's, are read-only.
+    The operator is solved once per process and shared; its matrix is
+    read-only.
     """
-    if blank is None:
-        return _default_split_unitary()
-    return _solve_split(blank)
-
-
-@functools.lru_cache(maxsize=1)
-def _default_split_unitary() -> SplitUnitary:
-    return _solve_split(np.array([1.0, 0.0]))
-
-
-def _solve_split(blank: np.ndarray) -> SplitUnitary:
-    blank = np.asarray(blank, dtype=np.complex128)
-    if blank.shape != (2,) or abs(np.linalg.norm(blank) - 1.0) > 1e-12:
-        raise ValueError("blank must be a normalized single-qubit state")
-
     ins = [_encoded_round2_state(q) for q in (0, 1)]
-    outs = [_target_split_state(q, blank) for q in (0, 1)]
+    outs = [_target_split_state(q) for q in (0, 1)]
     x = np.hstack([_group_bm1m2_by_ac(s) for s in ins])
     y = np.hstack([_group_bm1m2_by_ac(s) for s in outs])
 
@@ -359,7 +267,6 @@ def _solve_split(blank: np.ndarray) -> SplitUnitary:
         matrix=gates.read_only(u),
         residuals=(residuals[0], residuals[1]),
         unitarity_defect=qcore.unitarity_defect(u),
-        blank=gates.read_only(blank),
     )
 
 
@@ -386,40 +293,36 @@ def execute_split(
     session: ProtocolSession,
     su: SplitUnitary,
     policy: MaintenancePolicy,
-    words: np.ndarray,
+    draws: np.ndarray,
 ) -> AttackState:
     """Apply the splitting operator during round 2 in every trial and keep m1 as bt.
 
     Requires the round-2 message to be encoded but not yet delivered, and an
     idle bt slot in every trial.  The label swap m1 <-> bt is bookkeeping
     only; afterwards bt holds the Bell half paired with a, m1 is a fresh |0>,
-    and m2 holds the blank counterfeit.  words holds Bob's raw PCG64 words
-    for the session's rounds, one row per trial, decoded here into his whole
-    stream (AttackState.draw).  Returns the attack ledger of every trial.
+    and m2 holds the blank counterfeit.  draws holds the values of Bob's
+    draws for the session's rounds, one row per trial (AttackState.draw).
+    Returns the attack ledger of every trial.
     """
     if session.round_index != 2 or session.pending_q is None:
         raise ValueError("split must run on the encoded, undelivered round-2 state")
     if KEPT_LABEL not in session.states.labels:
         raise ValueError(f"register has no {KEPT_LABEL!r} slot for the kept qubit")
-    if len(words) != session.trials:
-        raise ValueError(f"{len(words)} rows of Bob's words for {session.trials} trials")
+    if len(draws) != session.trials:
+        raise ValueError(f"{len(draws)} rows of Bob's draws for {session.trials} trials")
     occupied = qcore.probability_of_one(session.states, KEPT_LABEL) > 1e-12
     qcore.check_trials(occupied, f"{KEPT_LABEL!r} slot is occupied")
     st = qcore.apply_unitary(session.states, su.matrix, ["b", "m1", "m2"])
     session.states = st.relabeled({"m1": KEPT_LABEL, KEPT_LABEL: "m1"})
-    return AttackState.draw(policy, session.config.num_rounds, words, q2_truth=session.pending_q)
+    return AttackState.draw(policy, session.config.num_rounds, draws, q2_truth=session.pending_q)
 
 
-def pattern_pair_state(
-    kind_at: BellKind,
-    kind_bc: BellKind,
-    labels: tuple[str, str, str, str] = ("a", KEPT_LABEL, "b", "c"),
-) -> qcore.StateVector:
-    """Four-qubit fraud pattern: one Bell pair on the first two labels
-    (Alice's side), one on the last two (Charlie's side)."""
+def pattern_pair_state(kind_at: BellKind, kind_bc: BellKind) -> qcore.StateVector:
+    """Four-qubit fraud pattern: one Bell pair on (a, bt), Alice's side, and
+    one on (b, c), Charlie's side."""
     b1 = gates.bell_amplitudes(kind_at).reshape(2, 2)
     b2 = gates.bell_amplitudes(kind_bc).reshape(2, 2)
-    return qcore.from_amplitudes(labels, np.einsum("at,bc->atbc", b1, b2).reshape(-1))
+    return qcore.from_amplitudes(("a", KEPT_LABEL, "b", "c"), np.einsum("at,bc->atbc", b1, b2).reshape(-1))
 
 
 # rows of the pattern table: the q2 = 0 orbit, then the q2 = 1 orbit's two forms

@@ -13,18 +13,19 @@ never read there.
 The runners build no SeedSequence, PCG64 or Generator per trial.  One pass
 over columns (pcg64_states) computes the state each (trial, stream) key's
 PCG64 would start in, and the batch's streams (TrialStreams) hand out each
-trial's draws from one PCG64 of the batch's own, re-seated to that trial's
-state.  The protocol stream is drawn ahead of the rounds as raw words and
-decoded (adversary.decode_stream) into the bits, then the K measurement
-uniforms the rounds read in order (2 per round honest, R + 1 in an R-round
-attacked run): the values integers(0, 2, size=R) and random(K) would take.
-Bob's stream is drawn ahead too, as raw words decoded draw by draw
-(adversary.AttackState.draw): it interleaves random() with integers(0, 2),
-which reads buffered 32-bit half-words.  The announcement stream runs
-numpy's own Generator.choice on a Generator over the re-seated bit
-generator.  The seeding follows numpy's C code, not a documented API, so
-check_stream_seeding compares it with numpy's own objects once per process
-and raises on any difference.
+trial's values from one PCG64 of the batch's own, re-seated to that trial's
+state.  A stream's draws are taken ahead of the rounds as raw words and
+decoded by their schedule of random() and integers(0, 2) calls
+(decode_stream): the protocol stream's into the bits, then the K
+measurement uniforms the rounds read in order (2 per round honest, R + 1 in
+an R-round attacked run); Bob's into the draws his schedule names
+(adversary.bob_kinds), which interleave random() with integers(0, 2) and so
+read buffered 32-bit half-words.  The opened rounds come from numpy's own
+Generator.choice (detection.select_rounds) over the re-seated bit
+generator.  This module is the one place that knows numpy's seeding and
+word format; both follow numpy's C code, not a documented API, so
+check_stream_seeding compares them with numpy's own objects once per
+process and raises on any difference.
 
 Every round value lands in (trials, rounds) columns; the records of a
 transcript are built from them once, when the rounds are over.  The
@@ -38,13 +39,13 @@ from __future__ import annotations
 import functools
 import multiprocessing
 import os
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import adversary, detection, gates, protocol, qcore
-from .adversary import MaintenancePolicy, SplitUnitary
+from .adversary import MaintenancePolicy
 from .detection import Announcement, DetectionReport
 from .gates import BellKind, ThetaTriple
 from .protocol import AnnounceOrder, ProtocolConfig, Transcript, Variant
@@ -55,8 +56,7 @@ SeedLike = int | np.random.SeedSequence
 # a trial's (entropy, spawn_key, pool_size): its SeedSequence without the hashing
 TrialKey = tuple
 
-# stream indices: 0 protocol, 1 Bob, 2 announcements; an honest Bob draws nothing,
-# and an attacking one draws raw words from his stream's bit generator alone
+# stream indices: 0 protocol, 1 Bob, 2 announcements; an honest Bob draws nothing
 ALL_STREAMS = (0, 1, 2)
 HONEST_STREAMS = (0, 2)
 PROTOCOL_STREAM, BOB_STREAM, ANNOUNCE_STREAM = ALL_STREAMS
@@ -139,7 +139,7 @@ def trial_rngs(
 
 
 # ---------------------------------------------------------------------------
-# Streams seeded by columns
+# numpy's stream format: PCG64 seeded by columns, raw words read as draws
 #
 # numpy seeds PCG64(SeedSequence(entropy, spawn_key, pool_size)) in three
 # steps.  The entropy and spawn key are assembled into uint32 words, the
@@ -268,33 +268,74 @@ def pcg64_states(keys: Sequence[TrialKey]) -> list[dict]:
     return [_pcg64_state(*row) for row in seeds.tolist()]
 
 
-def _raw_words(bitgen: np.random.PCG64, states: list[dict], count: int) -> np.ndarray:
-    """The first count raw words from each state, one row per state, drawn
-    by re-seating bitgen."""
-    words = np.empty((len(states), count), dtype=np.uint64)
+# A Generator's random() is one 64-bit word w of its PCG64, as (w >> 11) *
+# 2**-53.  Its integers(0, 2) is bit 31 of a 32-bit half-word: the low half
+# of a fresh word, whose high half stays buffered and serves the next
+# integers call; random() does not touch that buffer.  So a schedule of
+# draws, random() as "d" and integers(0, 2) as "i", fixes which word and bit
+# each draw reads, and a trial's whole schedule is one random_raw call.
+
+
+def word_count(kinds: str) -> int:
+    """Words of a schedule of random() ("d") and integers(0, 2) ("i") draws."""
+    return kinds.count("d") + (kinds.count("i") + 1) // 2
+
+
+@functools.lru_cache(maxsize=64)
+def _word_layout(kinds: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per draw of a schedule: the word it reads, the shift that brings its
+    bits down, and the mask that keeps them."""
+    word, shift, fresh, buffered = [], [], 0, None
+    for kind in kinds:
+        if kind == "d":
+            word.append(fresh)
+            shift.append(11)
+            fresh += 1
+        elif kind != "i":
+            raise ValueError(f"unknown draw kind {kind!r}")
+        elif buffered is None:
+            word.append(fresh)
+            shift.append(31)
+            buffered, fresh = fresh, fresh + 1
+        else:
+            word.append(buffered)
+            shift.append(63)
+            buffered = None
+    layout = (
+        np.array(word, dtype=np.intp),
+        np.array(shift, dtype=np.uint64),
+        np.array([2**53 - 1 if kind == "d" else 1 for kind in kinds], dtype=np.uint64),
+    )
+    for part in layout:
+        part.setflags(write=False)
+    return layout
+
+
+def decode_stream(words: np.ndarray, kinds: str) -> np.ndarray:
+    """The values a schedule of lazy draws takes, one row of raw PCG64 words
+    per trial: random() as its double, integers(0, 2) as 0.0 or 1.0."""
+    word, shift, mask = _word_layout(kinds)
+    picked = (words[:, word] >> shift) & mask
+    return picked * np.where(mask == 1, 1.0, 2.0**-53)
+
+
+def _draws(bitgen: np.random.PCG64, states: list[dict], kinds: str) -> np.ndarray:
+    """The values of a schedule of draws from each state, one row per state:
+    the schedule's raw words, drawn by re-seating bitgen, decoded."""
+    words = np.empty((len(states), word_count(kinds)), dtype=np.uint64)
     for row, state in zip(words, states):
         bitgen.state = state
-        row[:] = bitgen.random_raw(count)
-    return words
-
-
-def _protocol_kinds(num_rounds: int, measurements: int) -> str:
-    """The protocol stream's draws: the bits, then the measurement uniforms."""
-    return "i" * num_rounds + "d" * measurements
-
-
-def _protocol_draws(words: np.ndarray, num_rounds: int, measurements: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row of protocol-stream words decoded into its bits and its uniforms."""
-    values = adversary.decode_stream(words, _protocol_kinds(num_rounds, measurements))
-    return values[:, :num_rounds].astype(np.int64), values[:, num_rounds:]
+        row[:] = bitgen.random_raw(len(row))
+    return decode_stream(words, kinds)
 
 
 class TrialStreams:
-    """The streams a lockstep batch of trials reads, seeded by columns.
+    """The values a lockstep batch of trials draws, seeded by columns.
 
     Holds every (trial, stream)'s starting state and one PCG64, re-seated to
     a trial's state before that trial's draws; each batch builds its own, so
-    runs in separate threads never share one.
+    runs in separate threads never share one.  It hands out values only, so
+    no caller holds a generator whose state a later call moves.
     """
 
     def __init__(self, keys: Sequence[TrialKey], streams: tuple[int, ...]) -> None:
@@ -305,35 +346,45 @@ class TrialStreams:
         self._states = {s: states[i :: len(streams)] for i, s in enumerate(streams)}
         self._bitgen = np.random.PCG64(0)
 
-    def words(self, stream: int, count: int) -> np.ndarray:
-        """Each trial's first count raw words of the stream, one row per trial."""
-        return _raw_words(self._bitgen, self._states[stream], count)
+    def draws(self, stream: int, kinds: str) -> np.ndarray:
+        """Each trial's values of a schedule of random() ("d") and
+        integers(0, 2) ("i") draws from the stream, one float64 row per trial."""
+        return _draws(self._bitgen, self._states[stream], kinds)
 
     def protocol(self, num_rounds: int, measurements: int) -> tuple[np.ndarray, np.ndarray]:
-        """Each trial's bits, then its measurement uniforms: the values the lazy
-        draws of a run take, in their order."""
-        count = adversary.word_count(_protocol_kinds(num_rounds, measurements))
-        return _protocol_draws(self.words(PROTOCOL_STREAM, count), num_rounds, measurements)
+        """Each trial's bits, then its measurement uniforms: the values
+        integers(0, 2, size=R) and random(K) take, in their order."""
+        values = self.draws(PROTOCOL_STREAM, "i" * num_rounds + "d" * measurements)
+        return values[:, :num_rounds].astype(np.int64), values[:, num_rounds:]
 
-    def generators(self, stream: int) -> Iterator[np.random.Generator]:
-        """Each trial's Generator of the stream in turn.  It is one Generator,
-        re-seated to the next trial's state when the iteration reaches it, so
-        each trial's draws must be taken before the next is asked for."""
+    def announced(self, num_rounds: int, fraction: float) -> list[list[int]]:
+        """Each trial's opened rounds, drawn by detection.select_rounds from a
+        Generator over the bit generator re-seated to that trial's state."""
         rng = np.random.Generator(self._bitgen)
-        for state in self._states[stream]:
+        opened = []
+        for state in self._states[ANNOUNCE_STREAM]:
             self._bitgen.state = state
-            yield rng
+            opened.append(detection.select_rounds(num_rounds, fraction, rng))
+        return opened
 
 
-# keys the seeding guard runs: entropy shorter than the pool, past it, and as
-# a list; spawn words of 2**32 and more; pools of 4, 5 and 8; spawn keys of
-# 0 to 3 words in one pass, two of them over the same entropy
+# PCG64(2014)'s key, and a schedule of lazy scalar draws that reads words
+# every way a draw can: a low half, doubles between it and its high half,
+# two halves in a row, and a high half left buffered; under this key the two
+# halves of each word differ in bit 31, so reading them in the wrong order
+# or at the wrong bit changes a value
+_SCALAR_GUARD_KEY = (2014, (), 4)
+_SCALAR_GUARD_KINDS = "iddiiidddid"
+# keys the guard runs: entropy shorter than the pool, past it, and as a list;
+# spawn words of 2**32 and more; pools of 4, 5 and 8; spawn keys of 0 to 3
+# words in one pass, three of them over the same entropy
 _GUARD_KEYS = (
     (2014, (0,), 4),
     (2014, (6, 2), 4),
     (2**200 + 2014, (2**40 + 1, 1), 4),
     ([5, 2**33, 0], (3,), 8),
     (2014, (), 5),
+    _SCALAR_GUARD_KEY,
 )
 # (bits, uniforms) of protocol streams with odd and even bit counts
 _GUARD_SCHEDULES = ((3, 5), (4, 5))
@@ -342,23 +393,28 @@ _GUARD_SCHEDULES = ((3, 5), (4, 5))
 def check_stream_seeding() -> None:
     """Raise unless the seeding pass starts each guard key's PCG64 where
     numpy's own does, and its raw words decode to the values
-    integers(0, 2, size=R) and then random(K) take, for odd and even R."""
+    integers(0, 2, size=R) and then random(K) take, for odd and even R; on
+    PCG64(2014)'s key, also to the values of lazy scalar random() and
+    integers(0, 2) calls."""
     states = pcg64_states(_GUARD_KEYS)
     bitgen = np.random.PCG64(0)
-    for (entropy, spawn_key, pool_size), state in zip(_GUARD_KEYS, states):
+    for key, state in zip(_GUARD_KEYS, states):
+        entropy, spawn_key, pool_size = key
         seq = functools.partial(np.random.SeedSequence, entropy, spawn_key=spawn_key, pool_size=pool_size)
         same = np.random.PCG64(seq()).state == state
         for num_rounds, measurements in _GUARD_SCHEDULES:
             lazy = np.random.Generator(np.random.PCG64(seq()))
-            expected = lazy.integers(0, 2, size=num_rounds).tolist(), lazy.random(measurements).tolist()
-            count = adversary.word_count(_protocol_kinds(num_rounds, measurements))
-            bits, uniforms = _protocol_draws(_raw_words(bitgen, [state], count), num_rounds, measurements)
-            same = same and (bits[0].tolist(), uniforms[0].tolist()) == expected
+            expected = lazy.integers(0, 2, size=num_rounds).tolist() + lazy.random(measurements).tolist()
+            got = _draws(bitgen, [state], "i" * num_rounds + "d" * measurements)
+            same = same and got[0].tolist() == expected
+        if key == _SCALAR_GUARD_KEY:
+            lazy = np.random.Generator(np.random.PCG64(seq()))
+            expected = [lazy.random() if kind == "d" else float(lazy.integers(0, 2)) for kind in _SCALAR_GUARD_KINDS]
+            same = same and _draws(bitgen, [state], _SCALAR_GUARD_KINDS)[0].tolist() == expected
         if not same:
             raise RuntimeError(
-                f"numpy {np.__version__} seeds PCG64 from a SeedSequence differently from the columnar"
-                f" seeding pass (key {(entropy, spawn_key, pool_size)}); the runners would not reproduce"
-                " the trials' streams"
+                f"numpy {np.__version__} seeds or reads PCG64 differently from the columnar pass"
+                f" (key {key}); the runners would not reproduce the trials' streams"
             )
 
 
@@ -369,11 +425,10 @@ def _check_seeding_once() -> None:
 
 def build_announcements(
     transcript: Transcript,
-    fraction: float,
-    rng: np.random.Generator,
+    rounds: Sequence[int],
     round2_guess: int | None = None,
 ) -> list[Announcement]:
-    """Open a random subset of rounds and collect the three parties' claims.
+    """Collect the three parties' claims for the opened rounds, ascending.
 
     Every claim comes off the transcript, a cheating Bob's too: the Bob
     column holds the shares he claims.  Only round 2, the round he splits,
@@ -382,7 +437,6 @@ def build_announcements(
     passes; announcing before Charlie he can only guess the blank read
     (round2_guess, his guess of Charlie's bit), which fails half the time.
     """
-    rounds = detection.select_rounds(transcript.num_rounds, fraction, rng)
     by_round = {rec.round_index: rec for rec in transcript.records}
     anns = []
     for r in rounds:
@@ -434,9 +488,9 @@ def _honest_trials(
     results = []
     min_fids = session.fidelities.min(axis=1).tolist()
     dists = max_dist.tolist() if instrument_disguise else [None] * len(keys)
-    rngs_ann = streams.generators(ANNOUNCE_STREAM)
-    for transcript, rng_ann, min_fid, dist in zip(session.transcripts(), rngs_ann, min_fids, dists):
-        anns = build_announcements(transcript, config.announce_fraction, rng_ann)
+    opened = streams.announced(config.num_rounds, config.announce_fraction)
+    for transcript, rounds, min_fid, dist in zip(session.transcripts(), opened, min_fids, dists):
+        anns = build_announcements(transcript, rounds)
         odd_n, even_n = _parity_split(anns)
         results.append(
             TrialResult(
@@ -457,7 +511,6 @@ def _attack_trials(
     config: ProtocolConfig,
     policy: MaintenancePolicy,
     keys: list[TrialKey],
-    su: SplitUnitary,
     tolerance: float,
 ) -> list[TrialResult]:
     """Split-attack runs of every seed in lockstep: honest round 1, split in
@@ -475,8 +528,8 @@ def _attack_trials(
     honest_round1, _ = protocol.deliver_and_decode(session)
     protocol.toggle_carrier(session)
     protocol.encode_round(session, bits[:, 1])
-    bob_words = streams.words(BOB_STREAM, adversary.bob_word_count(policy, config.num_rounds))
-    attack = adversary.execute_split(session, su, policy, bob_words)
+    bob_draws = streams.draws(BOB_STREAM, adversary.bob_kinds(policy, config.num_rounds))
+    attack = adversary.execute_split(session, adversary.synthesize_split_unitary(), policy, bob_draws)
     adversary.record_reads(attack, 1, honest_round1)
     adversary.forward_round2_counterfeit(session, attack)
     adversary.maintain_carriers(session, attack)
@@ -492,13 +545,11 @@ def _attack_trials(
         guesses = attack.claim_draws[:, -1].tolist()
     else:
         guesses = [None] * len(keys)
-    announced = [
-        build_announcements(transcript, config.announce_fraction, rng_ann, guess)
-        for transcript, rng_ann, guess in zip(transcripts, streams.generators(ANNOUNCE_STREAM), guesses)
-    ]
+    rounds = streams.announced(config.num_rounds, config.announce_fraction)
+    announced = [build_announcements(*args) for args in zip(transcripts, rounds, guesses)]
+    # every trial opens the same number of rounds
     opened = np.zeros(bits.shape, dtype=bool)
-    for row, anns in zip(opened, announced):
-        row[[ann.round_index - 1 for ann in anns]] = True
+    np.put_along_axis(opened, np.array(rounds) - 1, True, axis=1)
     attack.hypotheses = adversary.pattern_hypotheses(attack.raw_bits, opened, bits)
     recovered = ((attack.learned_bits() == bits).sum(axis=1) / config.num_rounds).tolist()
     hypotheses = [adversary.HYPOTHESES[code].value for code in attack.hypotheses.tolist()]
@@ -539,14 +590,11 @@ def run_attack_trial(
     config: ProtocolConfig,
     policy: MaintenancePolicy,
     seed: SeedLike | None = None,
-    su: SplitUnitary | None = None,
     tolerance: float = 0.0,
 ) -> TrialResult:
     """One full split-attack run (see _attack_trials)."""
-    if su is None:
-        su = adversary.synthesize_split_unitary()
     seed = config.rng_seed if seed is None else seed
-    return _attack_trials(config, policy, [trial_key(seed)], su, tolerance)[0]
+    return _attack_trials(config, policy, [trial_key(seed)], tolerance)[0]
 
 
 def run_trials(
@@ -573,8 +621,7 @@ def run_trials(
         jobs = [(config, chunk, instrument_disguise, tolerance) for chunk in chunks]
         batch_fn = _honest_trials
     else:
-        su = adversary.synthesize_split_unitary()
-        jobs = [(config, policy, chunk, su, tolerance) for chunk in chunks]
+        jobs = [(config, policy, chunk, tolerance) for chunk in chunks]
         batch_fn = _attack_trials
     if len(jobs) > 1:
         with multiprocessing.Pool(len(jobs)) as pool:

@@ -57,13 +57,13 @@ _PLAIN_IMAGE = {
 }
 
 
-def plain_orbit_fidelity(starts: Iterable[BellKind], toggles: int = 10) -> float:
+def plain_orbit_fidelity(starts: Iterable[BellKind]) -> float:
     """Lowest fidelity of each starting pattern with its plain orbit, checked
-    after every one of that many toggles."""
+    after every one of ten toggles."""
     worst = 1.0
     for kind in starts:
         state = pattern_pair_state(kind, kind)
-        for step in range(toggles):
+        for step in range(10):
             state = adversary.maintenance_step(state, None, "h", step + 1)
             kind = _PLAIN_IMAGE[kind]
             worst = min(worst, qcore.fidelity(state, pattern_pair_state(kind, kind)))
@@ -140,18 +140,22 @@ def _closest_pattern(state: qcore.StateVector) -> tuple[str, float]:
     return best_name, best_fid
 
 
-def _sample_hardened_triple(rng: np.random.Generator, margin: float = 0.3) -> ThetaTriple:
+# how far the sampled hardened angles keep from the degenerate points 0 and pi
+_SAMPLE_MARGIN = 0.3
+
+
+def _sample_hardened_triple(rng: np.random.Generator) -> ThetaTriple:
     while True:
         a, b = rng.uniform(0.0, gates.TWO_PI, size=2)
         triple = ThetaTriple.from_ab(float(a), float(b))
-        if min(gates.distance_to_degenerate(t) for t in triple.as_tuple()) >= margin:
+        if min(gates.distance_to_degenerate(t) for t in triple.as_tuple()) >= _SAMPLE_MARGIN:
             return triple
 
 
-def _sample_hardened_angle(rng: np.random.Generator, margin: float = 0.3) -> float:
+def _sample_hardened_angle(rng: np.random.Generator) -> float:
     while True:
         t = float(rng.uniform(0.0, gates.TWO_PI))
-        if gates.distance_to_degenerate(t) >= margin:
+        if gates.distance_to_degenerate(t) >= _SAMPLE_MARGIN:
             return t
 
 

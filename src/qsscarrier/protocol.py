@@ -103,25 +103,6 @@ class Transcript:
     def to_jsonl(self) -> str:
         return "\n".join(json.dumps(r.to_json_obj()) for r in self.records) + "\n"
 
-    @classmethod
-    def from_jsonl(cls, text: str) -> "Transcript":
-        records = []
-        for line in text.splitlines():
-            if not line.strip():
-                continue
-            doc = json.loads(line)
-            records.append(
-                RoundRecord(
-                    round_index=doc["round"],
-                    parity=doc["parity"],
-                    q=doc["q"],
-                    bob_bit=doc["bob"],
-                    charlie_bit=doc["charlie"],
-                    carrier_fidelity=doc["carrier_fidelity"],
-                )
-            )
-        return cls(num_rounds=len(records), records=records)
-
 
 def toggle_ops(angles: ThetaTriple | None, round_index: int) -> tuple[np.ndarray, ...]:
     """The one-qubit toggles on (a, b, c) that end the given round, for the

@@ -502,15 +502,15 @@ def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarr
     return rho if isinstance(state, StateBatch) else rho[0]
 
 
-def validate_density(rho: np.ndarray, *, herm_tol: float = 1e-12, eig_tol: float = -1e-10) -> None:
+def validate_density(rho: np.ndarray) -> None:
     """Check one (d, d) density matrix or a (trials, d, d) stack; raise if any fails."""
-    if np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max() > herm_tol:
+    if np.abs(rho - np.swapaxes(rho, -1, -2).conj()).max() > 1e-12:
         raise ValueError("density matrix is not Hermitian within tolerance")
     traces = np.trace(rho, axis1=-2, axis2=-1)
     worst = np.max(np.abs(traces.real - 1.0))
     if worst > 1e-12:
         raise ValueError(f"density matrix trace deviates from 1 by {worst!r}")
-    if np.linalg.eigvalsh(rho).min() < eig_tol:
+    if np.linalg.eigvalsh(rho).min() < -1e-10:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
@@ -555,10 +555,10 @@ def unitarity_defect(matrix: np.ndarray) -> float:
     return float(np.abs(m.conj().T @ m - np.eye(m.shape[0])).max())
 
 
-def validate_unitary(matrix: np.ndarray, *, tol: float = ATOL) -> np.ndarray:
+def validate_unitary(matrix: np.ndarray) -> np.ndarray:
     m = np.asarray(matrix, dtype=np.complex128)
     defect = unitarity_defect(m)
-    if defect >= tol:
-        raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {tol}")
+    if defect >= ATOL:
+        raise ValueError(f"matrix is not unitary: defect {defect:.3e} >= {ATOL}")
     return m
 

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsscarrier import adversary, gates, protocol, qcore
+from qsscarrier import adversary, experiments, gates, protocol, qcore
 from qsscarrier.adversary import (
     AttackState,
     MaintenancePolicy,
@@ -41,16 +41,17 @@ def su():
     return synthesize_split_unitary()
 
 
-def _bob_words(policy, rounds, *seeds):
-    """Bob's raw words for an attacked run of the given rounds, one row per PCG64 seed."""
-    count = adversary.bob_word_count(policy, rounds)
-    return np.array([np.random.PCG64(seed).random_raw(count) for seed in seeds])
+def _bob_draws(policy, rounds, *seeds):
+    """Bob's draws for an attacked run of the given rounds, one row per PCG64 seed."""
+    kinds = adversary.bob_kinds(policy, rounds)
+    count = experiments.word_count(kinds)
+    return experiments.decode_stream(np.array([np.random.PCG64(seed).random_raw(count) for seed in seeds]), kinds)
 
 
 def _ledger(*seeds):
     """A fresh 6-round plain-Hadamard ledger, one trial per seed."""
     policy = MaintenancePolicy.PLAIN_HADAMARD
-    return AttackState.draw(policy, 6, _bob_words(policy, 6, *seeds))
+    return AttackState.draw(policy, 6, _bob_draws(policy, 6, *seeds))
 
 
 def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PLAIN_HADAMARD,
@@ -64,8 +65,8 @@ def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PL
     """
     cfg = ProtocolConfig(variant=variant, angles=angles, num_rounds=12, rng_seed=seed)
     kinds = "idd" + "id" * (cfg.num_rounds - 1)
-    words = np.random.PCG64(seed).random_raw(adversary.word_count(kinds))
-    values = adversary.decode_stream(words[np.newaxis], kinds)[0]
+    words = np.random.PCG64(seed).random_raw(experiments.word_count(kinds))
+    values = experiments.decode_stream(words[np.newaxis], kinds)[0]
     is_bit = np.array([kind == "i" for kind in kinds])
     bits = values[is_bit].astype(int).tolist()
     session = init_session(cfg, values[~is_bit][np.newaxis], extra_labels=adversary.ATTACK_EXTRA_LABELS)
@@ -74,8 +75,8 @@ def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PL
     record = (session.records[-1].round_index, session.records[-1].parity, bob)
     protocol.toggle_carrier(session)
     encode_round(session, bits[1])
-    bob_words = _bob_words(policy, cfg.num_rounds, seed + 1)
-    attack = execute_split(session, su_ or synthesize_split_unitary(), policy, bob_words)
+    bob_draws = _bob_draws(policy, cfg.num_rounds, seed + 1)
+    attack = execute_split(session, su_ or synthesize_split_unitary(), policy, bob_draws)
     record_reads(attack, record[0], record[2])
     forward_round2_counterfeit(session, attack)
     return session, attack, bits
@@ -88,7 +89,6 @@ def test_synthesis_meets_frozen_bounds(su):
     assert su.unitarity_defect < 1e-10
     assert max(su.residuals) < 1e-8
     assert su.matrix.shape == (8, 8)
-    assert np.abs(su.blank - np.array([1.0, 0.0])).max() == 0.0
 
 
 def test_split_produces_named_bell_pairs(su):
@@ -112,33 +112,12 @@ def test_split_is_no_signaling(su):
     assert all(d < 1e-12 for d in dists.values())
 
 
-def test_synthesis_accepts_other_blanks():
-    one = synthesize_split_unitary(blank=np.array([0.0, 1.0]))
-    assert one.unitarity_defect < 1e-10
-    assert max(one.residuals) < 1e-8
-    st = adversary._encoded_round2_state(0)
-    st = qcore.apply_unitary(st, one.matrix, ["b", "m1", "m2"])
-    assert qcore.probability_of_one(st, "m2") == pytest.approx(1.0, abs=1e-12)
-
-
 def test_default_split_unitary_is_built_once_and_read_only():
     shared = synthesize_split_unitary()
     assert synthesize_split_unitary() is shared
-    assert not shared.matrix.flags.writeable and not shared.blank.flags.writeable
+    assert not shared.matrix.flags.writeable
     with pytest.raises(ValueError):
         shared.matrix[0, 0] = 0.0
-    # an explicit blank is solved afresh on every call, to the same bits
-    blank = np.array([1.0, 0.0])
-    fresh, again = synthesize_split_unitary(blank=blank), synthesize_split_unitary(blank=blank)
-    assert fresh is not again and fresh.matrix is not shared.matrix
-    assert fresh.matrix.tobytes() == shared.matrix.tobytes()
-    assert fresh.blank.tobytes() == shared.blank.tobytes()
-    assert (fresh.residuals, fresh.unitarity_defect) == (shared.residuals, shared.unitarity_defect)
-
-
-def test_synthesis_rejects_unnormalized_blank():
-    with pytest.raises(ValueError):
-        synthesize_split_unitary(blank=np.array([1.0, 1.0]))
 
 
 def test_split_unitary_json_shape(su):
@@ -154,25 +133,25 @@ def test_split_unitary_json_shape(su):
 
 def test_execute_split_guards(su):
     cfg = ProtocolConfig(num_rounds=4, rng_seed=0)
-    words = _bob_words(MaintenancePolicy.PLAIN_HADAMARD, cfg.num_rounds, 0)
+    draws = _bob_draws(MaintenancePolicy.PLAIN_HADAMARD, cfg.num_rounds, 0)
     uniforms = np.random.default_rng(0).random((1, 2 * cfg.num_rounds))
     s = init_session(cfg, uniforms, extra_labels=("bt",))
     with pytest.raises(ValueError, match="round-2"):
-        execute_split(s, su, MaintenancePolicy.PLAIN_HADAMARD, words)
+        execute_split(s, su, MaintenancePolicy.PLAIN_HADAMARD, draws)
     s2 = init_session(cfg, uniforms)
     encode_round(s2, 0)
     protocol.deliver_and_decode(s2)
     protocol.toggle_carrier(s2)
     encode_round(s2, 0)
     with pytest.raises(ValueError, match="slot"):
-        execute_split(s2, su, MaintenancePolicy.PLAIN_HADAMARD, words)
+        execute_split(s2, su, MaintenancePolicy.PLAIN_HADAMARD, draws)
     s3 = init_session(cfg, uniforms, extra_labels=("bt",))
     encode_round(s3, 0)
     protocol.deliver_and_decode(s3)
     protocol.toggle_carrier(s3)
     encode_round(s3, 0)
-    with pytest.raises(ValueError, match="2 rows of Bob's words for 1 trials"):
-        execute_split(s3, su, MaintenancePolicy.PLAIN_HADAMARD, np.vstack([words, words]))
+    with pytest.raises(ValueError, match="2 rows of Bob's draws for 1 trials"):
+        execute_split(s3, su, MaintenancePolicy.PLAIN_HADAMARD, np.vstack([draws, draws]))
 
 
 def test_split_inside_session_leaves_intact_pattern(su):
@@ -473,9 +452,9 @@ def _lazy_draws(rng: np.random.Generator, kinds: str) -> list[float]:
 def test_decoded_stream_equals_lazy_draws(seed, kinds):
     lazy = np.random.default_rng(seed)
     expected = _lazy_draws(lazy, kinds)
-    count = adversary.word_count(kinds)
+    count = experiments.word_count(kinds)
     words = np.random.PCG64(seed).random_raw(count)
-    assert adversary.decode_stream(words[np.newaxis], kinds)[0].tolist() == expected
+    assert experiments.decode_stream(words[np.newaxis], kinds)[0].tolist() == expected
     # the lazy draws read exactly those words, and an odd number of
     # integers(0, 2) calls leaves the last one's high half buffered
     raw = np.random.PCG64(seed)
@@ -485,7 +464,7 @@ def test_decoded_stream_equals_lazy_draws(seed, kinds):
     assert state["has_uint32"] == kinds.count("i") % 2
     if state["has_uint32"]:
         last_low_half = max(i for i, kind in enumerate(kinds) if kind == "i")
-        assert state["uinteger"] == int(words[adversary._word_layout(kinds)[0][last_low_half]]) >> 32
+        assert state["uinteger"] == int(words[experiments._word_layout(kinds)[0][last_low_half]]) >> 32
 
 
 @pytest.mark.parametrize("policy", list(MaintenancePolicy))
@@ -509,48 +488,60 @@ def test_pre_drawn_ledger_holds_the_lazy_draws_in_run_order(policy, rounds):
         coins.append(row_coins)
         reads.append(row_reads)
         claims.append(row_claims)
-    attack = AttackState.draw(policy, rounds, _bob_words(policy, rounds, *seeds))
+    attack = AttackState.draw(policy, rounds, _bob_draws(policy, rounds, *seeds))
     assert attack.coin_draws.tolist() == coins
     assert attack.read_draws.tolist() == reads
     assert attack.claim_draws.tolist() == claims
 
 
-def test_ledger_takes_full_rows_of_uint64_words():
+def test_ledger_takes_full_rows_of_float64_draws():
     policy, rounds = MaintenancePolicy.RANDOM_GUESS, 7
-    count = adversary.bob_word_count(policy, rounds)
-    words = _bob_words(policy, rounds, 11, 12)
-    assert words.shape == (2, count)
-    AttackState.draw(policy, rounds, words)
-    with pytest.raises(ValueError, match=f"need {count} uint64 per trial"):
-        AttackState.draw(policy, rounds, words[:, 1:])
-    with pytest.raises(ValueError, match="uint64"):
-        AttackState.draw(policy, rounds, words.astype(np.int64))
-    with pytest.raises(ValueError, match="uint64"):
-        AttackState.draw(policy, rounds, words[0])
+    count = len(adversary.bob_kinds(policy, rounds))
+    draws = _bob_draws(policy, rounds, 11, 12)
+    assert draws.shape == (2, count)
+    AttackState.draw(policy, rounds, draws)
+    with pytest.raises(ValueError, match=f"need {count} float64 per trial"):
+        AttackState.draw(policy, rounds, draws[:, 1:])
+    with pytest.raises(ValueError, match="float64"):
+        AttackState.draw(policy, rounds, draws.astype(np.float32))
+    with pytest.raises(ValueError, match="float64"):
+        AttackState.draw(policy, rounds, draws[0])
+
+
+_decode = experiments.decode_stream
 
 
 def _ints_off_by_one_bit(words, kinds):
     """Doubles right, integers(0, 2) read from bit 30 of each half-word."""
-    values = adversary.decode_stream(words, kinds)
+    values = _decode(words, kinds)
     ints = np.array([kind == "i" for kind in kinds])
-    values[:, ints] = adversary.decode_stream(words << np.uint64(1), kinds)[:, ints]
+    values[:, ints] = _decode(words << np.uint64(1), kinds)[:, ints]
     return values
 
 
 def _high_half_first(words, kinds):
     """Every half-word pair read in the wrong order."""
     swapped = (words << np.uint64(32)) | (words >> np.uint64(32))
-    values = adversary.decode_stream(words, kinds)
+    values = _decode(words, kinds)
     ints = np.array([kind == "i" for kind in kinds])
-    values[:, ints] = adversary.decode_stream(swapped, kinds)[:, ints]
+    values[:, ints] = _decode(swapped, kinds)[:, ints]
     return values
 
 
-@pytest.mark.parametrize("decode", [_ints_off_by_one_bit, _high_half_first])
-def test_stream_guard_raises_on_a_wrong_decoding(decode):
-    adversary.check_stream_decoding()  # the true decoding passes
+def _low_bit(words, kinds):
+    """Doubles right, integers(0, 2) read from the low bit of each half-word."""
+    values = _decode(words, kinds)
+    ints = np.array([kind == "i" for kind in kinds])
+    values[:, ints] = _decode(words << np.uint64(31), kinds)[:, ints]
+    return values
+
+
+@pytest.mark.parametrize("decode", [_ints_off_by_one_bit, _high_half_first, _low_bit])
+def test_stream_guard_raises_on_a_wrong_decoding(monkeypatch, decode):
+    experiments.check_stream_seeding()  # the true decoding passes
+    monkeypatch.setattr(experiments, "decode_stream", decode)
     with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
-        adversary.check_stream_decoding(decode)
+        experiments.check_stream_seeding()
 
 
 # one wrong guess ------------------------------------------------------------

@@ -21,9 +21,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qsscarrier import cli
+from qsscarrier import cli, experiments
 from qsscarrier.cli import main
-from qsscarrier.protocol import Transcript
+from qsscarrier.protocol import ProtocolConfig
 
 THETA_REF = "2.0943951023931953"  # 2pi/3, the hardened reference angle
 
@@ -104,8 +104,12 @@ def test_run_writes_transcript_files(tmp_path, capsys):
     assert code == cli.EXIT_OK
     files = sorted(p.name for p in tdir.iterdir())
     assert files == ["trial_0000.jsonl", "trial_0001.jsonl", "trial_0002.jsonl"]
-    t = Transcript.from_jsonl((tdir / "trial_0000.jsonl").read_text())
-    assert len(t.records) == 5
+    # the defaults of run are ProtocolConfig's
+    results = experiments.run_trials(ProtocolConfig(num_rounds=5), 3)
+    for name, res in zip(files, results):
+        lines = (tdir / name).read_text().splitlines()
+        assert len(lines) == 5
+        assert [json.loads(line) for line in lines] == [rec.to_json_obj() for rec in res.transcript.records]
 
 
 def test_config_file_mirrors_flags_with_cli_precedence(tmp_path, capsys):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from qsscarrier import adversary, gates, protocol, qcore
+from qsscarrier import adversary, experiments, gates, protocol, qcore
 from qsscarrier.adversary import MaintenancePolicy
 from qsscarrier.experiments import (
     FLIPPED_MESSAGE_INDEX,
@@ -157,10 +157,11 @@ def _flip(state, label, where):
     return qcore.permute(state, ((None, label, 0),), (where,))
 
 
-def _bob_words(policy, *seeds):
-    """Bob's raw words for a six-round run, one row per PCG64 seed."""
-    count = adversary.bob_word_count(policy, 6)
-    return np.array([np.random.PCG64(seed).random_raw(count) for seed in seeds])
+def _bob_draws(policy, *seeds):
+    """Bob's draws for a six-round run, one row per PCG64 seed."""
+    kinds = adversary.bob_kinds(policy, 6)
+    count = experiments.word_count(kinds)
+    return experiments.decode_stream(np.array([np.random.PCG64(seed).random_raw(count) for seed in seeds]), kinds)
 
 
 def test_encode_rejects_unreset_message_in_one_trial():
@@ -177,10 +178,10 @@ def test_split_rejects_occupied_slot_in_one_trial():
     protocol.toggle_carrier(session)
     protocol.encode_round(session, [1, 0, 1])
     session.states = _flip(session.states, "bt", [False, False, True])
-    words = _bob_words(MaintenancePolicy.PLAIN_HADAMARD, 9, 10, 11)
+    draws = _bob_draws(MaintenancePolicy.PLAIN_HADAMARD, 9, 10, 11)
     with pytest.raises(ValueError, match=r"slot is occupied.*trial 2;"):
         adversary.execute_split(session, adversary.synthesize_split_unitary(),
-                                MaintenancePolicy.PLAIN_HADAMARD, words)
+                                MaintenancePolicy.PLAIN_HADAMARD, draws)
 
 
 def test_toggles_reject_a_message_in_flight():
@@ -253,7 +254,7 @@ def test_maintenance_step_batch_rows_equal_lone_steps(round_index):
 @pytest.mark.parametrize("policy", [MaintenancePolicy.KNOWN_THETA_U, MaintenancePolicy.KNOWN_THETA_V])
 def test_plain_variant_rejects_policies_that_need_angles(policy):
     session = _batch_session(trials=1, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    attack = adversary.AttackState.draw(policy, 6, _bob_words(policy, 1))
+    attack = adversary.AttackState.draw(policy, 6, _bob_draws(policy, 1))
     with pytest.raises(ValueError, match="plain protocol has none"):
         adversary.maintain_carriers(session, attack)
     with pytest.raises(ValueError, match="plain protocol has none"):
@@ -398,8 +399,8 @@ def test_reset_check_names_the_first_trial_with_m2_set():
 
 def test_fixed_policy_plays_one_choice_without_tossing():
     session = _batch_session(trials=3, extra_labels=adversary.ATTACK_EXTRA_LABELS)
-    words = _bob_words(MaintenancePolicy.PLAIN_HADAMARD, 0, 1, 2)
-    attack = adversary.AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, words)
+    draws = _bob_draws(MaintenancePolicy.PLAIN_HADAMARD, 0, 1, 2)
+    attack = adversary.AttackState.draw(MaintenancePolicy.PLAIN_HADAMARD, 6, draws)
     assert attack.coin_draws.shape == (3, 0)
     assert adversary.maintain_carriers(session, attack) == ["h", "h", "h"]
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qsscarrier import adversary, experiments, gates, protocol
+from qsscarrier import adversary, detection, experiments, gates, protocol
 from qsscarrier.adversary import AttackState, MaintenancePolicy, PatternHypothesis
 from qsscarrier.experiments import (
     aggregate,
@@ -192,8 +192,10 @@ def test_bob_claims_come_from_the_transcript(order):
     for seed in range(8):
         res = run_attack_trial(cfg, policy, seed=seed)
         (bob_stream,) = trial_rngs(seed, (experiments.BOB_STREAM,))
-        words = bob_stream.bit_generator.random_raw(adversary.bob_word_count(policy, cfg.num_rounds))
-        claim_draws = AttackState.draw(policy, cfg.num_rounds, words[np.newaxis]).claim_draws[0].tolist()
+        kinds = adversary.bob_kinds(policy, cfg.num_rounds)
+        words = bob_stream.bit_generator.random_raw(experiments.word_count(kinds))
+        draws = experiments.decode_stream(words[np.newaxis], kinds)
+        claim_draws = AttackState.draw(policy, cfg.num_rounds, draws).claim_draws[0].tolist()
         bob = {rec.round_index: rec.bob_bit for rec in res.transcript.records}
         assert [bob[r] for r in range(4, 13, 2)] == claim_draws[:-1]
         for ann in res.announcements:
@@ -305,12 +307,11 @@ def test_honest_runs_are_never_flagged(ta, tb, frac, rounds, order, trials, inst
 
 def test_build_announcements_deterministic():
     res = run_honest_trial(ProtocolConfig(num_rounds=12, rng_seed=2), seed=5)
-    rng1 = np.random.default_rng(33)
-    rng2 = np.random.default_rng(33)
-    a = build_announcements(res.transcript, 0.25, rng1)
-    b = build_announcements(res.transcript, 0.25, rng2)
+    rounds = detection.select_rounds(12, 0.25, np.random.default_rng(33))
+    a = build_announcements(res.transcript, rounds)
+    b = build_announcements(res.transcript, detection.select_rounds(12, 0.25, np.random.default_rng(33)))
     assert a == b
-    assert len(a) == 3
+    assert [ann.round_index for ann in a] == rounds and len(a) == 3
 
 
 # keyed streams ---------------------------------------------------------------
@@ -352,6 +353,20 @@ def test_replaying_a_seed_sequence_gives_the_same_trial(policy):
     assert seed.n_children_spawned == 0
     batch = run_trials(config, 4, base_seed=11, policy=policy, instrument_disguise=policy is None)
     assert batch[2] == first
+
+
+def test_opened_rounds_do_not_depend_on_earlier_draws():
+    # each trial's opened rounds come from its announcement stream's own
+    # start, whether the batch drew its protocol stream before or not
+    key = experiments.trial_key(5)
+    first = experiments.TrialStreams([key], experiments.HONEST_STREAMS)
+    before = first.announced(8, 0.5)
+    first.protocol(8, 16)
+    second = experiments.TrialStreams([key], experiments.HONEST_STREAMS)
+    second.protocol(8, 16)
+    (rng,) = trial_rngs(key, (experiments.ANNOUNCE_STREAM,))
+    assert before == first.announced(8, 0.5) == second.announced(8, 0.5) == [detection.select_rounds(8, 0.5, rng)]
+    assert before == [[3, 4, 5, 7]]
 
 
 def test_step_api_from_trial_streams_reproduces_the_run():
@@ -411,24 +426,21 @@ def test_columnar_states_equal_numpys(keys):
     assert experiments.pcg64_states(keys) == expected
 
 
-class LazyStreams:
+class LazyStreams(experiments.TrialStreams):
     """The oracle: each trial's streams as separate Generators (trial_rngs),
-    the protocol stream drawn by integers(0, 2, size=R) then random(K) and
-    Bob's straight from his bit generator."""
+    each draw one lazy random() or integers(0, 2) call on them, and the
+    opened rounds select_rounds on the announcement Generator."""
 
     def __init__(self, keys, streams):
         self.gens = dict(zip(streams, zip(*(trial_rngs(key, streams) for key in keys))))
 
-    def protocol(self, num_rounds, measurements):
-        gens = self.gens[experiments.PROTOCOL_STREAM]
-        bits = np.array([g.integers(0, 2, size=num_rounds) for g in gens])
-        return bits, np.array([g.random(measurements) for g in gens])
+    def draws(self, stream, kinds):
+        return np.array([
+            [g.random() if kind == "d" else float(g.integers(0, 2)) for kind in kinds] for g in self.gens[stream]
+        ])
 
-    def words(self, stream, count):
-        return np.array([g.bit_generator.random_raw(count) for g in self.gens[stream]])
-
-    def generators(self, stream):
-        return iter(self.gens[stream])
+    def announced(self, num_rounds, fraction):
+        return [detection.select_rounds(num_rounds, fraction, g) for g in self.gens[experiments.ANNOUNCE_STREAM]]
 
 
 @settings(max_examples=40, deadline=None)
@@ -521,7 +533,7 @@ def test_seeding_guard_raises_on_a_wrong_pass(monkeypatch, mutation):
     elif mutation == "seed halves":
         monkeypatch.setattr(experiments, "_generate_state", _halves_swapped(experiments._generate_state))
     elif mutation == "protocol halves":
-        monkeypatch.setattr(adversary, "decode_stream", _high_half_first(adversary.decode_stream))
+        monkeypatch.setattr(experiments, "decode_stream", _high_half_first(experiments.decode_stream))
     else:
         monkeypatch.setattr(experiments, mutation, getattr(experiments, mutation) ^ 1)
     with pytest.raises(RuntimeError, match=f"numpy {re.escape(np.__version__)}"):
