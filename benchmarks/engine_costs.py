@@ -3,6 +3,8 @@ per round, per trial, and the kernel calls one lockstep round makes.
 
     python benchmarks/engine_costs.py --src src --label after --out costs.json
 
+Without --out the JSON goes to standard output.
+
 Times, in wall microseconds on the machine it runs on, one one-qubit gate
 (H on m1), one CNOT (a -> m1), one measurement (m1), one attacked round of
 the plain split (Alice's encoding, Bob's decode-and-forward with Charlie's
@@ -39,16 +41,19 @@ drawn ahead as the raw PCG64 words of the whole schedule, decoded
 
 Kernel calls are counted on one plain-split lockstep round of 16 trials (the
 mean over 20 rounds after the split): every call the round phases make into
-a qcore function that takes a state, plus StateBatch.check_norm, counting
-only the outermost call when one kernel calls another.  StateBatch builds
-are counted alongside: those that check their labels, and the kernel results
-wrapped over the labels of their input (StateBatch.with_rows).
+a qcore function that takes a state, plus StateVector.check_norm, counting
+only the outermost call when one kernel calls another.  StateVector builds
+are counted alongside: those that check their labels and norms, and the
+kernel results wrapped over the labels of their input
+(StateVector.with_rows).
 
 Every session measures with uniforms drawn ahead (default_rng(t).random
 per trial t) and Bob's ledger takes the draws decoded from raw PCG64 words
 (PCG64(10_000 + t), experiments.decode_stream), as the runners' sessions
-do.  --src may point at the src/ directory of any checkout whose sessions
-and Bob's ledger take those pre-drawn columns (adversary.bob_kinds exists).
+do.  --src may point at the src/ directory of a checkout with one state
+class, whose lone state is the batch of one (qcore.StateVector holds
+(trials, 2**n) rows and qcore.StateBatch is gone), and whose sessions and
+Bob's ledger take those pre-drawn columns (adversary.bob_kinds exists).
 """
 
 from __future__ import annotations
@@ -286,7 +291,7 @@ def trial_costs(qss, repeats: int) -> dict:
 
 
 def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
-    """Outermost qcore kernel calls and StateBatch builds per lockstep round."""
+    """Outermost qcore kernel calls and StateVector builds per lockstep round."""
     qcore, proto, adv = qss.qcore, qss.protocol, qss.adversary
     session, attacks = attacked_session(qss, batch)
     counts = {"builds": 0}
@@ -306,9 +311,8 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
         return wrapper
 
     originals = {name: getattr(qcore, name) for name in KERNELS}
-    batch_cls = qcore.StateBatch
-    check_norm, post_init = batch_cls.check_norm, batch_cls.__post_init__
-    with_rows = getattr(batch_cls, "with_rows", None)
+    state_cls = qcore.StateVector
+    check_norm, post_init, with_rows = state_cls.check_norm, state_cls.__post_init__, state_cls.with_rows
     counts["rewraps"] = 0
 
     def counted_post_init(state):
@@ -321,10 +325,9 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
 
     for name, fn in originals.items():
         setattr(qcore, name, counted(name, fn))
-    batch_cls.check_norm = counted("check_norm", check_norm)
-    batch_cls.__post_init__ = counted_post_init
-    if with_rows is not None:
-        batch_cls.with_rows = counted_with_rows
+    state_cls.check_norm = counted("check_norm", check_norm)
+    state_cls.__post_init__ = counted_post_init
+    state_cls.with_rows = counted_with_rows
     try:
         for r in range(rounds):
             proto.encode_round(session, np.full(batch, r % 2))
@@ -333,16 +336,14 @@ def count_kernel_calls(qss, rounds: int = 20, batch: int = 16) -> dict:
     finally:
         for name, fn in originals.items():
             setattr(qcore, name, fn)
-        batch_cls.check_norm, batch_cls.__post_init__ = check_norm, post_init
-        if with_rows is not None:
-            batch_cls.with_rows = with_rows
+        state_cls.check_norm, state_cls.__post_init__, state_cls.with_rows = check_norm, post_init, with_rows
     builds, rewraps = counts.pop("builds"), counts.pop("rewraps")
     return {
         "batch": batch,
         "kernel_calls_per_round": round(sum(counts.values()) / rounds, 2),
         "by_kernel": {name: n / rounds for name, n in sorted(counts.items())},
-        "state_batch_builds_per_round": round(builds / rounds, 2),
-        "state_batch_with_rows_per_round": round(rewraps / rounds, 2),
+        "state_builds_per_round": round(builds / rounds, 2),
+        "state_with_rows_per_round": round(rewraps / rounds, 2),
     }
 
 
@@ -390,7 +391,7 @@ def measure_costs(qss, repeats: int) -> dict:
     out = {"gate_1q": {}, "gate_cnot": {}, "measure": {}, "phase": {}, "round": {}, "trial": {}}
     for batch in BATCH_SIZES:
         session, _ = attacked_session(qss, batch)
-        state = session.state if batch == 1 else session.states
+        state = session.states
         calls = 200
         plus = qcore.apply_unitary(state, gates.H, ["m1"])
         drawn = uniforms(batch, 1)
@@ -435,7 +436,7 @@ def main(argv=None) -> int:
     p.add_argument("--src", required=True, help="src/ directory of the checkout to time")
     p.add_argument("--label", required=True, help="name of this measurement in the output")
     p.add_argument("--repeats", type=int, default=7)
-    p.add_argument("--out", required=True, help="JSON file to write")
+    p.add_argument("--out", help="JSON file to write (default: standard output)")
     args = p.parse_args(argv)
     sys.path.insert(0, str(Path(args.src).resolve()))
     import qsscarrier
@@ -458,7 +459,11 @@ def main(argv=None) -> int:
     doc["costs"]["kernel"] = kernel_costs(qsscarrier, args.repeats)
     doc["costs"]["trial_setup"] = trial_costs(qsscarrier, args.repeats)
     doc["costs"]["bob_stream"] = bob_stream_costs(qsscarrier, args.repeats)
-    Path(args.out).write_text(json.dumps(doc, indent=1) + "\n")
+    text = json.dumps(doc, indent=1) + "\n"
+    if args.out:
+        Path(args.out).write_text(text)
+    else:
+        sys.stdout.write(text)
     return 0
 
 

@@ -19,16 +19,16 @@ labels = ("a", "b", "c")
 ghz = gates.make_carrier(CarrierKind.GHZ, labels)
 even = gates.make_carrier(CarrierKind.EVEN_PARITY, labels)
 
-print("ghz amplitudes:        ", np.real(ghz.amps))
-print("even-parity amplitudes:", np.real(even.amps))
-print("overlap fidelity:      ", qcore.fidelity(ghz, even))
+print("ghz amplitudes:        ", np.real(ghz.amps[0]))
+print("even-parity amplitudes:", np.real(even.amps[0]))
+print("overlap fidelity:      ", qcore.fidelity(ghz, even).item())
 
 # one Hadamard per party swaps the carriers exactly
 state = ghz
 for lab in labels:
     state = qcore.apply_unitary(state, gates.H, [lab])
 print("\nafter H on all three:  fidelity to even-parity =",
-      qcore.fidelity(state, even))
+      qcore.fidelity(state, even).item())
 
 # the generalized gate keeps the identity whenever the three angles sum to
 # zero mod 2pi; from_ab derives the third angle from the first two
@@ -38,16 +38,16 @@ print("\nangle triple", tuple(round(t, 4) for t in tri.as_tuple()),
 state = ghz
 for lab, ang in zip(labels, tri.as_tuple()):
     state = qcore.apply_unitary(state, gates.h_theta(ang), [lab])
-print("toggled fidelity to even-parity:", qcore.fidelity(state, even))
+print("toggled fidelity to even-parity:", qcore.fidelity(state, even).item())
 
 # the inverse triple brings the carrier back
 for lab, ang in zip(labels, tri.as_tuple()):
     state = qcore.apply_unitary(state, gates.h_theta_inverse(ang), [lab])
-print("round trip fidelity to ghz:     ", qcore.fidelity(state, ghz))
+print("round trip fidelity to ghz:     ", qcore.fidelity(state, ghz).item())
 
 # break the constraint on purpose: same first two angles, third set to zero
 state = ghz
 for lab, ang in zip(labels, (1.3, 2.1, 0.0)):
     state = qcore.apply_unitary(state, gates.h_theta(ang), [lab])
 print("\nbroken-sum triple fidelity:     ",
-      round(qcore.fidelity(state, even), 6), "(identity lost)")
+      round(qcore.fidelity(state, even).item(), 6), "(identity lost)")

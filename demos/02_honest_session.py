@@ -34,14 +34,14 @@ print("round  parity  sent  bob  charlie  reconstructed")
 for q in secrets:
     protocol.encode_round(session, q)
     (bob,), (charlie,) = protocol.deliver_and_decode(session)  # one trial's reads
-    rec = session.records[-1]
+    rec = session.transcripts()[0].records[-1]
     # odd rounds deliver the bit to both readers; even rounds split it so
     # only the XOR of the two readings reveals it
     joint = bob ^ charlie if rec.parity == "even" else bob
     print(f"{rec.round_index:5d}  {rec.parity:6s} {q:5d} {bob:4d} {charlie:8d} {joint:8d}")
     protocol.toggle_carrier(session)
 
-transcript = protocol.Transcript(num_rounds=config.num_rounds, records=session.records)
+transcript = session.transcripts()[0]
 fids = [rec.carrier_fidelity for rec in transcript.records]
 print("\ncarrier restored after every round, worst fidelity:", min(fids))
 

@@ -43,7 +43,7 @@ adversary.execute_split(session, su, policy, experiments.decode_stream(bob_words
 
 print("\npost-split pairs, in the Bell basis:")
 for pair in (("a", "bt"), ("b", "c")):
-    coeffs = gates.bell_decompose(session.state, pair)
+    coeffs = gates.bell_decompose(session.states, pair)
     weights = {k.value: round(float(abs(c)) ** 2, 6) for k, c in zip(gates.BellKind, coeffs)}
     print(f"  {pair}:", {k: w for k, w in weights.items() if w > 1e-9})
 

@@ -281,7 +281,7 @@ def no_signaling_distances(su: SplitUnitary) -> dict[str, float]:
     out = {}
     for keep in (("b",), ("m1",), ("m2",), ("b", "m1", "m2")):
         r0, r1 = (qcore.reduced_density(p, keep) for p in post)
-        out["+".join(keep)] = qcore.trace_distance(r0, r1)
+        out["+".join(keep)] = qcore.trace_distance(r0, r1).item()
     return out
 
 
@@ -342,7 +342,7 @@ def _pattern_table(labels: tuple[str, ...]) -> np.ndarray:
         bell = gates.bell_amplitudes(kind).reshape(2, 2)
         amps = np.einsum("at,bc,m,n->atbcmn", bell, bell, e0, e0)
         amps = np.transpose(amps, axes=[axis_of[lab] for lab in labels])
-        rows.append(qcore.from_amplitudes(labels, amps.reshape(-1)).amps)
+        rows.append(qcore.from_amplitudes(labels, amps.reshape(-1)).amps[0])
     return gates.read_only(np.stack(rows))
 
 
@@ -430,11 +430,11 @@ def _choice_stack(angles: gates.ThetaTriple | None, choices: tuple[str, ...], fo
 
 
 def maintenance_step(
-    state: qcore.State,
+    state: qcore.StateVector,
     angles: gates.ThetaTriple | None,
     choices: str | Sequence[str],
     round_index: int,
-) -> qcore.State:
+) -> qcore.StateVector:
     """The toggle that ends an attacked round: Alice's and Charlie's honest
     toggles on a and c, then Bob's (bt, b) pair, applied in that order.
 

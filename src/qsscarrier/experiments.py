@@ -448,9 +448,34 @@ def build_announcements(
     return anns
 
 
-def _parity_split(announcements: list[Announcement]) -> tuple[int, int]:
-    odd = sum(1 for a in announcements if a.round_index % 2 == 1)
-    return odd, len(announcements) - odd
+def _trial_results(
+    transcripts: list[Transcript],
+    opened: list[list[int]],
+    guesses: list[int | None],
+    tolerance: float,
+    attacked: bool,
+    **columns,
+) -> list[TrialResult]:
+    """Each trial's announcements of its opened rounds, their evaluation and
+    its TrialResult.  guesses is Bob's round-2 guess per trial (see
+    build_announcements); columns maps the remaining TrialResult fields to
+    one value per trial."""
+    results = []
+    for transcript, rounds, guess, *values in zip(transcripts, opened, guesses, *columns.values()):
+        anns = build_announcements(transcript, rounds, guess)
+        odd = sum(1 for a in anns if a.round_index % 2 == 1)
+        results.append(
+            TrialResult(
+                transcript=transcript,
+                announcements=anns,
+                report=detection.evaluate(transcript, anns, tolerance),
+                announced_odd=odd,
+                announced_even=len(anns) - odd,
+                attacked=attacked,
+                **dict(zip(columns, values)),
+            )
+        )
+    return results
 
 
 def _honest_trials(
@@ -485,26 +510,16 @@ def _honest_trials(
         protocol.toggle_carrier(session)
     session.require_uniforms_spent()
 
-    results = []
-    min_fids = session.fidelities.min(axis=1).tolist()
-    dists = max_dist.tolist() if instrument_disguise else [None] * len(keys)
-    opened = streams.announced(config.num_rounds, config.announce_fraction)
-    for transcript, rounds, min_fid, dist in zip(session.transcripts(), opened, min_fids, dists):
-        anns = build_announcements(transcript, rounds)
-        odd_n, even_n = _parity_split(anns)
-        results.append(
-            TrialResult(
-                transcript=transcript,
-                announcements=anns,
-                report=detection.evaluate(transcript, anns, tolerance),
-                announced_odd=odd_n,
-                announced_even=even_n,
-                attacked=False,
-                min_restore_fidelity=min_fid,
-                max_disguise_distance=dist,
-            )
-        )
-    return results
+    n = len(keys)
+    return _trial_results(
+        session.transcripts(),
+        streams.announced(config.num_rounds, config.announce_fraction),
+        [None] * n,
+        tolerance,
+        False,
+        min_restore_fidelity=session.fidelities.min(axis=1).tolist(),
+        max_disguise_distance=max_dist.tolist() if instrument_disguise else [None] * n,
+    )
 
 
 def _attack_trials(
@@ -539,40 +554,26 @@ def _attack_trials(
         adversary.maintain_carriers(session, attack)
     session.require_uniforms_spent()
 
-    transcripts = session.transcripts()
     # announcing first, Bob guesses Charlie's round-2 read with his last claim bit
     if config.announce_order is AnnounceOrder.ALICE_FIRST:
         guesses = attack.claim_draws[:, -1].tolist()
     else:
         guesses = [None] * len(keys)
     rounds = streams.announced(config.num_rounds, config.announce_fraction)
-    announced = [build_announcements(*args) for args in zip(transcripts, rounds, guesses)]
     # every trial opens the same number of rounds
     opened = np.zeros(bits.shape, dtype=bool)
     np.put_along_axis(opened, np.array(rounds) - 1, True, axis=1)
     attack.hypotheses = adversary.pattern_hypotheses(attack.raw_bits, opened, bits)
-    recovered = ((attack.learned_bits() == bits).sum(axis=1) / config.num_rounds).tolist()
-    hypotheses = [adversary.HYPOTHESES[code].value for code in attack.hypotheses.tolist()]
-    min_fids = session.fidelities[:, 1:].min(axis=1).tolist()
-    results = []
-    for transcript, anns, fraction, hypothesis, min_fid in zip(
-        transcripts, announced, recovered, hypotheses, min_fids
-    ):
-        odd_n, even_n = _parity_split(anns)
-        results.append(
-            TrialResult(
-                transcript=transcript,
-                announcements=anns,
-                report=detection.evaluate(transcript, anns, tolerance),
-                announced_odd=odd_n,
-                announced_even=even_n,
-                attacked=True,
-                recovered_fraction=fraction,
-                hypothesis=hypothesis,
-                min_pattern_fidelity=min_fid,
-            )
-        )
-    return results
+    return _trial_results(
+        session.transcripts(),
+        rounds,
+        guesses,
+        tolerance,
+        True,
+        recovered_fraction=((attack.learned_bits() == bits).sum(axis=1) / config.num_rounds).tolist(),
+        hypothesis=[adversary.HYPOTHESES[code].value for code in attack.hypotheses.tolist()],
+        min_pattern_fidelity=session.fidelities[:, 1:].min(axis=1).tolist(),
+    )
 
 
 def run_honest_trial(
@@ -763,4 +764,4 @@ def _survives(angles: ThetaTriple | None, q2: int, odd_round: bool, choice: str)
         kind = BellKind.PHI_MINUS if odd_round else BellKind.PSI_PLUS
     state = adversary.pattern_pair_state(kind, kind)
     after = adversary.maintenance_step(state, angles, choice, 1 if odd_round else 2)
-    return qcore.fidelity(after, state) >= 1.0 - INTACT_TOL
+    return qcore.fidelity(after, state).item() >= 1.0 - INTACT_TOL

@@ -105,7 +105,7 @@ def make_carrier(kind: CarrierKind, labels: tuple[str, str, str]) -> qcore.State
 
 
 def bell_decompose(state: qcore.StateVector, pair: tuple[str, str]) -> np.ndarray:
-    """Coefficients of the pair's state in the Bell basis.
+    """Coefficients of the pair's state in the Bell basis, for a one-trial state.
 
     The two qubits must be pure on their own (untangled from the rest of the
     register, reduced purity > 1 - 1e-10), otherwise the decomposition is not
@@ -113,7 +113,7 @@ def bell_decompose(state: qcore.StateVector, pair: tuple[str, str]) -> np.ndarra
     (PhiPlus, PhiMinus, PsiPlus, PsiMinus) with the overall phase fixed so
     the largest-magnitude coefficient is real nonnegative.
     """
-    rho = qcore.reduced_density(state, list(pair))
+    (rho,) = qcore.reduced_density(state, list(pair))
     pur = qcore.purity(rho)
     if pur <= 1.0 - 1e-10:
         raise ValueError(f"pair {pair} is entangled with the rest (purity {pur:.12f})")

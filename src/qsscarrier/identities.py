@@ -66,7 +66,7 @@ def plain_orbit_fidelity(starts: Iterable[BellKind]) -> float:
         for step in range(10):
             state = adversary.maintenance_step(state, None, "h", step + 1)
             kind = _PLAIN_IMAGE[kind]
-            worst = min(worst, qcore.fidelity(state, pattern_pair_state(kind, kind)))
+            worst = min(worst, qcore.fidelity(state, pattern_pair_state(kind, kind)).item())
     return worst
 
 
@@ -103,13 +103,14 @@ def pattern_tracking(pairs: Iterable[tuple[float, float]]) -> tuple[float, float
     for ta, tc in pairs:
         angles = tracked_triple(ta, tc)
         for r in (1, 2):
-            keep = min(keep, qcore.fidelity(adversary.maintenance_step(phi_plus, angles, "u", r), phi_plus))
-            cross = max(
-                cross,
-                qcore.fidelity(adversary.maintenance_step(phi_minus, angles, "u", r), phi_minus),
-                qcore.fidelity(adversary.maintenance_step(phi_plus, angles, "v", r), phi_plus),
-            )
+            keep = min(keep, _kept(phi_plus, angles, "u", r))
+            cross = max(cross, _kept(phi_minus, angles, "u", r), _kept(phi_plus, angles, "v", r))
     return keep, cross
+
+
+def _kept(state: qcore.StateVector, angles: ThetaTriple, choice: str, round_index: int) -> float:
+    """Fidelity of a one-trial pattern with itself after one maintenance step."""
+    return qcore.fidelity(adversary.maintenance_step(state, angles, choice, round_index), state).item()
 
 
 def transpose_image(ta: float, tc: float) -> qcore.StateVector:
@@ -120,7 +121,7 @@ def transpose_image(ta: float, tc: float) -> qcore.StateVector:
 
 def psi_overlaps(state: qcore.StateVector) -> tuple[float, float]:
     """Fidelities with the PsiPlus and the PsiMinus patterns."""
-    return tuple(qcore.fidelity(state, pattern_pair_state(kind, kind))
+    return tuple(qcore.fidelity(state, pattern_pair_state(kind, kind)).item()
                  for kind in (BellKind.PSI_PLUS, BellKind.PSI_MINUS))
 
 
@@ -134,7 +135,7 @@ def _closest_pattern(state: qcore.StateVector) -> tuple[str, float]:
     best_name, best_fid = "", -1.0
     for k1 in BellKind:
         for k2 in BellKind:
-            fid = qcore.fidelity(state, pattern_pair_state(k1, k2))
+            fid = qcore.fidelity(state, pattern_pair_state(k1, k2)).item()
             if fid > best_fid:
                 best_name, best_fid = f"{k1.name}(a,bt) {k2.name}(b,c)", fid
     return best_name, best_fid

@@ -139,12 +139,10 @@ class ProtocolSession:
     nothing) and the carrier or pattern fidelities; transcripts() turns the
     closed rounds into records.  The protocol's measurements read their
     uniforms from the pre-drawn (trials, measurements) columns, in order.
-    A session of one trial also offers state and records for step-by-step
-    use.
     """
 
     config: ProtocolConfig
-    states: qcore.StateBatch
+    states: qcore.StateVector
     carrier_kind: CarrierKind
     q_bits: np.ndarray
     bob_bits: np.ndarray
@@ -163,20 +161,6 @@ class ProtocolSession:
     @property
     def parity(self) -> str:
         return parity_of(self.round_index)
-
-    def require_single(self) -> None:
-        if self.trials != 1:
-            raise ValueError(f"this view reads one trial; the session holds {self.trials}")
-
-    @property
-    def state(self) -> qcore.StateVector:
-        self.require_single()
-        return self.states.row(0)
-
-    @property
-    def records(self) -> list[RoundRecord]:
-        self.require_single()
-        return self.transcripts()[0].records
 
     def transcripts(self) -> list[Transcript]:
         """Every trial's closed rounds as a transcript of the config's length."""
@@ -236,7 +220,7 @@ def init_session(
     shape = (trials, config.num_rounds)
     return ProtocolSession(
         config=config,
-        states=qcore.StateBatch.repeat(start, trials),
+        states=start.with_rows(np.tile(start.amps, (trials, 1))),
         carrier_kind=CarrierKind.GHZ,
         q_bits=np.zeros(shape, dtype=np.int64),
         bob_bits=np.zeros(shape, dtype=np.int64),
@@ -258,13 +242,13 @@ EVEN_ENCODE_STEPS = (("m1", "m2", None), (None, "m1", 0), ("a", "m1", None))
 DECODE_STEPS = (("b", "m1", None), ("c", "m2", None))
 
 
-def encoded_state(state: qcore.State, parity: str, q) -> qcore.State:
+def encoded_state(state: qcore.StateVector, parity: str, q) -> qcore.StateVector:
     """Alice's full encoding of q applied to a state with reset messages.
 
     Odd rounds load |qq> and stitch both message qubits to the carrier; even
     rounds load (|q 0> + |qbar 1>)/sqrt2 and stitch only the first, so each
-    receiver alone sees noise and the XOR of their reads recovers q.  For a
-    batch, q holds one bit per trial.
+    receiver alone sees noise and the XOR of their reads recovers q.  q holds
+    one bit per trial, or one bit for every trial.
     """
     if parity == "odd":
         return qcore.permute(state, ODD_ENCODE_STEPS, (q,))
@@ -335,7 +319,7 @@ def toggle_carrier(session: ProtocolSession) -> None:
     end_round(session, qcore.apply_one_qubit_gates(session.states, ops))
 
 
-def end_round(session: ProtocolSession, toggled: qcore.StateBatch) -> None:
+def end_round(session: ProtocolSession, toggled: qcore.StateVector) -> None:
     """Take the toggled states after checking every trial's norm, flip the
     carrier form and advance the round counter."""
     toggled.check_norm()

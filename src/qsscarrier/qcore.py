@@ -7,13 +7,15 @@ labels (a, b) the amplitude order is |00>, |01>, |10>, |11> with a as the
 left bit.  Everything is exact dense complex128 arithmetic; no sparsity, no
 approximation beyond float error.
 
-Every kernel works on a batch: a StateBatch holds one state of the same
+There is one state type: a StateVector holds one state of the same
 register per Monte Carlo trial, amplitudes shaped (trials, 2**n), and a lone
-StateVector is the batch of one.  Gates are strided two-row updates (one
-qubit) or index permutations (permutation matrices such as X and CNOT);
-reductions run along the amplitude axis of each row only.  All arithmetic is
-element-wise per row, so a trial's numbers do not depend on how many trials
-share its batch.
+state is the batch of one.  Every kernel takes such a state and returns
+per-trial values: a state, (trials,) arrays of probabilities, fidelities,
+outcomes and trace distances, or (trials, d, d) density matrices.  Gates are strided
+two-row updates (one qubit) or index permutations (permutation matrices
+such as X and CNOT); reductions run along the amplitude axis of each row
+only.  All arithmetic is element-wise per row, so a trial's numbers do not
+depend on how many trials share its batch.
 
 Every sum (norms, branch weights, overlaps, partial traces) is a running
 sum per column in one fixed order: np.add.reduce over axis 0 of a
@@ -29,10 +31,10 @@ qubits set.  The engine holds no random source: a measurement reads
 uniforms drawn beforehand, one per trial and measured qubit.
 
 State values are immutable: every operation returns a new state and the
-amplitude buffers are marked read-only.  A StateVector checks its norm when
-it is built; a StateBatch is built by the kernels unchecked, over the labels
-their input was built with (with_rows), and its owner calls check_norm()
-once per protocol round.
+amplitude buffers are marked read-only.  A StateVector built from outside
+amplitudes checks its labels and every row's norm; a kernel's result is
+wrapped unchecked over the labels its input was built with (with_rows), and
+its owner calls check_norm() once per protocol round.
 """
 
 from __future__ import annotations
@@ -65,46 +67,13 @@ def _position(labels: tuple[str, ...], label: str) -> int:
 
 @dataclass(frozen=True)
 class StateVector:
-    """Pure state of a labeled register.
-
-    labels: qubit names in position order (position 0 = most significant bit).
-    amps:   2**n complex amplitudes, unit norm, read-only.
-    """
-
-    labels: tuple[str, ...]
-    amps: np.ndarray = field(repr=False)
-
-    def __post_init__(self) -> None:
-        n = _check_labels(self.labels)
-        amps = np.asarray(self.amps, dtype=np.complex128)
-        if amps.shape != (2**n,):
-            raise ValueError(f"expected {2**n} amplitudes for {n} qubits, got {amps.shape}")
-        norm = np.linalg.norm(amps)
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"state norm {norm!r} deviates from 1 by more than {NORM_TOL}")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amps", amps)
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.labels)
-
-    def position(self, label: str) -> int:
-        return _position(self.labels, label)
-
-    def relabeled(self, mapping: dict[str, str]) -> "StateVector":
-        """Rename qubits in place (pure bookkeeping, amplitudes untouched)."""
-        new = tuple(mapping.get(lab, lab) for lab in self.labels)
-        return StateVector(new, self.amps)
-
-
-@dataclass(frozen=True)
-class StateBatch:
     """One pure state of the same labeled register per trial.
 
-    labels: qubit names in position order, shared by every trial.
+    labels: qubit names in position order (position 0 = most significant
+            bit), shared by every trial.
     amps:   (trials, 2**n) complex amplitudes, row t = trial t, read-only.
-    Construction checks the shape only; check_norm() checks every row.
+    Construction checks the labels, the shape and every row's norm; kernel
+    results are wrapped unchecked (with_rows).
     """
 
     labels: tuple[str, ...]
@@ -117,11 +86,7 @@ class StateBatch:
             raise ValueError(f"expected (trials, {2**n}) amplitudes for {n} qubits, got {amps.shape}")
         amps.setflags(write=False)
         object.__setattr__(self, "amps", amps)
-
-    @classmethod
-    def repeat(cls, state: StateVector, trials: int) -> "StateBatch":
-        """`trials` copies of one validated state."""
-        return cls(state.labels, np.tile(state.amps, (trials, 1)))
+        self.check_norm()
 
     @property
     def trials(self) -> int:
@@ -134,28 +99,30 @@ class StateBatch:
     def position(self, label: str) -> int:
         return _position(self.labels, label)
 
-    def row(self, trial: int) -> StateVector:
-        """One trial's state, validated as a StateVector."""
-        return StateVector(self.labels, self.amps[trial])
-
-    def with_rows(self, rows: np.ndarray) -> "StateBatch":
+    def with_rows(self, rows: np.ndarray) -> "StateVector":
         """The same register over other (trials, 2**n) complex128 rows, such
-        as a kernel's result, built without checking the labels again: they
-        were checked when this batch was built."""
-        batch = object.__new__(StateBatch)
-        rows.setflags(write=False)
-        object.__setattr__(batch, "labels", self.labels)
-        object.__setattr__(batch, "amps", rows)
-        return batch
+        as a kernel's result, built without checking the labels or norms
+        again: the labels were checked when this state was built."""
+        return _unchecked(self.labels, rows)
 
-    def relabeled(self, mapping: dict[str, str]) -> "StateBatch":
+    def relabeled(self, mapping: dict[str, str]) -> "StateVector":
         """Rename qubits in every trial (pure bookkeeping, amplitudes untouched)."""
-        return StateBatch(tuple(mapping.get(lab, lab) for lab in self.labels), self.amps)
+        labels = tuple(mapping.get(lab, lab) for lab in self.labels)
+        _check_labels(labels)
+        return _unchecked(labels, self.amps)
 
     def check_norm(self) -> None:
         """Raise unless every trial's state has unit norm within NORM_TOL."""
         deviation = np.abs(np.sqrt(_squared_sum(self.amps)) - 1.0)
         check_trials(deviation > NORM_TOL, f"state norm deviates from 1 by more than {NORM_TOL}")
+
+
+def _unchecked(labels: tuple[str, ...], rows: np.ndarray) -> StateVector:
+    state = object.__new__(StateVector)
+    rows.setflags(write=False)
+    object.__setattr__(state, "labels", labels)
+    object.__setattr__(state, "amps", rows)
+    return state
 
 
 def check_trials(failed: np.ndarray, message: str) -> None:
@@ -165,40 +132,19 @@ def check_trials(failed: np.ndarray, message: str) -> None:
         raise ValueError(f"{message} (trial {int(bad[0])}; {bad.size} trial(s) affected)")
 
 
-State = StateVector | StateBatch
-
-
 def new_register(labels: list[str] | tuple[str, ...]) -> StateVector:
-    """All-zeros register |0...0> over the given distinct labels."""
+    """All-zeros register |0...0> over the given distinct labels, one trial."""
     labels = tuple(labels)
     if not labels:
         raise ValueError("register needs at least one label")
     amps = np.zeros(2 ** len(labels), dtype=np.complex128)
     amps[0] = 1.0
-    return StateVector(labels, amps)
+    return from_amplitudes(labels, amps)
 
 
 def from_amplitudes(labels: list[str] | tuple[str, ...], amps: np.ndarray) -> StateVector:
-    return StateVector(tuple(labels), np.asarray(amps, dtype=np.complex128))
-
-
-# ---------------------------------------------------------------------------
-# batch plumbing: every kernel reads rows and wraps its result like its input
-
-
-def _rows(state: State) -> np.ndarray:
-    return state.amps if isinstance(state, StateBatch) else state.amps[np.newaxis]
-
-
-def _like(state: State, rows: np.ndarray) -> State:
-    if isinstance(state, StateBatch):
-        return state.with_rows(rows)
-    return StateVector(state.labels, rows[0])
-
-
-def _per_trial(state: State, values: np.ndarray):
-    """Per-trial results as an array for a batch, a Python scalar for a lone state."""
-    return values if isinstance(state, StateBatch) else values[0].item()
+    """One trial's state from its 2**n amplitudes, norm-checked."""
+    return StateVector(tuple(labels), np.array([amps], dtype=np.complex128))
 
 
 def _ordered_sum(x: np.ndarray) -> np.ndarray:
@@ -281,12 +227,12 @@ def _dense_update(rows: np.ndarray, n: int, axes: tuple[int, ...], m: np.ndarray
     return out.reshape(b, -1)[:, inv]
 
 
-def apply_unitary(state: State, matrix: np.ndarray, targets: list[str] | tuple[str, ...]) -> State:
+def apply_unitary(state: StateVector, matrix: np.ndarray, targets: list[str] | tuple[str, ...]) -> StateVector:
     """Apply a 2^k x 2^k matrix to the named target qubits of every trial.
 
     The first target is the most significant bit of the matrix's index space,
-    matching the register convention.  A one-qubit gate on a batch may also
-    be a stack of (trials, 2, 2) matrices, one per trial.  The matrix is
+    matching the register convention.  A one-qubit gate may also be a stack
+    of (trials, 2, 2) matrices, one per trial.  The matrix is
     trusted here; named-gate constructors validate unitarity once at build
     time.
     """
@@ -295,10 +241,9 @@ def apply_unitary(state: State, matrix: np.ndarray, targets: list[str] | tuple[s
         raise ValueError(f"duplicate targets {targets}")
     axes = tuple(state.position(t) for t in targets)
     m = np.asarray(matrix, dtype=np.complex128)
-    rows = _rows(state)
-    n = state.num_qubits
-    if m.shape == (rows.shape[0], 2, 2) and k == 1 and isinstance(state, StateBatch):
-        return StateBatch(state.labels, _two_row_update(rows, n, axes[0], m))
+    rows, n = state.amps, state.num_qubits
+    if m.shape == (state.trials, 2, 2) and k == 1:
+        return state.with_rows(_two_row_update(rows, n, axes[0], m))
     if m.shape != (2**k, 2**k):
         raise ValueError(f"matrix shape {m.shape} does not fit {k} targets")
     perm = _permutation_index(n, axes, m.tobytes())
@@ -308,23 +253,23 @@ def apply_unitary(state: State, matrix: np.ndarray, targets: list[str] | tuple[s
         out = _two_row_update(rows, n, axes[0], m)
     else:
         out = _dense_update(rows, n, axes, m)
-    return _like(state, out)
+    return state.with_rows(out)
 
 
-def apply_one_qubit_gates(state: State, ops) -> State:
+def apply_one_qubit_gates(state: StateVector, ops) -> StateVector:
     """Several one-qubit gates in order, as one pass of two-row updates.
 
-    ops is a sequence of (label, matrix) pairs; on a batch a matrix may also
-    be a (trials, 2, 2) stack, one per trial.  The arithmetic is apply_unitary's
+    ops is a sequence of (label, matrix) pairs; a matrix may also be a
+    (trials, 2, 2) stack, one per trial.  The arithmetic is apply_unitary's
     for a one-qubit gate that is not a permutation, gate after gate.
     """
-    rows, n = _rows(state), state.num_qubits
+    rows, n = state.amps, state.num_qubits
     for label, matrix in ops:
         m = np.asarray(matrix, dtype=np.complex128)
-        if m.shape != (2, 2) and not (m.shape == (rows.shape[0], 2, 2) and isinstance(state, StateBatch)):
+        if m.shape not in ((2, 2), (state.trials, 2, 2)):
             raise ValueError(f"matrix shape {m.shape} does not fit one target")
         rows = _two_row_update(rows, n, state.position(label), m)
-    return _like(state, rows)
+    return state.with_rows(rows)
 
 
 @functools.lru_cache(maxsize=256)
@@ -354,27 +299,26 @@ def _gather_table(labels: tuple[str, ...], steps: tuple, nbits: int) -> np.ndarr
     return table
 
 
-def permute(state: State, steps, bits=()) -> State:
+def permute(state: StateVector, steps, bits=()) -> StateVector:
     """A run of permutation gates as one gather.
 
     Each step (control, target, bit) flips the target where the control is
     set (None: everywhere) and, if bit is an index into bits, only in trials
     whose bits[bit] is set: (c, t, None) is CNOT(c -> t), (None, t, 0) is X
-    on t where bits[0] is set.  bits[j] holds one value for a lone state, one
-    per trial (or one shared value) for a batch.
+    on t where bits[0] is set.  bits[j] holds one value per trial, or one
+    value shared by every trial.
     """
-    rows = _rows(state)
-    b = rows.shape[0]
+    rows, b = state.amps, state.trials
     table = _gather_table(state.labels, tuple(steps), len(bits))
     if not bits:
-        return _like(state, rows[:, table[0]])
+        return state.with_rows(rows[:, table[0]])
     code = np.zeros(b, dtype=np.intp)
     for j, values in enumerate(bits):
         flags = np.asarray(values).reshape(-1) != 0
         if flags.shape[0] not in (1, b):
             raise ValueError(f"{flags.shape[0]} flip flags for {b} trials")
         code |= flags.astype(np.intp) << j
-    return _like(state, _gather(rows, table, code))
+    return state.with_rows(_gather(rows, table, code))
 
 
 def _gather(rows: np.ndarray, table: np.ndarray, code: np.ndarray) -> np.ndarray:
@@ -392,9 +336,9 @@ def _branch_weights(rows: np.ndarray, axis: int) -> np.ndarray:
     return _sum_terms(sq.reshape(-1, b, 2))
 
 
-def probability_of_one(state: State, label: str):
-    """Probability of reading 1 on the qubit: a float, or one per trial."""
-    return _per_trial(state, _branch_weights(_rows(state), state.position(label))[:, 1])
+def probability_of_one(state: StateVector, label: str) -> np.ndarray:
+    """Per trial, the probability of reading 1 on the qubit."""
+    return _branch_weights(state.amps, state.position(label))[:, 1]
 
 
 @functools.lru_cache(maxsize=64)
@@ -405,26 +349,25 @@ def _any_set_index(labels: tuple[str, ...], chosen: tuple[str, ...]) -> np.ndarr
     return np.flatnonzero(np.arange(2**n) & mask)
 
 
-def excited_mass(state: State, labels) -> np.ndarray:
+def excited_mass(state: StateVector, labels) -> np.ndarray:
     """Per trial, the squared norm of the amplitudes with any of the named
     qubits set: one ordered sum along each row."""
-    return _squared_sum(_rows(state)[:, _any_set_index(state.labels, tuple(labels))])
+    return _squared_sum(state.amps[:, _any_set_index(state.labels, tuple(labels))])
 
 
-def measure(state: State, target: str, uniforms: np.ndarray) -> tuple:
+def measure(state: StateVector, target: str, uniforms: np.ndarray) -> tuple:
     """Projective computational-basis measurement of one qubit.
 
-    Returns (outcome, collapsed renormalized state).  Randomness comes only
-    from uniforms, a (trials, 1) float64 array in [0, 1) drawn beforehand,
-    one row per trial (a lone state is the batch of one); trial t reads 1
-    where its uniform lies below the probability of 1.  Outcomes come back
-    as an int array for a batch, an int for a lone state.
+    Returns (outcomes, collapsed renormalized state), one int64 outcome per
+    trial.  Randomness comes only from uniforms, a (trials, 1) float64 array
+    in [0, 1) drawn beforehand, one row per trial; trial t reads 1 where its
+    uniform lies below the probability of 1.
     """
     (bit,), out = _collapse(state, (target,), uniforms, reset=False)
     return bit, out
 
 
-def measure_reset(state: State, targets, uniforms: np.ndarray) -> tuple:
+def measure_reset(state: StateVector, targets, uniforms: np.ndarray) -> tuple:
     """measure() then an X back to |0> where the read was 1, for each target
     qubit in turn.
 
@@ -432,8 +375,8 @@ def measure_reset(state: State, targets, uniforms: np.ndarray) -> tuple:
     factor; the kept branch then sits in the target's |0> slot and the other
     slot holds the discarded branch times 0, exactly what measure followed
     by the X leaves.  uniforms is a (trials, targets) float64 array in
-    [0, 1) whose column i target i reads.  Returns (one outcome per target,
-    reset state).
+    [0, 1) whose column i target i reads.  Returns (one outcome array per
+    target, reset state).
     """
     return _collapse(state, tuple(targets), uniforms, reset=True)
 
@@ -447,9 +390,8 @@ def _slot_masks(n: int, axis: int) -> np.ndarray:
     return masks
 
 
-def _collapse(state: State, targets: tuple[str, ...], uniforms: np.ndarray, reset: bool) -> tuple:
-    rows = _rows(state)
-    b = rows.shape[0]
+def _collapse(state: StateVector, targets: tuple[str, ...], uniforms: np.ndarray, reset: bool) -> tuple:
+    rows, b = state.amps, state.trials
     if uniforms.shape != (b, len(targets)) or uniforms.dtype != np.float64:
         raise ValueError(
             f"uniforms must be a ({b}, {len(targets)}) float64 array, got {uniforms.dtype} {uniforms.shape}"
@@ -464,10 +406,7 @@ def _collapse(state: State, targets: tuple[str, ...], uniforms: np.ndarray, rese
         kept = weights[trials, bits]
         if not kept.all():
             t = int(np.flatnonzero(kept == 0.0)[0])
-            raise ValueError(
-                f"measurement branch {bits[t]} of {target!r} has zero probability"
-                + (f" in trial {t}" if b > 1 else "")
-            )
+            raise ValueError(f"measurement branch {bits[t]} of {target!r} has zero probability in trial {t}")
         # per trial: 1/sqrt(p) on the slot of the branch kept, 0 on the other
         masks = _slot_masks(state.num_qubits, axis)
         if reset:
@@ -475,16 +414,16 @@ def _collapse(state: State, targets: tuple[str, ...], uniforms: np.ndarray, rese
             rows = _gather(rows, _gather_table(state.labels, ((None, target, 0),), 1), bits)
         factor = (masks[0] if reset else masks[bits]) * (1.0 / np.sqrt(kept))[:, np.newaxis]
         rows = (np.ascontiguousarray(rows).view(np.float64) * factor).view(np.complex128)
-        outcomes.append(_per_trial(state, bits))
-    return tuple(outcomes), _like(state, rows)
+        outcomes.append(bits)
+    return tuple(outcomes), state.with_rows(rows)
 
 
-def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarray:
+def reduced_density(state: StateVector, keep: list[str] | tuple[str, ...]) -> np.ndarray:
     """Partial trace onto the kept labels, in the order given.
 
-    Returns a (2^k, 2^k) matrix, or (trials, 2^k, 2^k) for a batch.  Every
-    result is validated as a density matrix: Hermitian within 1e-12, unit
-    trace within 1e-12, eigenvalues above -1e-10.
+    Returns one (2^k, 2^k) matrix per trial, shape (trials, 2^k, 2^k).  Every
+    trial's matrix is validated as a density matrix: Hermitian within 1e-12,
+    unit trace within 1e-12, eigenvalues above -1e-10.
     """
     if not keep:
         raise ValueError("keep must name at least one qubit")
@@ -492,14 +431,13 @@ def reduced_density(state: State, keep: list[str] | tuple[str, ...]) -> np.ndarr
     if len(set(keep_axes)) != len(keep_axes):
         raise ValueError(f"duplicate labels in keep {tuple(keep)}")
     n, k = state.num_qubits, len(keep_axes)
-    rows = _rows(state)
     rest = tuple(i for i in range(n) if i not in keep_axes)
     # terms-major (traced-out index, kept index, trial)
-    t = rows.T[_axis_order(n, rest + keep_axes).reshape(-1, 2**k)]
+    t = state.amps.T[_axis_order(n, rest + keep_axes).reshape(-1, 2**k)]
     rho = _sum_terms(t[:, :, np.newaxis, :] * t.conj()[:, np.newaxis, :, :])
     rho = np.ascontiguousarray(rho.transpose(2, 0, 1))
     validate_density(rho)
-    return rho if isinstance(state, StateBatch) else rho[0]
+    return rho
 
 
 def validate_density(rho: np.ndarray) -> None:
@@ -514,35 +452,27 @@ def validate_density(rho: np.ndarray) -> None:
         raise ValueError("density matrix has a negative eigenvalue beyond tolerance")
 
 
-def fidelity(x: State, y: State):
-    """|<x|y>|^2 for pure states over the same labels in the same order.
+def fidelity(x: StateVector, y: StateVector) -> np.ndarray:
+    """Per trial, |<x|y>|^2 for pure states over the same labels in the same order.
 
-    Either side may be a batch; a lone state is compared with every trial of
-    the other.  Returns a float for two lone states, else one per trial.
+    A one-trial side is compared with every trial of the other.
     """
     if x.labels != y.labels:
         raise ValueError(f"label mismatch: {x.labels} vs {y.labels}")
-    xr, yr = _rows(x), _rows(y)
+    xr, yr = x.amps, y.amps
     if xr.shape[0] != yr.shape[0] and 1 not in (xr.shape[0], yr.shape[0]):
         raise ValueError(f"batch size mismatch: {xr.shape[0]} vs {yr.shape[0]}")
     terms = np.empty((xr.shape[1], max(xr.shape[0], yr.shape[0])), dtype=np.complex128)
     overlap = _sum_terms(np.multiply(xr.conj().T, yr.T, out=terms))
-    fid = np.square(overlap.real) + np.square(overlap.imag)
-    if isinstance(x, StateBatch) or isinstance(y, StateBatch):
-        return fid
-    return fid[0].item()
+    return np.square(overlap.real) + np.square(overlap.imag)
 
 
-def trace_distance(rho: np.ndarray, sigma: np.ndarray):
-    """(1/2) * trace norm of (rho - sigma), via eigenvalues of the difference.
-
-    Works on one pair of matrices (returns a float) or on stacks of them
-    (returns one distance per trial).
-    """
+def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
+    """Per trial, (1/2) * trace norm of (rho - sigma), via eigenvalues of the
+    difference, for two (trials, d, d) stacks such as reduced_density gives."""
     if rho.shape != sigma.shape:
         raise ValueError(f"shape mismatch: {rho.shape} vs {sigma.shape}")
-    dist = 0.5 * _ordered_sum(np.abs(np.linalg.eigvalsh(rho - sigma)))
-    return dist if dist.ndim else float(dist)
+    return 0.5 * _ordered_sum(np.abs(np.linalg.eigvalsh(rho - sigma)))
 
 
 def purity(rho: np.ndarray) -> float:

@@ -72,7 +72,8 @@ def _attacked_session(variant=Variant.PLAIN, seed=0, policy=MaintenancePolicy.PL
     session = init_session(cfg, values[~is_bit][np.newaxis], extra_labels=adversary.ATTACK_EXTRA_LABELS)
     encode_round(session, bits[0])
     (bob,), _ = protocol.deliver_and_decode(session)
-    record = (session.records[-1].round_index, session.records[-1].parity, bob)
+    rec = session.transcripts()[0].records[-1]
+    record = (rec.round_index, rec.parity, bob)
     protocol.toggle_carrier(session)
     encode_round(session, bits[1])
     bob_draws = _bob_draws(policy, cfg.num_rounds, seed + 1)
@@ -158,14 +159,14 @@ def test_split_inside_session_leaves_intact_pattern(su):
     session, attack, _ = _attacked_session(su_=su)
     assert adversary.fraud_pattern_fidelity(session, attack)[0] >= 1 - 1e-10
     # fresh |0> sits where the stolen message qubit was
-    assert qcore.probability_of_one(session.state, "m1") < 1e-20
-    rec = session.records[-1]
+    assert qcore.probability_of_one(session.states, "m1") < 1e-20
+    rec = session.transcripts()[0].records[-1]
     assert rec.round_index == 2 and rec.bob_bit is None
 
 
 def test_round2_counterfeit_read_is_uniform(su):
     # Charlie's read of the forwarded blank, from the round-2 transcript record
-    reads = [_attacked_session(seed=s, su_=su)[0].records[1].charlie_bit for s in range(24)]
+    reads = [_attacked_session(seed=s, su_=su)[0].transcripts()[0].records[1].charlie_bit for s in range(24)]
     assert set(reads) == {0, 1}
 
 
@@ -308,7 +309,7 @@ def test_attack_rounds_stay_consistent_in_plain_runs(su):
         q = bits[r - 1]
         encode_round(session, q)
         attack_decode_and_forward(session, attack)
-        rec = session.records[-1]
+        rec = session.transcripts()[0].records[-1]
         learned = attack.learned_bits()[0, rec.round_index - 1]
         assert rec.carrier_fidelity >= 1 - 1e-10
         if rec.parity == "odd":
@@ -554,7 +555,7 @@ def _one_round_after_wrong_guess(tri: ThetaTriple, rng: np.random.Generator) -> 
     """
     ta, _, tc = tri.as_tuple()
     st = pattern_pair_state(BellKind.PHI_PLUS, BellKind.PHI_PLUS)
-    amps = np.kron(st.amps, np.array([1, 0, 0, 0], dtype=np.complex128))
+    amps = np.kron(st.amps[0], np.array([1, 0, 0, 0], dtype=np.complex128))
     st = qcore.from_amplitudes(("a", "bt", "b", "c", "m1", "m2"), amps)
     st = qcore.apply_unitary(st, gates.h_theta_inverse(ta), ["a"])
     st = qcore.apply_unitary(st, gates.h_theta_inverse(tc), ["c"])
@@ -565,8 +566,8 @@ def _one_round_after_wrong_guess(tri: ThetaTriple, rng: np.random.Generator) -> 
     st = protocol.encoded_state(st, "odd", q)
     st = qcore.apply_unitary(st, gates.CNOT, ["bt", "m1"])
     st = qcore.apply_unitary(st, gates.CNOT, ["bt", "m2"])
-    r1, st = qcore.measure(st, "m1", rng.random((1, 1)))
-    r2, st = qcore.measure(st, "m2", rng.random((1, 1)))
+    (r1,), st = qcore.measure(st, "m1", rng.random((1, 1)))
+    (r2,), st = qcore.measure(st, "m2", rng.random((1, 1)))
     if r1:
         st = qcore.apply_unitary(st, gates.X, ["m1"])
     if r2:
@@ -575,7 +576,7 @@ def _one_round_after_wrong_guess(tri: ThetaTriple, rng: np.random.Generator) -> 
         st = qcore.apply_unitary(st, gates.X, ["m2"])
     st = qcore.apply_unitary(st, gates.CNOT, ["b", "m2"])
     st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
-    charlie, _ = qcore.measure(st, "m2", rng.random((1, 1)))
+    (charlie,), _ = qcore.measure(st, "m2", rng.random((1, 1)))
     return q, charlie
 
 

@@ -10,6 +10,8 @@ import importlib.util
 import math
 from pathlib import Path
 
+import numpy as np
+
 import qsscarrier
 import qsscarrier.experiments  # noqa: F401  (loads every traced module)
 from qsscarrier.adversary import MaintenancePolicy
@@ -31,6 +33,19 @@ def test_tracer_installs_and_removes_every_traced_name():
     with spans.Tracer(qsscarrier).installed():
         assert qsscarrier.qcore.measure is not measure
     assert qsscarrier.qcore.measure is measure
+
+
+def test_tracer_counts_states_built_from_outside_amplitudes_only():
+    # the qcore.StateVector.builds metric counts the class's __post_init__
+    qcore, gates = qsscarrier.qcore, qsscarrier.gates
+    tracer = _load_spans().Tracer(qsscarrier)
+    with tracer.installed():
+        state = qcore.from_amplitudes(("a", "b"), np.array([1.0, 0.0, 0.0, 0.0]))
+        assert tracer.builds == 1
+        plus = qcore.apply_unitary(state, gates.H, ["a"])
+        qcore.measure_reset(plus, ("a",), np.array([[0.25]]))
+        plus.relabeled({"a": "x"})
+        assert tracer.builds == 1
 
 
 # traced names a run_trials call does not reach: the runners measure with

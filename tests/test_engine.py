@@ -79,7 +79,12 @@ def test_batch_rows_equal_lone_trials_and_worker_pool(case):
 def _random_batch(rng, labels, trials):
     n = 2 ** len(labels)
     amps = rng.normal(size=(trials, n)) + 1j * rng.normal(size=(trials, n))
-    return qcore.StateBatch(tuple(labels), amps / np.linalg.norm(amps, axis=1, keepdims=True))
+    return qcore.StateVector(tuple(labels), amps / np.linalg.norm(amps, axis=1, keepdims=True))
+
+
+def _row(batch, trial):
+    """One trial's state, validated as a state of its own."""
+    return qcore.StateVector(batch.labels, batch.amps[trial : trial + 1])
 
 
 def _random_unitary(rng, dim):
@@ -113,29 +118,29 @@ def test_batch_kernels_equal_lone_kernels_and_reference(seed):
         out = qcore.apply_unitary(batch, matrix, targets)
         for t in range(batch.trials):
             m = matrix[t] if matrix.ndim == 3 else matrix
-            lone = qcore.apply_unitary(batch.row(t), m, targets)
-            assert np.array_equal(lone.amps, out.amps[t])
-            assert np.abs(_tensordot_reference(batch.row(t), m, targets) - lone.amps).max() < 1e-12
+            lone = qcore.apply_unitary(_row(batch, t), m, targets)
+            assert np.array_equal(lone.amps, out.amps[t : t + 1])
+            assert np.abs(_tensordot_reference(_row(batch, t), m, targets) - lone.amps).max() < 1e-12
         batch = out
 
     uniforms = np.array([np.random.default_rng(100 + t).random(1) for t in range(batch.trials)])
     bits, collapsed = qcore.measure(batch, "c", uniforms)
     for t in range(batch.trials):
-        bit, lone = qcore.measure(batch.row(t), "c", uniforms[t : t + 1])
-        assert bit == bits[t]
-        assert np.array_equal(lone.amps, collapsed.amps[t])
+        bit, lone = qcore.measure(_row(batch, t), "c", uniforms[t : t + 1])
+        assert bit.tolist() == bits[t : t + 1].tolist()
+        assert np.array_equal(lone.amps, collapsed.amps[t : t + 1])
     rho = qcore.reduced_density(batch, ("e", "a"))
     for t in range(batch.trials):
-        assert np.array_equal(qcore.reduced_density(batch.row(t), ("e", "a")), rho[t])
-    ref = batch.row(0)
+        assert np.array_equal(qcore.reduced_density(_row(batch, t), ("e", "a")), rho[t : t + 1])
+    ref = _row(batch, 0)
     fids = qcore.fidelity(batch, ref)
-    assert [qcore.fidelity(batch.row(t), ref) for t in range(batch.trials)] == fids.tolist()
+    assert [qcore.fidelity(_row(batch, t), ref).item() for t in range(batch.trials)] == fids.tolist()
 
 
 def test_measurement_draws_one_uniform_per_trial_in_order():
     # trial t reads row t of the uniforms, and the i-th measured qubit column i
     plus = qcore.apply_one_qubit_gates(qcore.new_register(["a", "b"]), (("a", gates.H), ("b", gates.H)))
-    batch = qcore.StateBatch.repeat(plus, 3)
+    batch = qcore.StateVector(plus.labels, np.tile(plus.amps, (3, 1)))
     uniforms = np.array([np.random.default_rng(s).random(2) for s in (1, 2, 3)])
     bits, _ = qcore.measure(batch, "a", uniforms[:, :1])
     assert bits.tolist() == [int(u < 0.5) for u in uniforms[:, 0]]
@@ -196,7 +201,7 @@ def test_toggles_reject_a_message_in_flight():
 def test_measure_rejects_zero_probability_branch_in_one_trial():
     amps = np.zeros((3, 2), dtype=np.complex128)
     amps[0, 0] = amps[2, 1] = 1.0
-    batch = qcore.StateBatch(("a",), amps)  # trial 1 holds no state at all
+    batch = qcore.new_register(["a"]).with_rows(amps)  # trial 1 holds no state at all
     uniforms = np.array([np.random.default_rng(t).random(1) for t in range(3)])
     with pytest.raises(ValueError, match="zero probability in trial 1"):
         qcore.measure(batch, "a", uniforms)
@@ -205,10 +210,10 @@ def test_measure_rejects_zero_probability_branch_in_one_trial():
 def test_reduced_density_validates_every_trial():
     amps = np.tile(qcore.new_register(["a", "b"]).amps, (4, 1))
     amps[3] *= 1.01  # trace 1.0201 in the last trial only
-    batch = qcore.StateBatch(("a", "b"), amps)
+    batch = qcore.new_register(["a", "b"]).with_rows(amps)
     with pytest.raises(ValueError, match="trace"):
         qcore.reduced_density(batch, ("a",))
-    assert qcore.reduced_density(qcore.StateBatch(("a", "b"), amps[:3]), ("a",)).shape == (3, 2, 2)
+    assert qcore.reduced_density(qcore.StateVector(("a", "b"), amps[:3]), ("a",)).shape == (3, 2, 2)
 
 
 def test_round_norm_check_names_the_drifting_trial():
@@ -217,15 +222,9 @@ def test_round_norm_check_names_the_drifting_trial():
     protocol.deliver_and_decode(session)
     amps = np.array(session.states.amps)
     amps[2] *= 1.0 + 1e-9
-    session.states = qcore.StateBatch(session.states.labels, amps)
+    session.states = session.states.with_rows(amps)
     with pytest.raises(ValueError, match=r"norm deviates.*trial 2;"):
         protocol.toggle_carrier(session)
-
-
-def test_one_trial_views_refuse_a_batch():
-    session = _batch_session()
-    with pytest.raises(ValueError, match="holds 3"):
-        session.state
 
 
 def test_operator_tables_are_built_once_per_configuration():
@@ -244,11 +243,11 @@ def test_maintenance_step_batch_rows_equal_lone_steps(round_index):
     kinds = [BellKind.PHI_PLUS, BellKind.PSI_PLUS, BellKind.PHI_MINUS]
     choices = ["h", "u", "v"]
     lone = [adversary.pattern_pair_state(kind, kind) for kind in kinds]
-    batch = qcore.StateBatch(lone[0].labels, np.stack([state.amps for state in lone]))
+    batch = qcore.StateVector(lone[0].labels, np.concatenate([state.amps for state in lone]))
     out = adversary.maintenance_step(batch, angles, choices, round_index)
     for row, state, choice in zip(out.amps, lone, choices):
         alone = adversary.maintenance_step(state, angles, choice, round_index)
-        assert np.array_equal(row, alone.amps)
+        assert np.array_equal(row, alone.amps[0])
 
 
 @pytest.mark.parametrize("policy", [MaintenancePolicy.KNOWN_THETA_U, MaintenancePolicy.KNOWN_THETA_V])
@@ -288,7 +287,7 @@ def _gate_by_gate(batch, steps, bits):
             batch = moved
         else:
             where = np.asarray(bits[bit], dtype=bool)[:, np.newaxis]
-            batch = qcore.StateBatch(batch.labels, np.where(where, moved.amps, batch.amps))
+            batch = qcore.StateVector(batch.labels, np.where(where, moved.amps, batch.amps))
     return batch
 
 
@@ -313,8 +312,8 @@ def test_fused_gather_equals_gate_by_gate_sequence(steps, nbits, trials):
         fused = qcore.permute(batch, steps, bits)
         assert _same_bits(fused.amps, _gate_by_gate(batch, steps, bits).amps)
         # a lone state runs the same kernel as the batch of one
-        lone = qcore.permute(batch.row(0), steps, tuple(int(b[0]) for b in bits))
-        assert np.array_equal(lone.amps, fused.amps[0])
+        lone = qcore.permute(_row(batch, 0), steps, tuple(int(b[0]) for b in bits))
+        assert np.array_equal(lone.amps, fused.amps[:1])
 
 
 @pytest.mark.parametrize("trials", [1, 16])
@@ -335,9 +334,9 @@ def test_measure_reset_equals_measure_then_flip(targets, trials):
     assert _same_bits(fused.amps, ref.amps)
     assert np.all(qcore.excited_mass(fused, targets) == 0.0)
 
-    lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, uniforms[:1])
-    assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
-    assert np.array_equal(lone.amps, fused.amps[0])
+    lone_outcomes, lone = qcore.measure_reset(_row(batch, 0), targets, uniforms[:1])
+    assert [o.tolist() for o in lone_outcomes] == [o[:1].tolist() for o in outcomes]
+    assert np.array_equal(lone.amps, fused.amps[:1])
 
 
 @pytest.mark.parametrize("trials", [1, 16])
@@ -361,9 +360,9 @@ def test_pre_drawn_uniforms_measure_as_the_generators_draw(targets, trials):
     bit, _ = qcore.measure(batch, targets[0], uniforms[:, :1])
     assert bit.tolist() == lazy_outcomes[0].tolist()
     # a lone state reads a (1, targets) array
-    lone_outcomes, lone = qcore.measure_reset(batch.row(0), targets, uniforms[:1])
-    assert list(lone_outcomes) == [int(o[0]) for o in outcomes]
-    assert np.array_equal(lone.amps, pre.amps[0])
+    lone_outcomes, lone = qcore.measure_reset(_row(batch, 0), targets, uniforms[:1])
+    assert [o.tolist() for o in lone_outcomes] == [o[:1].tolist() for o in outcomes]
+    assert np.array_equal(lone.amps, pre.amps[:1])
 
 
 @pytest.mark.parametrize("uniforms,message", [
@@ -384,7 +383,7 @@ def test_measure_rejects_misshapen_or_out_of_range_uniforms(uniforms, message):
 def test_measure_reset_names_the_trial_with_a_zero_probability_branch():
     amps = np.zeros((4, 4), dtype=np.complex128)
     amps[0, 0] = amps[3, 1] = 1.0  # trials 1 and 2 hold no state at all
-    batch = qcore.StateBatch(("a", "b"), amps)
+    batch = qcore.new_register(["a", "b"]).with_rows(amps)
     uniforms = np.array([np.random.default_rng(t).random(2) for t in range(4)])
     with pytest.raises(ValueError, match="branch 0 of 'a' has zero probability in trial 1$"):
         qcore.measure_reset(batch, ("a", "b"), uniforms)
@@ -484,7 +483,7 @@ def _reference_collapse(batch, targets, uniforms, reset):
         parts = np.ascontiguousarray(rows).view(np.float64).reshape(b, 2**axis, 2, -1)
         rows = (parts * factor).view(np.complex128).reshape(b, -1)
         outcomes.append(bits)
-    out = qcore.StateBatch(batch.labels, rows)
+    out = qcore.StateVector(batch.labels, rows)
     if reset:
         for target, bits in zip(targets, outcomes):
             out = _gate_by_gate(out, ((None, target, 0),), (bits,))
@@ -497,7 +496,7 @@ def _signed_zero_batch(rng, trials):
     amps = batch.amps.copy()
     amps.real[rng.random(amps.shape) < 0.1] = -0.0
     amps.imag[rng.random(amps.shape) < 0.1] = -0.0
-    return qcore.StateBatch(batch.labels, amps / np.sqrt(qcore._squared_sum(amps))[:, np.newaxis])
+    return qcore.StateVector(batch.labels, amps / np.sqrt(qcore._squared_sum(amps))[:, np.newaxis])
 
 
 @pytest.mark.parametrize("trials", [1, 16])
@@ -535,7 +534,7 @@ def test_reductions_equal_cumsum_references(trials):
         want = _cumsum_total(t[:, :, np.newaxis, :] * t.conj()[:, np.newaxis, :, :])
         assert _same_bits(qcore.reduced_density(batch, keep), want)
     assert _same_bits(qcore.fidelity(batch, other), _fidelity_reference(rows, other.amps))
-    assert _same_bits(qcore.fidelity(batch.row(0), other), _fidelity_reference(rows[:1], other.amps))
+    assert _same_bits(qcore.fidelity(_row(batch, 0), other), _fidelity_reference(rows[:1], other.amps))
     m = _random_unitary(rng, 8)
     fwd = qcore._axis_order(n, (0, 2, 4, 1, 3, 5))
     grouped = rows[:, fwd].reshape(trials, -1, 8)

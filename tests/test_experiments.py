@@ -381,7 +381,7 @@ def test_step_api_from_trial_streams_reproduces_the_run():
         protocol.deliver_and_decode(session)
         protocol.toggle_carrier(session)
     session.require_uniforms_spent()
-    assert session.records == run_honest_trial(config, seed=17).transcript.records
+    assert session.transcripts()[0].records == run_honest_trial(config, seed=17).transcript.records
 
 
 @pytest.mark.parametrize("policy", [None, MaintenancePolicy.PLAIN_HADAMARD])
@@ -544,7 +544,7 @@ def test_session_takes_its_trials_from_the_uniforms_rows():
     session = protocol.init_session(ProtocolConfig(num_rounds=2), np.zeros((3, 4)))
     assert session.trials == 3 and session.states.trials == 3
     one = protocol.init_session(ProtocolConfig(num_rounds=2), np.zeros((1, 4)))
-    assert one.state.labels == protocol.CARRIER_LABELS + protocol.MESSAGE_LABELS
+    assert one.states.labels == protocol.CARRIER_LABELS + protocol.MESSAGE_LABELS
 
 
 def test_session_rejects_uniforms_without_one_row_per_trial():

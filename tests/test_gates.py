@@ -68,8 +68,8 @@ def test_theta_triple_toggles_up_to_phase():
     m = _triple_matrix(*tri.as_tuple())
     ghz = gates.make_carrier(CarrierKind.GHZ, ("a", "b", "c"))
     even = gates.make_carrier(CarrierKind.EVEN_PARITY, ("a", "b", "c"))
-    fwd = qcore.from_amplitudes(("a", "b", "c"), m @ ghz.amps)
-    inv = qcore.from_amplitudes(("a", "b", "c"), m.conj().T @ even.amps)
+    fwd = qcore.from_amplitudes(("a", "b", "c"), m @ ghz.amps[0])
+    inv = qcore.from_amplitudes(("a", "b", "c"), m.conj().T @ even.amps[0])
     assert qcore.fidelity(fwd, even) >= 1 - 1e-10
     assert qcore.fidelity(inv, ghz) >= 1 - 1e-10
 

@@ -81,12 +81,12 @@ def test_parity_of():
 
 def test_init_session_layout():
     s = seeded_session(ProtocolConfig())
-    assert s.state.labels == ("a", "b", "c", "m1", "m2")
+    assert s.states.labels == ("a", "b", "c", "m1", "m2")
     assert s.round_index == 1 and s.parity == "odd"
     ghz = protocol.expected_full_state(s)
-    assert qcore.fidelity(s.state, ghz) == pytest.approx(1.0)
+    assert qcore.fidelity(s.states, ghz) == pytest.approx(1.0)
     s2 = init_session(ProtocolConfig(), np.zeros((1, 40)), extra_labels=("bt",))
-    assert s2.state.labels == ("a", "b", "c", "bt", "m1", "m2")
+    assert s2.states.labels == ("a", "b", "c", "bt", "m1", "m2")
 
 
 def test_odd_round_delivers_bit_to_both():
@@ -95,7 +95,7 @@ def test_odd_round_delivers_bit_to_both():
         encode_round(s, q)
         (bob,), (charlie,) = deliver_and_decode(s)
         assert bob == q and charlie == q
-        assert s.records[-1].carrier_fidelity >= 1 - 1e-10
+        assert s.transcripts()[0].records[-1].carrier_fidelity >= 1 - 1e-10
 
 
 def test_even_round_xor_rule():
@@ -109,7 +109,7 @@ def test_even_round_xor_rule():
         encode_round(s, q)
         (bob,), (charlie,) = deliver_and_decode(s)
         assert bob ^ charlie == q
-        assert s.records[-1].carrier_fidelity >= 1 - 1e-10
+        assert s.transcripts()[0].records[-1].carrier_fidelity >= 1 - 1e-10
 
 
 def test_even_round_single_reads_are_uniform():
@@ -118,7 +118,7 @@ def test_even_round_single_reads_are_uniform():
     deliver_and_decode(s)
     toggle_carrier(s)
     for q in (0, 1):
-        st = encoded_state(s.state, "even", q)
+        st = encoded_state(s.states, "even", q)
         # decode first, then look at each receiver's marginal alone
         st = qcore.apply_unitary(st, gates.CNOT, ["b", "m1"])
         st = qcore.apply_unitary(st, gates.CNOT, ["c", "m2"])
@@ -130,8 +130,8 @@ def test_in_flight_messages_are_disguised():
     # The reduced message state must not depend on the secret bit.
     s = seeded_session(ProtocolConfig(rng_seed=3))
     for parity in ("odd", "even"):
-        rho0 = qcore.reduced_density(encoded_state(s.state, parity, 0), ["m1", "m2"])
-        rho1 = qcore.reduced_density(encoded_state(s.state, parity, 1), ["m1", "m2"])
+        rho0 = qcore.reduced_density(encoded_state(s.states, parity, 0), ["m1", "m2"])
+        rho1 = qcore.reduced_density(encoded_state(s.states, parity, 1), ["m1", "m2"])
         assert qcore.trace_distance(rho0, rho1) < 1e-12
 
 
@@ -143,7 +143,7 @@ def test_toggle_alternates_carrier_kind():
     toggle_carrier(s)
     assert s.carrier_kind is CarrierKind.EVEN_PARITY
     assert s.round_index == 2
-    assert qcore.fidelity(s.state, protocol.expected_full_state(s)) >= 1 - 1e-10
+    assert qcore.fidelity(s.states, protocol.expected_full_state(s)) >= 1 - 1e-10
 
 
 def _toggle_triple(angles, round_index):

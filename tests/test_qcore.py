@@ -3,8 +3,9 @@
 The dense simulator is the foundation everything else trusts, so the
 conventions get pinned here explicitly: label position 0 is the most
 significant bit, the first target of apply_unitary is the most significant
-bit of the matrix index space, and all randomness flows through an injected
-generator.
+bit of the matrix index space, a lone state is the batch of one, every
+kernel returns per-trial values, and measurements read uniforms drawn
+beforehand.
 """
 
 import math
@@ -20,7 +21,7 @@ from qsscarrier import gates, qcore
 def test_new_register_is_all_zeros():
     st = qcore.new_register(["a", "b", "c"])
     assert st.labels == ("a", "b", "c")
-    assert st.amps[0] == 1.0
+    assert st.amps[0, 0] == 1.0
     assert np.count_nonzero(st.amps) == 1
 
 
@@ -43,8 +44,8 @@ def test_first_label_is_most_significant_bit():
     st = qcore.new_register(["hi", "lo"])
     flipped_hi = qcore.apply_unitary(st, gates.X, ["hi"])
     flipped_lo = qcore.apply_unitary(st, gates.X, ["lo"])
-    assert flipped_hi.amps[0b10] == 1.0
-    assert flipped_lo.amps[0b01] == 1.0
+    assert flipped_hi.amps[0, 0b10] == 1.0
+    assert flipped_lo.amps[0, 0b01] == 1.0
 
 
 def test_apply_unitary_first_target_is_matrix_msb():
@@ -55,9 +56,9 @@ def test_apply_unitary_first_target_is_matrix_msb():
     out = qcore.apply_unitary(st, gates.CNOT, ["hi", "lo"])
     # control hi=1 flips lo: state |hi=1, lo=1> = index 0b11 in (lo, hi)...
     # labels are (lo, hi) so index bits are lo,hi -> |1,1> = 3
-    assert abs(out.amps[0b11] - 1.0) < 1e-15
+    assert abs(out.amps[0, 0b11] - 1.0) < 1e-15
     inert = qcore.apply_unitary(qcore.new_register(["lo", "hi"]), gates.CNOT, ["hi", "lo"])
-    assert inert.amps[0] == 1.0
+    assert inert.amps[0, 0] == 1.0
 
 
 def _random_state(rng: np.random.Generator, labels) -> qcore.StateVector:
@@ -100,10 +101,10 @@ def test_apply_unitary_rejects_bad_shapes_and_targets():
 def test_measure_deterministic_branches():
     rng = np.random.default_rng(0)
     one = qcore.apply_unitary(qcore.new_register(["a", "b"]), gates.X, ["b"])
-    bit, post = qcore.measure(one, "b", rng.random((1, 1)))
+    (bit,), post = qcore.measure(one, "b", rng.random((1, 1)))
     assert bit == 1
     assert qcore.fidelity(post, one) == pytest.approx(1.0)
-    bit0, _ = qcore.measure(one, "a", rng.random((1, 1)))
+    (bit0,), _ = qcore.measure(one, "a", rng.random((1, 1)))
     assert bit0 == 0
 
 
@@ -111,10 +112,10 @@ def test_measure_collapse_renormalizes():
     rng = np.random.default_rng(3)
     st = qcore.apply_unitary(qcore.new_register(["a", "b"]), gates.H, ["a"])
     st = qcore.apply_unitary(st, gates.CNOT, ["a", "b"])
-    bit, post = qcore.measure(st, "a", rng.random((1, 1)))
+    (bit,), post = qcore.measure(st, "a", rng.random((1, 1)))
     assert np.linalg.norm(post.amps) == pytest.approx(1.0)
     # Bell correlation: the partner is now deterministic.
-    bit2, _ = qcore.measure(post, "b", rng.random((1, 1)))
+    (bit2,), _ = qcore.measure(post, "b", rng.random((1, 1)))
     assert bit2 == bit
 
 
@@ -123,7 +124,7 @@ def test_measure_statistics_frozen():
     # within 4 sigma of the fair mean as a sanity band.
     rng = np.random.default_rng(11)
     plus = qcore.apply_unitary(qcore.new_register(["a"]), gates.H, ["a"])
-    ones = sum(qcore.measure(plus, "a", rng.random((1, 1)))[0] for _ in range(400))
+    ones = sum(qcore.measure(plus, "a", rng.random((1, 1)))[0].item() for _ in range(400))
     assert ones == 218
     assert abs(ones - 200) < 40
 
@@ -131,7 +132,7 @@ def test_measure_statistics_frozen():
 def test_reduced_density_of_bell_pair_is_maximally_mixed():
     st = qcore.apply_unitary(qcore.new_register(["a", "b"]), gates.H, ["a"])
     st = qcore.apply_unitary(st, gates.CNOT, ["a", "b"])
-    rho = qcore.reduced_density(st, ["a"])
+    (rho,) = qcore.reduced_density(st, ["a"])
     assert np.abs(rho - np.eye(2) / 2).max() < 1e-15
     assert qcore.purity(rho) == pytest.approx(0.5)
 
@@ -207,6 +208,41 @@ def test_reduced_density_always_valid(seed):
     rng = np.random.default_rng(seed)
     state = _random_state(rng, ("a", "b", "c", "d"))
     keep = list(rng.choice(["a", "b", "c", "d"], size=2, replace=False))
-    rho = qcore.reduced_density(state, keep)
+    (rho,) = qcore.reduced_density(state, keep)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert 0.25 - 1e-12 <= qcore.purity(rho) <= 1.0 + 1e-12
+
+
+def test_a_lone_state_is_the_batch_of_one():
+    bell = qcore.from_amplitudes(("a", "b"), np.array([1.0, 0.0, 0.0, 1.0]) / math.sqrt(2))
+    assert bell.amps.shape == (1, 4) and bell.trials == 1
+    assert qcore.new_register(["a", "b", "c"]).amps.shape == (1, 8)
+    with pytest.raises(ValueError, match=r"expected \(trials, 4\) amplitudes"):
+        qcore.from_amplitudes(("a", "b"), np.tile(bell.amps, (2, 1)))
+
+
+def test_every_kernel_returns_per_trial_values_for_a_lone_state():
+    bell = qcore.apply_unitary(qcore.apply_unitary(qcore.new_register(["a", "b"]), gates.H, ["a"]),
+                               gates.CNOT, ["a", "b"])
+    for values in (qcore.fidelity(bell, bell), qcore.probability_of_one(bell, "a"),
+                   qcore.excited_mass(bell, ("b",))):
+        assert isinstance(values, np.ndarray) and values.shape == (1,)
+    bits, post = qcore.measure(bell, "a", np.array([[0.25]]))
+    assert bits.dtype == np.int64 and bits.shape == (1,) and post.amps.shape == (1, 4)
+    outcomes, reset = qcore.measure_reset(bell, ("a", "b"), np.array([[0.75, 0.5]]))
+    assert [(o.dtype, o.shape) for o in outcomes] == [(np.int64, (1,))] * 2
+    assert reset.amps.shape == (1, 4)
+    assert qcore.reduced_density(bell, ("b",)).shape == (1, 2, 2)
+
+
+def test_outside_rows_are_checked_and_kernel_results_are_not():
+    rows = np.tile(qcore.new_register(["a", "b"]).amps, (3, 1))
+    rows[1] *= 1.0 + 1e-9
+    with pytest.raises(ValueError, match=r"norm deviates.*trial 1;"):
+        qcore.StateVector(("a", "b"), rows)
+    drifting = qcore.new_register(["a", "b"]).with_rows(rows)
+    with pytest.raises(ValueError, match=r"norm deviates.*trial 1;"):
+        drifting.check_norm()
+    with pytest.raises(ValueError, match="duplicate"):
+        drifting.relabeled({"a": "b"})
+    assert drifting.relabeled({"a": "x"}).labels == ("x", "b")
